@@ -13,10 +13,6 @@ output.
 
 Exit codes: 0 success, 1 validation/usage error, 2 pipeline integrity
 error (including oracle FAIL).
-
-The VFREPS_THREADS environment variable (default: all cores) caps worker
-parallelism; the current implementation computes sequentially, which is
-always deterministic, so the variable is validated and recorded only.
 """
 
 from __future__ import annotations
@@ -50,25 +46,17 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def worker_count() -> int:
-    raw = os.environ.get("VFREPS_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise CliError(f"VFREPS_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise CliError("VFREPS_THREADS must be >= 1")
-    return n
-
-
 def resolve_group(name_or_path: str) -> GraphOfGroups:
-    if name_or_path.endswith(".json") or os.sep in name_or_path or os.path.exists(name_or_path):
-        with open(name_or_path, "rb") as fh:
-            label = os.path.splitext(os.path.basename(name_or_path))[0]
-            return load(fh.read(), label=label)
-    return preset(name_or_path)
+    """A name that groupgraph.preset accepts is that preset, even when a
+    file of the same name exists; anything else is read as a group file."""
+    try:
+        return preset(name_or_path)
+    except ValueError as e:
+        if not os.path.exists(name_or_path):
+            raise CliError(f"{e} and no group file of that name") from None
+    with open(name_or_path, "rb") as fh:
+        label = os.path.splitext(os.path.basename(name_or_path))[0]
+        return load(fh.read(), label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +329,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        worker_count()  # validate the environment early
+        if args.command in ("count", "epoly") and args.max_dim < 0:
+            raise CliError("--max-dim must be >= 0")
         if args.command == "count":
-            if args.max_dim < 0:
-                raise CliError("--max-dim must be >= 0")
             print(cmd_count(args))
         elif args.command == "monoid":
             if args.dim < 0:

@@ -6,8 +6,9 @@ group must agree.  The weighted total dimension is then the same at every
 vertex and grades the monoid.
 
 Enumeration is deterministic (lexicographic on the concatenated vertex
-vectors) and every enumerated vector is interned per graph, so vectors can
-be used as dictionary keys in the series layer at tuple-hashing cost.
+vectors) and every enumerated vector is interned per graph.  The series
+layer packs the enumerated vectors into ints for its convolutions and maps
+them back to these interned vectors.
 """
 
 from __future__ import annotations

@@ -5,7 +5,11 @@ Everything downstream (graded series, counting tables) uses these scalars,
 so there is no floating point anywhere.  A polynomial is stored as a
 primitive integer coefficient vector together with a positive integer
 denominator; this keeps gcd computations in fast integer arithmetic while
-the public face stays "list of exact rationals, low degree first".
+the public face stays "list of exact rationals, low degree first".  Exact
+division works on ints alone: the divisor is split into content times a
+primitive part, and by Gauss's lemma an exact quotient by a primitive
+integer polynomial is again an integer polynomial, so the long division
+never leaves Z and a remainder at any step proves it inexact.
 
 Rational functions are kept in a unique canonical form (numerator and
 denominator coprime, denominator monic), so equal values constructed along
@@ -68,33 +72,42 @@ def _mul_lists(a, b):
 def _exact_div_lists(num, den):
     """Exact division of integer polynomials over Q; None when inexact.
 
-    The quotient may have rational coefficients, so the result is returned
-    as (coeffs, denominator) with integer coeffs.
+    The divisor is split as c * p with c its content, signed like its
+    leading coefficient, and p primitive.  By Gauss's lemma an exact
+    quotient num / p lies in Z[s], so the long division runs on ints, and a
+    step where the leading coefficient of p leaves a remainder proves the
+    division inexact.  The result is (coeffs, |c|) with num / den =
+    coeffs / |c|.
     """
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
     if not num:
         return [], 1
-    lead = den[-1]
-    rem = [Fraction(x) for x in num]
     qdeg = len(num) - len(den)
     if qdeg < 0:
         return None
-    quo = [Fraction(0)] * (qdeg + 1)
+    c = _int_content(den)
+    if den[-1] < 0:
+        c = -c
+    den = [y // c for y in den]
+    n = len(den) - 1
+    lead = den[-1]
+    rem = list(num)
+    quo = [0] * (qdeg + 1)
     for k in range(qdeg, -1, -1):
-        c = rem[k + len(den) - 1]
-        if c == 0:
-            continue
-        c = c / lead
-        quo[k] = c
-        for j, y in enumerate(den):
-            rem[k + j] -= c * y
-    if any(rem):
+        x = rem[k + n]
+        if x:
+            q, r = divmod(x, lead)
+            if r:
+                return None
+            quo[k] = q
+            for j in range(n):
+                rem[k + j] -= q * den[j]
+    if any(rem[:n]):
         return None
-    d = 1
-    for c in quo:
-        d = d * c.denominator // math.gcd(d, c.denominator)
-    return _trim([int(c * d) for c in quo]), d
+    if c < 0:
+        return [-x for x in quo], -c
+    return quo, c
 
 
 def _prem(f, g):
@@ -347,6 +360,9 @@ def _fmt_frac(c: Fraction) -> str:
 
 
 def _poly_text(coeffs, var: str) -> str:
+    """Descending powers with explicit signs; a variable longer than one
+    character, such as x*y, is parenthesised in powers: (x*y)^2."""
+    power = var if len(var) == 1 else f"({var})"
     terms = []
     for k in range(len(coeffs) - 1, -1, -1):
         c = coeffs[k]
@@ -358,7 +374,7 @@ def _poly_text(coeffs, var: str) -> str:
             body = _fmt_frac(mag)
         else:
             head = "" if mag == 1 else _fmt_frac(mag) + "*"
-            body = head + (var if k == 1 else f"{var}^{k}")
+            body = head + (var if k == 1 else f"{power}^{k}")
         terms.append((sign, body))
     if not terms:
         return "0"
@@ -370,6 +386,7 @@ def _poly_text(coeffs, var: str) -> str:
 
 
 def _poly_latex(coeffs, var: str) -> str:
+    power = var if len(var) == 1 else f"({var})"
     terms = []
     for k in range(len(coeffs) - 1, -1, -1):
         c = coeffs[k]
@@ -386,7 +403,7 @@ def _poly_latex(coeffs, var: str) -> str:
         elif k == 1:
             body = (head + " " if head else "") + var
         else:
-            body = (head + " " if head else "") + f"{var}^{{{k}}}"
+            body = (head + " " if head else "") + f"{power}^{{{k}}}"
         terms.append((sign, body))
     if not terms:
         return "0"

@@ -18,6 +18,12 @@ symmetric data therefore cost one polynomial operation per distinct value,
 which is what makes desk-scale truncations (D around 12) fast in exact
 arithmetic.
 
+Inside the convolutions a dimension vector is a packed int (_KeyCodec):
+its per-vertex entries in base D+1.  Adding two keys whose totals sum to
+at most D is one int addition without carries, and int order is the monoid
+order, so no DimVector is built per product; codes are mapped back to the
+interned vectors only when a coefficient is stored.
+
 exp and log of series are computed through the graded derivation
 recurrence (d * g_d = sum k * l_k * g_{d-k}), which agrees with the
 defining power sums truncated at total degree D; the test suite checks the
@@ -26,8 +32,9 @@ two against each other on small truncations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import dimmonoid
 from .dimmonoid import DimVector, enumerate_dimvectors, shift_exponent, zero_vector
@@ -197,35 +204,67 @@ def _values_for(g: GraphOfGroups) -> _Values:
     return vals
 
 
-def _by_degree(coeffs: dict, vals: _Values):
-    """Split {key: value} into degree buckets of sorted (key, interned) lists."""
+class _KeyCodec:
+    """Dimension vectors of total <= D packed into ints.
+
+    A code is the concatenation of the per_vertex entries in base D+1,
+    most significant first.  Simple dimensions are >= 1, so no entry
+    exceeds the total; the code of m1 + m2 is therefore code(m1) +
+    code(m2) with no carries whenever the sum stays within D, and int
+    order is per_vertex order.  `code` maps interned vectors to codes and
+    `vector` maps codes back.
+    """
+
+    __slots__ = ("code", "vector")
+
+    def __init__(self, g: GraphOfGroups, trunc: int):
+        base = trunc + 1
+        self.code = {}
+        self.vector = {}
+        for d in range(trunc + 1):
+            for m in enumerate_dimvectors(g, d):
+                c = 0
+                for v in m.per_vertex:
+                    for x in v:
+                        c = c * base + x
+                self.code[m] = c
+                self.vector[c] = m
+
+
+def _codec_for(g: GraphOfGroups, trunc: int) -> _KeyCodec:
+    key = ("codec", trunc)
+    codec = g._pipeline_cache.get(key)
+    if codec is None:
+        codec = _KeyCodec(g, trunc)
+        g._pipeline_cache[key] = codec
+    return codec
+
+
+def _by_degree(coeffs: dict, vals: _Values, codec: _KeyCodec):
+    """Split {key: value} into degree buckets of sorted (code, interned) lists."""
     out = {}
     for m, v in coeffs.items():
-        out.setdefault(m.total, []).append((m, vals.intern(v)))
-    for d in out:
-        out[d].sort(key=lambda kv: kv[0].per_vertex)
+        out.setdefault(m.total, []).append((codec.code[m], vals.intern(v)))
+    for bucket in out.values():
+        bucket.sort(key=lambda kv: kv[0])
     return out
 
 
-def _accumulate(acc, items1, items2, vals, weight_by_left_degree=False, d1=0):
-    """Add products of two degree buckets into per-key counters."""
-    w = d1 if weight_by_left_degree else 1
-    for m1, v1 in items1:
-        for m2, v2 in items2:
-            p = vals.mul(v1, v2)
-            if p.num.is_zero():
+def _accumulate(acc, items1, items2, vals, w=1):
+    """Add w times the products of two degree buckets into per-code counters."""
+    mul, zero = vals.mul, vals.zero
+    for c1, v1 in items1:
+        for c2, v2 in items2:
+            p = mul(v1, v2)
+            if p is zero:
                 continue
-            key = m1 + m2
+            key = c1 + c2
             c = acc.get(key)
             if c is None:
                 acc[key] = {p: w}
             else:
                 c[p] = c.get(p, 0) + w
     return acc
-
-
-def _sorted_keys(acc):
-    return sorted(acc.keys(), key=lambda m: m.per_vertex)
 
 
 # ---------------------------------------------------------------------------
@@ -239,29 +278,31 @@ def mul(f: GradedSeries, g: GradedSeries) -> GradedSeries:
     if f.trunc != g.trunc:
         raise ValueError("series with different truncations")
     vals = _values_for(f.graph)
-    fd = _by_degree(f.coeffs, vals)
-    gd = _by_degree(g.coeffs, vals)
+    codec = _codec_for(f.graph, f.trunc)
+    fd = _by_degree(f.coeffs, vals, codec)
+    gd = _by_degree(g.coeffs, vals, codec)
     acc = {}
     for d1, items1 in fd.items():
         for d2, items2 in gd.items():
             if d1 + d2 <= f.trunc:
                 _accumulate(acc, items1, items2, vals)
-    out = {m: vals.reduce(acc[m]) for m in _sorted_keys(acc)}
+    out = {codec.vector[c]: vals.reduce(acc[c]) for c in sorted(acc)}
     return GradedSeries(f.graph, f.trunc, out)
 
 
 def invert(f: GradedSeries) -> GradedSeries:
     """Multiplicative inverse up to truncation; needs a unit constant term."""
     vals = _values_for(f.graph)
+    codec = _codec_for(f.graph, f.trunc)
     zero = zero_vector(f.graph)
     f0 = f.coefficient(zero)
     if f0.is_zero():
         raise ValueError("series with zero constant term has no inverse")
     inv0 = vals.intern(RF_ONE / f0)
     neg_inv0 = vals.intern(-(RF_ONE / f0))
-    fd = _by_degree(f.coeffs, vals)
+    fd = _by_degree(f.coeffs, vals, codec)
     out = {zero: inv0}
-    out_by_deg = {0: [(zero, inv0)]}
+    out_by_deg = {0: [(0, inv0)]}
     for d in range(1, f.trunc + 1):
         acc = {}
         for d1 in range(1, d + 1):
@@ -270,11 +311,11 @@ def invert(f: GradedSeries) -> GradedSeries:
             if items1 and items2:
                 _accumulate(acc, items1, items2, vals)
         bucket = []
-        for m in _sorted_keys(acc):
-            v = vals.mul(neg_inv0, vals.reduce(acc[m]))
+        for c in sorted(acc):
+            v = vals.mul(neg_inv0, vals.reduce(acc[c]))
             if not v.is_zero():
-                out[m] = v
-                bucket.append((m, v))
+                out[codec.vector[c]] = v
+                bucket.append((c, v))
         out_by_deg[d] = bucket
     return GradedSeries(f.graph, f.trunc, out)
 
@@ -358,9 +399,9 @@ def rep_space_count(g: GraphOfGroups, m: DimVector) -> RatFunc:
 # exp / log / plethystic operations
 # ---------------------------------------------------------------------------
 
-def _log_recurrence(coeffs, graph, trunc, vals):
+def _log_recurrence(coeffs, trunc, vals, codec):
     """log of a series with constant term 1, via d*l_d = d*f_d - sum k*l_k*f_{d-k}."""
-    fd = _by_degree(coeffs, vals)
+    fd = _by_degree(coeffs, vals, codec)
     ell = {}
     ell_by_deg = {}
     for d in range(1, trunc + 1):
@@ -369,51 +410,50 @@ def _log_recurrence(coeffs, graph, trunc, vals):
             items1 = ell_by_deg.get(d1)
             items2 = fd.get(d - d1)
             if items1 and items2:
-                _accumulate(acc, items1, items2, vals, weight_by_left_degree=True, d1=d1)
+                _accumulate(acc, items1, items2, vals, w=d1)
         bucket = []
-        corr = {m: vals.scale(vals.reduce(c), Fraction(-1, d)) for m, c in acc.items()}
-        keys = set(corr)
-        keys.update(m for m, _ in fd.get(d, ()))
+        corr = {key: vals.scale(vals.reduce(c), Fraction(-1, d)) for key, c in acc.items()}
         direct = dict(fd.get(d, ()))
-        for m in sorted(keys, key=lambda m: m.per_vertex):
-            v = direct.get(m, vals.zero)
-            c = corr.get(m)
+        for key in sorted(corr.keys() | direct.keys()):
+            v = direct.get(key, vals.zero)
+            c = corr.get(key)
             if c is not None and not c.is_zero():
                 v = vals.intern(v + c)
             if not v.is_zero():
-                ell[m] = v
-                bucket.append((m, v))
+                ell[codec.vector[key]] = v
+                bucket.append((key, v))
         ell_by_deg[d] = bucket
     return ell
 
 
-def _exp_recurrence(coeffs, graph, trunc, vals):
+def _exp_recurrence(coeffs, graph, trunc, vals, codec):
     """exp of a series with constant term 0, via d*g_d = sum k*l_k*g_{d-k}."""
-    ld = _by_degree(coeffs, vals)
-    zero = zero_vector(graph)
-    out = {zero: vals.one}
-    out_by_deg = {0: [(zero, vals.one)]}
+    ld = _by_degree(coeffs, vals, codec)
+    out = {zero_vector(graph): vals.one}
+    out_by_deg = {0: [(0, vals.one)]}
     for d in range(1, trunc + 1):
         acc = {}
         for d1 in range(1, d + 1):
             items1 = ld.get(d1)
             items2 = out_by_deg.get(d - d1)
             if items1 and items2:
-                _accumulate(acc, items1, items2, vals, weight_by_left_degree=True, d1=d1)
+                _accumulate(acc, items1, items2, vals, w=d1)
         bucket = []
-        for m in _sorted_keys(acc):
-            v = vals.scale(vals.reduce(acc[m]), Fraction(1, d))
+        for c in sorted(acc):
+            v = vals.scale(vals.reduce(acc[c]), Fraction(1, d))
             if not v.is_zero():
-                out[m] = v
-                bucket.append((m, v))
+                out[codec.vector[c]] = v
+                bucket.append((c, v))
         out_by_deg[d] = bucket
     return out
 
 
-def _psi(coeffs, trunc, vals, inverse: bool):
-    """Adams-operation sum: Psi or its Moebius inverse."""
+def _psi(coeffs, trunc, vals, codec, inverse: bool):
+    """Adams-operation sum: Psi or its Moebius inverse.  The code of
+    beta*m is beta*code(m), carry-free while beta*total stays within D."""
     acc = {}
-    for m, v in sorted(coeffs.items(), key=lambda kv: (kv[0].total, kv[0].per_vertex)):
+    code = codec.code
+    for m, v in sorted(coeffs.items(), key=lambda kv: (kv[0].total, code[kv[0]])):
         dm = m.total
         if dm == 0:
             raise ValueError("Adams sums need vanishing constant term")
@@ -423,29 +463,29 @@ def _psi(coeffs, trunc, vals, inverse: bool):
             if mu:
                 w = vals.scale(vals.adams(vals.intern(v), beta), Fraction(mu, beta))
                 if not w.is_zero():
-                    key = dimmonoid.scale(m, beta)
-                    c = acc.setdefault(key, {})
+                    c = acc.setdefault(beta * code[m], {})
                     c[w] = c.get(w, 0) + 1
             beta += 1
-    return {m: vals.reduce(acc[m]) for m in _sorted_keys(acc)}
+    return {codec.vector[key]: vals.reduce(acc[key]) for key in sorted(acc)}
 
 
 def plethystic(f: GradedSeries, direction: str) -> GradedSeries:
     """Plethystic Exp (exp after the Adams sum, needs constant term 0) or
     Log (Moebius-inverted Adams sum after log, needs constant term 1)."""
     vals = _values_for(f.graph)
+    codec = _codec_for(f.graph, f.trunc)
     zero = zero_vector(f.graph)
     d = direction.lower()
     if d == "exp":
         if not f.coefficient(zero).is_zero():
             raise ValueError("plethystic Exp needs constant term 0")
-        psi = _psi(f.coeffs, f.trunc, vals, inverse=False)
-        out = _exp_recurrence(psi, f.graph, f.trunc, vals)
+        psi = _psi(f.coeffs, f.trunc, vals, codec, inverse=False)
+        out = _exp_recurrence(psi, f.graph, f.trunc, vals, codec)
     elif d == "log":
         if not f.coefficient(zero).is_one():
             raise ValueError("plethystic Log needs constant term 1")
-        ell = _log_recurrence(f.coeffs, f.graph, f.trunc, vals)
-        out = _psi(ell, f.trunc, vals, inverse=True)
+        ell = _log_recurrence(f.coeffs, f.trunc, vals, codec)
+        out = _psi(ell, f.trunc, vals, codec, inverse=True)
     else:
         raise ValueError(f"unknown plethystic direction {direction!r}")
     return GradedSeries(f.graph, f.trunc, out)
@@ -467,11 +507,12 @@ def compute_absim(g: GraphOfGroups, trunc: int, y_func=None) -> dict:
     if cached is not None:
         return cached
     vals = _values_for(g)
+    codec = _codec_for(g, trunc)
     f = build_F(g, trunc, y_func)
     finv = invert(f)
     unshifted = shift(finv, "inverse", y_func)
-    ell = _log_recurrence(unshifted.coeffs, g, trunc, vals)
-    series = _psi(ell, trunc, vals, inverse=True)
+    ell = _log_recurrence(unshifted.coeffs, trunc, vals, codec)
+    series = _psi(ell, trunc, vals, codec, inverse=True)
     one_minus_s = vals.intern(RatFunc.from_poly(Poly((1, -1))))
     out = {}
     for m, v in series.items():
@@ -496,9 +537,10 @@ def compute_ss(g: GraphOfGroups, trunc: int, y_func=None) -> dict:
         return cached
     absim = compute_absim(g, trunc, y_func)
     vals = _values_for(g)
+    codec = _codec_for(g, trunc)
     as_series = {m: RatFunc.from_poly(p) for m, p in absim.items()}
-    psi = _psi(as_series, trunc, vals, inverse=False)
-    series = _exp_recurrence(psi, g, trunc, vals)
+    psi = _psi(as_series, trunc, vals, codec, inverse=False)
+    series = _exp_recurrence(psi, g, trunc, vals, codec)
     out = {}
     for m, v in series.items():
         p = v.as_integer_poly()
@@ -555,17 +597,41 @@ def sim_value(per_pair, m: DimVector, c: int) -> Poly:
 
 @dataclass
 class CountingTable:
-    """All counting polynomials of one group up to a truncation."""
+    """All counting polynomials of one group up to a truncation.
+
+    Each kind is computed on first use, so a request for one kind pays for
+    no other: absim and ss map DimVector -> Poly with zero entries absent
+    (ss includes the zero vector); sim_pairs and sim are as returned by
+    compute_sim.
+    """
 
     graph: GraphOfGroups
     trunc: int
-    absim: dict = field(repr=False)  # DimVector -> Poly (nonzero entries)
-    ss: dict = field(repr=False)     # DimVector -> Poly (includes zero vector)
-    sim_pairs: dict = field(repr=False)
-    sim: dict = field(repr=False)
+
+    @property
+    def absim(self) -> dict:
+        return compute_absim(self.graph, self.trunc)
+
+    @property
+    def ss(self) -> dict:
+        return compute_ss(self.graph, self.trunc)
+
+    @cached_property
+    def _sim(self) -> tuple:
+        return compute_sim(self.graph, self.trunc)
+
+    @property
+    def sim_pairs(self) -> dict:
+        return self._sim[0]
+
+    @property
+    def sim(self) -> dict:
+        return self._sim[1]
 
     def per_vector(self, kind: str) -> dict:
-        return {"absim": self.absim, "ss": self.ss, "sim": self.sim}[kind]
+        if kind not in ("absim", "ss", "sim"):
+            raise KeyError(kind)
+        return getattr(self, kind)
 
     def aggregate(self, kind: str) -> dict:
         """Per total dimension: sum of the per-vector polynomials."""
@@ -582,71 +648,16 @@ class CountingTable:
 
 
 def build_counting_table(g: GraphOfGroups, trunc: int) -> CountingTable:
-    absim = compute_absim(g, trunc)
-    ss = compute_ss(g, trunc)
-    sim_pairs, sim = compute_sim(g, trunc)
-    return CountingTable(g, trunc, absim, ss, sim_pairs, sim)
+    return CountingTable(g, trunc)
 
 
 def epoly_text(p: Poly) -> str:
     """E-polynomial as text: the verbatim substitution s -> xy."""
-    return _epoly_terms(p)
+    return p.text("x*y")
 
 
 def epoly_latex(p: Poly) -> str:
-    coeffs = p.coefficients()
-    if not coeffs:
-        return "0"
-    out = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else "+"
-        mag = -c if c < 0 else c
-        if mag.denominator == 1:
-            head = "" if (mag == 1 and k > 0) else str(mag)
-        else:
-            head = rf"\frac{{{mag.numerator}}}{{{mag.denominator}}}"
-        if k == 0:
-            body = head if head else "1"
-        elif k == 1:
-            body = (head + " " if head else "") + "xy"
-        else:
-            body = (head + " " if head else "") + f"(xy)^{{{k}}}"
-        out.append((sign, body))
-    s0, b0 = out[0]
-    text = ("-" if s0 == "-" else "") + b0
-    for sign, body in out[1:]:
-        text += f" {sign} {body}"
-    return text
-
-
-def _epoly_terms(p: Poly) -> str:
-    coeffs = p.coefficients()
-    if not coeffs:
-        return "0"
-    out = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else "+"
-        mag = -c if c < 0 else c
-        magtxt = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
-        if k == 0:
-            body = magtxt
-        else:
-            head = "" if mag == 1 else magtxt + "*"
-            body = head + ("x*y" if k == 1 else f"(x*y)^{k}")
-        out.append((sign, body))
-    if not out:
-        return "0"
-    s0, b0 = out[0]
-    text = ("-" if s0 == "-" else "") + b0
-    for sign, body in out[1:]:
-        text += sign + body
-    return text
+    return p.latex("xy")
 
 
 def epoly_and_euler(table: CountingTable, kind: str = "ss", by: str = "total"):
@@ -658,5 +669,5 @@ def epoly_and_euler(table: CountingTable, kind: str = "ss", by: str = "total"):
         entries = table.per_vector(kind)
     out = {}
     for key, p in entries.items():
-        out[key] = (_epoly_terms(p), int(p.eval(1)))
+        out[key] = (epoly_text(p), int(p.eval(1)))
     return out

@@ -218,10 +218,102 @@ def test_pipeline_integrity_error_exits_2(capsys, monkeypatch):
     assert "integrity" in err
 
 
-def test_thread_env_validation(capsys, monkeypatch):
+def test_thread_env_is_ignored(capsys, monkeypatch):
+    # the recurrences are sequential, so VFREPS_THREADS is no interface
+    monkeypatch.delenv("VFREPS_THREADS", raising=False)
+    args = ("count", "--group", "psl2z", "--max-dim", "2", "--by", "total")
+    plain = run(capsys, *args)
     monkeypatch.setenv("VFREPS_THREADS", "potato")
-    code, _, err = run(capsys, "monoid", "--group", "psl2z", "--dim", "0")
-    assert code == 1
-    monkeypatch.setenv("VFREPS_THREADS", "2")
-    code, out, _ = run(capsys, "monoid", "--group", "psl2z", "--dim", "0")
+    assert run(capsys, *args)[:2] == plain[:2]
+    assert plain[0] == 0 and plain[1]
+
+
+def test_preset_name_wins_over_file_in_cwd(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "psl2z").write_text("")  # decoy named like a preset
+    code, out, err = run(
+        capsys, "count", "--group", "psl2z", "--max-dim", "2", "--kind", "ss", "--by", "total"
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["d=1: 6", "d=2: 3*s+15"]
+    # a name that is no preset is still read as a file, without separator or suffix
+    (tmp_path / "mygroup").write_bytes(save(preset("dinf")))
+    code, out, _ = run(
+        capsys, "count", "--group", "mygroup", "--max-dim", "1", "--kind", "ss", "--by", "total"
+    )
     assert code == 0
+    assert out.splitlines() == ["d=1: 4"]
+    code, _, err = run(capsys, "count", "--group", "nosuchgroup", "--max-dim", "1")
+    assert code == 1
+    assert "unknown preset 'nosuchgroup'" in err
+
+
+def test_epoly_negative_max_dim_exits_1(capsys):
+    code, out, err = run(capsys, "epoly", "--group", "psl2z", "--max-dim", "-1")
+    assert (code, out) == (1, "")
+    assert err == "error: --max-dim must be >= 0\n"
+
+
+def test_unrequested_kinds_are_not_computed(capsys, monkeypatch):
+    from vfreps import series
+
+    def boom(g, trunc):
+        raise AssertionError("sim computed for a request that does not need it")
+
+    monkeypatch.setattr(series, "compute_sim", boom)
+    for argv in (
+        ("count", "--group", "psl2z", "--max-dim", "3", "--kind", "ss"),
+        ("count", "--group", "psl2z", "--max-dim", "3", "--kind", "absim", "--by", "dimvector"),
+        ("epoly", "--group", "psl2z", "--max-dim", "3"),
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out
+
+
+def _lines(*lines):
+    return "".join(line + "\n" for line in lines)
+
+
+# seed output, recorded before the E-polynomial renderers were folded into
+# the generic polynomial renderers
+EPOLY_PINNED = {
+    ("psl2z", "text"): _lines(
+        "d=1: 6  euler=6",
+        "d=2: 3*x*y+15  euler=18",
+        "d=3: 2*(x*y)^2+12*x*y+26  euler=40",
+        "d=4: 3*(x*y)^3+9*(x*y)^2+24*x*y+39  euler=75",
+    ),
+    ("psl2z", "latex"): _lines(
+        r"\begin{tabular}{|c|c|c|}",
+        r"\hline",
+        r"d & E-polynomial & Euler \\\hline",
+        r"$1$ & $6$ & $6$ \\\hline",
+        r"$2$ & $3 xy + 15$ & $18$ \\\hline",
+        r"$3$ & $2 (xy)^{2} + 12 xy + 26$ & $40$ \\\hline",
+        r"$4$ & $3 (xy)^{3} + 9 (xy)^{2} + 24 xy + 39$ & $75$ \\\hline",
+        r"\end{tabular}",
+    ),
+    ("gl2z", "text"): _lines(
+        "d=1: 4  euler=4",
+        "d=2: x*y+14  euler=15",
+        "d=3: 8*x*y+28  euler=36",
+        "d=4: 3*(x*y)^2+26*x*y+56  euler=85",
+    ),
+    ("gl2z", "latex"): _lines(
+        r"\begin{tabular}{|c|c|c|}",
+        r"\hline",
+        r"d & E-polynomial & Euler \\\hline",
+        r"$1$ & $4$ & $4$ \\\hline",
+        r"$2$ & $xy + 14$ & $15$ \\\hline",
+        r"$3$ & $8 xy + 28$ & $36$ \\\hline",
+        r"$4$ & $3 (xy)^{2} + 26 xy + 56$ & $85$ \\\hline",
+        r"\end{tabular}",
+    ),
+}
+
+
+@pytest.mark.parametrize("group,fmt", sorted(EPOLY_PINNED))
+def test_epoly_output_pinned(capsys, group, fmt):
+    code, out, _ = run(capsys, "epoly", "--group", group, "--max-dim", "4", "--format", fmt)
+    assert code == 0
+    assert out == EPOLY_PINNED[(group, fmt)]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -12,6 +13,7 @@ from vfreps.exactalg import (
     QPower,
     RatFunc,
     S,
+    _exact_div_lists,
     gl_count,
     is_integer_poly,
     is_prime_power,
@@ -69,6 +71,89 @@ def test_exact_div_and_error():
         (Poly.monomial(2) + POLY_ONE).exact_div(S - POLY_ONE)
     with pytest.raises(ZeroDivisionError):
         num.exact_div(Poly(()))
+
+
+def _fraction_long_division(num, den):
+    """Reference quotient num/den over Q as a list of Fractions (low degree
+    first), or None when den does not divide num."""
+    n = len(den) - 1
+    if len(num) <= n:
+        return None
+    rem = [Fraction(x) for x in num]
+    quo = [Fraction(0)] * (len(num) - n)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + n] / den[-1]
+        quo[k] = c
+        for j, y in enumerate(den):
+            rem[k + j] -= c * y
+    return None if any(rem) else quo
+
+
+def _random_int_poly(rng, lo, hi, width=4):
+    c = [rng.randint(-width, width) for _ in range(rng.randint(lo, hi))]
+    while not c[-1]:
+        c[-1] = rng.randint(-width, width)
+    return c
+
+
+def _mul_int(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _exact_div_cases():
+    """Fixed corner cases plus a seeded sample: divisors with content > 1,
+    negative leading coefficients, non-monic primitive divisors, quotients
+    that are exact over Q but not over Z, and inexact divisions."""
+    cases = [
+        ([-3, -5, 2], [1, 2]),       # (2s+1)(s-3) / (2s+1)
+        ([1, 0, 1], [1, 2]),         # s^2+1 / (2s+1): lead 2 leaves a remainder
+        ([1, 1], [2, 2]),            # (s+1) / (2s+2) = 1/2
+        ([2, -2], [-3, 3]),          # (2-2s) / (3s-3) = -2/3
+        ([4, 0, -4], [2, -2]),       # (4-4s^2) / (2-2s) = 2+2s
+        ([1, 0, 0, 2], [0, 3]),      # 2s^3+1 / 3s: only the final remainder 1 is left
+        ([5], [1, 1]),               # degree too small
+        ([6, 4], [-2]),              # constant negative divisor
+    ]
+    rng = random.Random(2201)
+    for _ in range(400):
+        content = rng.choice([1, 1, 2, 3, 6, -1, -2, -5])
+        prim = _random_int_poly(rng, 1, 4)
+        g = 0
+        for x in prim:
+            g = math.gcd(g, x)
+        prim = [x // g for x in prim]
+        den = [content * x for x in prim]
+        num = _mul_int(_random_int_poly(rng, 1, 4), prim)
+        if rng.random() < 0.4:
+            num[rng.randrange(len(num))] += rng.choice([-1, 1])  # usually inexact now
+        while num and not num[-1]:
+            num.pop()
+        if num:
+            cases.append((num, den))
+    return cases
+
+
+def test_exact_div_lists_matches_fraction_long_division():
+    exact = inexact = 0
+    for num, den in _exact_div_cases():
+        ref = _fraction_long_division(num, den)
+        got = _exact_div_lists(num, den)
+        if ref is None:
+            inexact += 1
+            assert got is None, (num, den)
+            with pytest.raises(InexactDivision):
+                Poly(num).exact_div(Poly(den))
+        else:
+            exact += 1
+            coeffs, d = got
+            assert d > 0 and all(isinstance(x, int) for x in coeffs)
+            assert [Fraction(x, d) for x in coeffs] == ref, (num, den)
+            assert Poly(num).exact_div(Poly(den)) == Poly.from_coeffs(ref)
+    assert exact > 100 and inexact > 100
 
 
 def test_poly_gcd_monic():

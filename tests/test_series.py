@@ -155,6 +155,42 @@ def test_mul_support_matches_pair_enumeration():
     assert mul(f, f).coefficient(target) == expected
 
 
+CODEC_PRESETS = [
+    "free(2)", "cyclic(1)", "cyclic(3)", "dihedral(4)", "cyclic_free_product(2,3)",
+    "cyclic_amalgam(2,2,4)", "dinf", "gc(2)", "psl2z", "sl2z", "gl2z", "pgl2z",
+]
+
+
+@pytest.mark.parametrize("name", CODEC_PRESETS)
+def test_key_codec_round_trip_order_and_carry_free_sums(name):
+    from vfreps.dimmonoid import scale as dv_scale
+    from vfreps.series import _codec_for
+
+    D = 4
+    g = preset(name)
+    codec = _codec_for(g, D)
+    code = codec.code
+    by_deg = [enumerate_dimvectors(g, d) for d in range(D + 1)]
+    vectors = [m for bucket in by_deg for m in bucket]
+    assert len(code) == len(codec.vector) == len(vectors)
+    for m in vectors:
+        assert codec.vector[code[m]] is m
+    assert sorted(vectors, key=code.get) == sorted(vectors, key=lambda m: m.per_vertex)
+    # sums and multiples within D, checked against the tuple arithmetic
+    for d1 in range(D + 1):
+        for d2 in range(D + 1 - d1):
+            for m1 in by_deg[d1]:
+                for m2 in by_deg[d2]:
+                    assert codec.vector[code[m1] + code[m2]] is m1 + m2
+        for beta in range(1, D // max(d1, 1) + 1):
+            for m in by_deg[d1]:
+                assert codec.vector[beta * code[m]] is dv_scale(m, beta)
+    # an entry may reach D itself, and the sums above then hit it carry-free
+    if name == "cyclic(1)":
+        (top,) = by_deg[D]
+        assert top.per_vertex == ((D,),) and code[top] == D
+
+
 def test_mul_mismatch_errors():
     g, g2 = preset("psl2z"), preset("dinf")
     with pytest.raises(ValueError):
