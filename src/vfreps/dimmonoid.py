@@ -105,8 +105,15 @@ def dimvector(g: GraphOfGroups, per_vertex) -> DimVector:
         if u != w:
             raise ValueError(f"edge {j} constraint violated: {u} != {w}")
         per_edge.append(u)
-    m = DimVector(g, pv, tuple(per_edge), totals[0] if totals else 0)
-    g._dv_cache[pv] = m
+    return _interned(g, pv, tuple(per_edge), totals[0] if totals else 0)
+
+
+def _interned(g: GraphOfGroups, pv: tuple, per_edge: tuple, total: int) -> DimVector:
+    """The graph's interned vector with these per-vertex entries; per_edge
+    and total are trusted, and used only when pv is new."""
+    m = g._dv_cache.get(pv)
+    if m is None:
+        m = g._dv_cache[pv] = DimVector(g, pv, per_edge, total)
     return m
 
 
@@ -127,28 +134,15 @@ def _intern_sum(g, a: DimVector, b: DimVector, sign: int):
                 return None
             pv.append(row)
         pv = tuple(pv)
-    cached = g._dv_cache.get(pv)
-    if cached is not None:
-        return cached
     pe = tuple(
         tuple(x + sign * y for x, y in zip(ua, ub))
         for ua, ub in zip(a.per_edge, b.per_edge)
     )
-    m = DimVector(g, pv, pe, a.total + sign * b.total)
-    g._dv_cache[pv] = m
-    return m
+    return _interned(g, pv, pe, a.total + sign * b.total)
 
 
 def zero_vector(g: GraphOfGroups) -> DimVector:
     return dimvector(g, tuple((0,) * len(v.simple_dims) for v in g.vertices))
-
-
-def total_dim(m: DimVector) -> int:
-    return m.total
-
-
-def add(m: DimVector, n: DimVector) -> DimVector:
-    return _intern_sum(m.graph, m, n, 1)
 
 
 def try_sub(m: DimVector, n: DimVector):
@@ -157,17 +151,12 @@ def try_sub(m: DimVector, n: DimVector):
 
 
 def scale(m: DimVector, c: int) -> DimVector:
-    pv = tuple(tuple(c * x for x in v) for v in m.per_vertex)
-    cached = m.graph._dv_cache.get(pv)
-    if cached is not None:
-        return cached
-    dv = DimVector(
-        m.graph, pv,
+    return _interned(
+        m.graph,
+        tuple(tuple(c * x for x in v) for v in m.per_vertex),
         tuple(tuple(c * x for x in u) for u in m.per_edge),
         c * m.total,
     )
-    m.graph._dv_cache[pv] = dv
-    return dv
 
 
 def gcd_div(m: DimVector):
@@ -210,7 +199,6 @@ def enumerate_dimvectors(g: GraphOfGroups, d: int):
     if cached is not None:
         return cached
     amalgams = [e for e in g.edges if e.kind == "amalgam"]
-    hnns = [e for e in g.edges if e.kind == "hnn"]
     partial = [[v] for v in _weighted_compositions(d, g.vertices[0].simple_dims)]
     for e in amalgams:
         # tree order guarantees e.s < e.t and e.t is the next new vertex
@@ -223,8 +211,11 @@ def enumerate_dimvectors(g: GraphOfGroups, d: int):
         partial = grown
     out = []
     for pv in partial:
-        if all(e.iota.apply(pv[e.s]) == e.kappa.apply(pv[e.t]) for e in hnns):
-            out.append(dimvector(g, pv))
+        # every constraint but the HNN ones and every vertex total hold by
+        # construction, so the vector is interned without revalidation
+        per_edge = tuple(e.iota.apply(pv[e.s]) for e in g.edges)
+        if all(u == e.kappa.apply(pv[e.t]) for u, e in zip(per_edge, g.edges) if e.kind == "hnn"):
+            out.append(_interned(g, tuple(pv), per_edge, d))
     out.sort()
     out = tuple(out)
     g._enum_cache[d] = out

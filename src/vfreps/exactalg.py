@@ -451,10 +451,6 @@ class RatFunc:
         return cls(p, POLY_ONE, _canonical=True)
 
     @classmethod
-    def const(cls, c) -> "RatFunc":
-        return cls(Poly.const(c), POLY_ONE, _canonical=True)
-
-    @classmethod
     def s_power(cls, k: int) -> "RatFunc":
         """s^k for any integer k; negative k gives denominator s^(-k)."""
         if k >= 0:
@@ -553,10 +549,6 @@ class RatFunc:
             return None
         return self.num
 
-    def as_poly(self) -> Optional[Poly]:
-        """The underlying polynomial when the value lies in Q[s], else None."""
-        return self.num if self.den.is_one() else None
-
     def text(self, var: str = "s") -> str:
         if self.den.is_one():
             return self.num.text(var)
@@ -578,14 +570,6 @@ class RatFunc:
 
 RF_ZERO = RatFunc(POLY_ZERO, POLY_ONE, _canonical=True)
 RF_ONE = RatFunc(POLY_ONE, POLY_ONE, _canonical=True)
-
-
-def adams(f: RatFunc, a: int) -> RatFunc:
-    return f.adams(a)
-
-
-def is_integer_poly(f: RatFunc) -> Optional[Poly]:
-    return f.as_integer_poly()
 
 
 # ---------------------------------------------------------------------------

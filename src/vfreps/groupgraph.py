@@ -94,16 +94,10 @@ class GraphOfGroups:
         self.label = label
         self.vertices = tuple(vertices)
         self.edges = tuple(edges)
-        self.amalgam_count = sum(1 for e in self.edges if e.kind == "amalgam")
-        self.hnn_count = len(self.edges) - self.amalgam_count
         # caches filled lazily by dimmonoid / series
         self._dv_cache = {}
         self._enum_cache = {}
         self._pipeline_cache = {}
-
-    @property
-    def vertex_dims(self):
-        return tuple(v.simple_dims for v in self.vertices)
 
     def __repr__(self):
         return f"GraphOfGroups({self.label!r}, {len(self.vertices)} vertices, {len(self.edges)} edges)"

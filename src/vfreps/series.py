@@ -24,10 +24,14 @@ at most D is one int addition without carries, and int order is the monoid
 order, so no DimVector is built per product; codes are mapped back to the
 interned vectors only when a coefficient is stored.
 
-exp and log of series are computed through the graded derivation
-recurrence (d * g_d = sum k * l_k * g_{d-k}), which agrees with the
-defining power sums truncated at total degree D; the test suite checks the
-two against each other on small truncations.
+invert, plethystic Log and plethystic Exp are three instances of one
+graded triangular solve, out_d = alpha(d) * (rhs_d + sum_{k>=1} a_k *
+out_{d-k}), with D the degree derivation (the coefficient at m times |m|):
+the inverse of f has a = -f_0^-1 f_+ and out_0 = f_0^-1; h = D(log f)
+solves f h = D f, so a = -f_+ and rhs = D f_+; g = exp(psi) solves
+D g = (D psi) g, so a = D psi, out_0 = 1 and alpha(d) = 1/d.  These agree
+with the defining power sums truncated at total degree D; the test suite
+checks the two against each other on small truncations.
 """
 
 from __future__ import annotations
@@ -88,9 +92,6 @@ class GradedSeries:
 
     def coefficient(self, m: DimVector) -> RatFunc:
         return self.coeffs.get(m, RF_ZERO)
-
-    def items_sorted(self):
-        return sorted(self.coeffs.items(), key=lambda kv: (kv[0].total, kv[0].per_vertex))
 
     def __eq__(self, other):
         return (
@@ -250,8 +251,8 @@ def _by_degree(coeffs: dict, vals: _Values, codec: _KeyCodec):
     return out
 
 
-def _accumulate(acc, items1, items2, vals, w=1):
-    """Add w times the products of two degree buckets into per-code counters."""
+def _accumulate(acc, items1, items2, vals):
+    """Add the products of two degree buckets into per-code counters."""
     mul, zero = vals.mul, vals.zero
     for c1, v1 in items1:
         for c2, v2 in items2:
@@ -261,10 +262,50 @@ def _accumulate(acc, items1, items2, vals, w=1):
             key = c1 + c2
             c = acc.get(key)
             if c is None:
-                acc[key] = {p: w}
+                acc[key] = {p: 1}
             else:
-                c[p] = c.get(p, 0) + w
+                c[p] = c.get(p, 0) + 1
     return acc
+
+
+def _solve(g, trunc, a, rhs=None, out0=None, alpha=lambda d: 1):
+    """The graded triangular solve behind invert, Log and Exp.
+
+    For d = 1..trunc, out_d = alpha(d) * (rhs_d + sum_{k>=1} a_k *
+    out_{d-k}), where a and rhs are {DimVector: RatFunc} without constant
+    term and the constant term of out is out0 (absent when None).
+    Returns {DimVector: interned value}, zeros absent.
+    """
+    vals = _values_for(g)
+    codec = _codec_for(g, trunc)
+    ad = _by_degree(a, vals, codec)
+    rd = _by_degree(rhs or {}, vals, codec)
+    out = {}
+    out_by_deg = {}
+    if out0 is not None:
+        out[zero_vector(g)] = out0
+        out_by_deg[0] = [(0, out0)]
+    for d in range(1, trunc + 1):
+        acc = {c: {v: 1} for c, v in rd.get(d, ())}
+        for k in range(1, d + 1):
+            items1 = ad.get(k)
+            items2 = out_by_deg.get(d - k)
+            if items1 and items2:
+                _accumulate(acc, items1, items2, vals)
+        bucket = []
+        for c in sorted(acc):
+            v = vals.scale(vals.reduce(acc[c]), alpha(d))
+            if not v.is_zero():
+                out[codec.vector[c]] = v
+                bucket.append((c, v))
+        out_by_deg[d] = bucket
+    return out
+
+
+def _derive(coeffs: dict, vals: _Values) -> dict:
+    """The degree derivation D on interned values: the coefficient at m
+    times |m|."""
+    return {m: vals.scale(v, m.total) for m, v in coeffs.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -293,31 +334,13 @@ def mul(f: GradedSeries, g: GradedSeries) -> GradedSeries:
 def invert(f: GradedSeries) -> GradedSeries:
     """Multiplicative inverse up to truncation; needs a unit constant term."""
     vals = _values_for(f.graph)
-    codec = _codec_for(f.graph, f.trunc)
-    zero = zero_vector(f.graph)
-    f0 = f.coefficient(zero)
+    f0 = f.coefficient(zero_vector(f.graph))
     if f0.is_zero():
         raise ValueError("series with zero constant term has no inverse")
     inv0 = vals.intern(RF_ONE / f0)
-    neg_inv0 = vals.intern(-(RF_ONE / f0))
-    fd = _by_degree(f.coeffs, vals, codec)
-    out = {zero: inv0}
-    out_by_deg = {0: [(0, inv0)]}
-    for d in range(1, f.trunc + 1):
-        acc = {}
-        for d1 in range(1, d + 1):
-            items1 = fd.get(d1)
-            items2 = out_by_deg.get(d - d1)
-            if items1 and items2:
-                _accumulate(acc, items1, items2, vals)
-        bucket = []
-        for c in sorted(acc):
-            v = vals.mul(neg_inv0, vals.reduce(acc[c]))
-            if not v.is_zero():
-                out[codec.vector[c]] = v
-                bucket.append((c, v))
-        out_by_deg[d] = bucket
-    return GradedSeries(f.graph, f.trunc, out)
+    neg_inv0 = vals.intern(-inv0)
+    a = {m: vals.mul(neg_inv0, vals.intern(v)) for m, v in f.coeffs.items() if m.total}
+    return GradedSeries(f.graph, f.trunc, _solve(f.graph, f.trunc, a, out0=inv0))
 
 
 def shift(f: GradedSeries, direction: str, y_func=None) -> GradedSeries:
@@ -399,55 +422,6 @@ def rep_space_count(g: GraphOfGroups, m: DimVector) -> RatFunc:
 # exp / log / plethystic operations
 # ---------------------------------------------------------------------------
 
-def _log_recurrence(coeffs, trunc, vals, codec):
-    """log of a series with constant term 1, via d*l_d = d*f_d - sum k*l_k*f_{d-k}."""
-    fd = _by_degree(coeffs, vals, codec)
-    ell = {}
-    ell_by_deg = {}
-    for d in range(1, trunc + 1):
-        acc = {}
-        for d1 in range(1, d):
-            items1 = ell_by_deg.get(d1)
-            items2 = fd.get(d - d1)
-            if items1 and items2:
-                _accumulate(acc, items1, items2, vals, w=d1)
-        bucket = []
-        corr = {key: vals.scale(vals.reduce(c), Fraction(-1, d)) for key, c in acc.items()}
-        direct = dict(fd.get(d, ()))
-        for key in sorted(corr.keys() | direct.keys()):
-            v = direct.get(key, vals.zero)
-            c = corr.get(key)
-            if c is not None and not c.is_zero():
-                v = vals.intern(v + c)
-            if not v.is_zero():
-                ell[codec.vector[key]] = v
-                bucket.append((key, v))
-        ell_by_deg[d] = bucket
-    return ell
-
-
-def _exp_recurrence(coeffs, graph, trunc, vals, codec):
-    """exp of a series with constant term 0, via d*g_d = sum k*l_k*g_{d-k}."""
-    ld = _by_degree(coeffs, vals, codec)
-    out = {zero_vector(graph): vals.one}
-    out_by_deg = {0: [(0, vals.one)]}
-    for d in range(1, trunc + 1):
-        acc = {}
-        for d1 in range(1, d + 1):
-            items1 = ld.get(d1)
-            items2 = out_by_deg.get(d - d1)
-            if items1 and items2:
-                _accumulate(acc, items1, items2, vals, w=d1)
-        bucket = []
-        for c in sorted(acc):
-            v = vals.scale(vals.reduce(acc[c]), Fraction(1, d))
-            if not v.is_zero():
-                out[codec.vector[c]] = v
-                bucket.append((c, v))
-        out_by_deg[d] = bucket
-    return out
-
-
 def _psi(coeffs, trunc, vals, codec, inverse: bool):
     """Adams-operation sum: Psi or its Moebius inverse.  The code of
     beta*m is beta*code(m), carry-free while beta*total stays within D."""
@@ -480,11 +454,16 @@ def plethystic(f: GradedSeries, direction: str) -> GradedSeries:
         if not f.coefficient(zero).is_zero():
             raise ValueError("plethystic Exp needs constant term 0")
         psi = _psi(f.coeffs, f.trunc, vals, codec, inverse=False)
-        out = _exp_recurrence(psi, f.graph, f.trunc, vals, codec)
+        out = _solve(
+            f.graph, f.trunc, _derive(psi, vals), out0=vals.one, alpha=lambda k: Fraction(1, k)
+        )
     elif d == "log":
         if not f.coefficient(zero).is_one():
             raise ValueError("plethystic Log needs constant term 1")
-        ell = _log_recurrence(f.coeffs, f.trunc, vals, codec)
+        rest = {m: vals.intern(v) for m, v in f.coeffs.items() if m.total}
+        neg = {m: vals.scale(v, -1) for m, v in rest.items()}
+        h = _solve(f.graph, f.trunc, neg, rhs=_derive(rest, vals))
+        ell = {m: vals.scale(v, Fraction(1, m.total)) for m, v in h.items()}
         out = _psi(ell, f.trunc, vals, codec, inverse=True)
     else:
         raise ValueError(f"unknown plethystic direction {direction!r}")
@@ -507,15 +486,11 @@ def compute_absim(g: GraphOfGroups, trunc: int, y_func=None) -> dict:
     if cached is not None:
         return cached
     vals = _values_for(g)
-    codec = _codec_for(g, trunc)
     f = build_F(g, trunc, y_func)
-    finv = invert(f)
-    unshifted = shift(finv, "inverse", y_func)
-    ell = _log_recurrence(unshifted.coeffs, trunc, vals, codec)
-    series = _psi(ell, trunc, vals, codec, inverse=True)
+    series = plethystic(shift(invert(f), "inverse", y_func), "log")
     one_minus_s = vals.intern(RatFunc.from_poly(Poly((1, -1))))
     out = {}
-    for m, v in series.items():
+    for m, v in series.coeffs.items():
         w = vals.mul(one_minus_s, vals.intern(v))
         if w.is_zero():
             continue
@@ -536,13 +511,9 @@ def compute_ss(g: GraphOfGroups, trunc: int, y_func=None) -> dict:
     if cached is not None:
         return cached
     absim = compute_absim(g, trunc, y_func)
-    vals = _values_for(g)
-    codec = _codec_for(g, trunc)
-    as_series = {m: RatFunc.from_poly(p) for m, p in absim.items()}
-    psi = _psi(as_series, trunc, vals, codec, inverse=False)
-    series = _exp_recurrence(psi, g, trunc, vals, codec)
+    as_series = GradedSeries(g, trunc, {m: RatFunc.from_poly(p) for m, p in absim.items()})
     out = {}
-    for m, v in series.items():
+    for m, v in plethystic(as_series, "exp").coeffs.items():
         p = v.as_integer_poly()
         if p is None:
             raise NonPolynomialCoefficient(m, v)
@@ -584,11 +555,6 @@ def compute_sim(g: GraphOfGroups, trunc: int):
             if not total.is_zero():
                 per_vector[m] = total
     return per_pair, per_vector
-
-
-def sim_value(per_pair, m: DimVector, c: int) -> Poly:
-    """R^sim for (m, c); zero when c does not divide m."""
-    return per_pair.get((m, c), Poly(()))
 
 
 # ---------------------------------------------------------------------------

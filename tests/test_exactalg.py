@@ -15,7 +15,6 @@ from vfreps.exactalg import (
     S,
     _exact_div_lists,
     gl_count,
-    is_integer_poly,
     is_prime_power,
     mobius,
 )
@@ -262,11 +261,11 @@ def test_adams_multiplicative_on_random_inputs():
 
 def test_is_integer_poly():
     p = Poly.from_coeffs([-4, 5, -3, 1])
-    assert is_integer_poly(RatFunc(p)) == p
+    assert RatFunc(p).as_integer_poly() == p
     half = RatFunc(Poly.from_coeffs([0, Fraction(-1, 2), Fraction(1, 2)]))
-    assert is_integer_poly(half) is None
-    assert half.as_poly() is not None  # still a valid Q[s] value
-    assert is_integer_poly(RatFunc(POLY_ONE, S - POLY_ONE)) is None
+    assert half.as_integer_poly() is None
+    assert half.den.is_one()  # still a valid Q[s] value
+    assert RatFunc(POLY_ONE, S - POLY_ONE).as_integer_poly() is None
 
 
 def test_mobius_values():

@@ -191,6 +191,17 @@ def test_key_codec_round_trip_order_and_carry_free_sums(name):
         assert top.per_vertex == ((D,),) and code[top] == D
 
 
+@pytest.mark.parametrize("name", CODEC_PRESETS)
+def test_enumeration_agrees_with_validating_constructor(name):
+    # enumeration interns its vectors without revalidating them; on a second
+    # new, uncached graph dimvector() checks every constraint from scratch
+    g, fresh = preset.__wrapped__(name), preset.__wrapped__(name)
+    for d in range(5):
+        for m in enumerate_dimvectors(g, d):
+            ref = dimvector(fresh, m.per_vertex)
+            assert (m.per_vertex, m.per_edge, m.total) == (ref.per_vertex, ref.per_edge, ref.total)
+
+
 def test_mul_mismatch_errors():
     g, g2 = preset("psl2z"), preset("dinf")
     with pytest.raises(ValueError):
@@ -224,6 +235,17 @@ def test_invert_times_self_is_unit():
     g = preset("psl2z")
     f = build_F(g, 6)
     assert mul(f, invert(f)) == unit_series(g, 6)
+
+
+def test_invert_non_unit_constant_term():
+    rng = random.Random(31)
+    f0 = RatFunc(S + POLY_ONE, S - Poly.const(2))
+    for name in ("psl2z", "dinf"):
+        g = preset(name)
+        for _ in range(4):
+            f = random_sparse_series(g, 5, rng, with_unit_constant=False)
+            f = GradedSeries(g, 5, {zero_vector(g): f0, **f.coeffs})
+            assert mul(f, invert(f)) == unit_series(g, 5)
 
 
 def test_invert_requires_unit():
@@ -384,8 +406,19 @@ def test_ss_equals_exp_of_absim_series():
     absim = compute_absim(g, D)
     ss = compute_ss(g, D)
     f = GradedSeries(g, D, {m: RatFunc(p) for m, p in absim.items()})
-    e = plethystic(f, "exp")
+    e = reference_plethystic(f, "exp")
     assert {m: v.as_integer_poly() for m, v in e.coeffs.items()} == ss
+
+
+@pytest.mark.parametrize("name", ["psl2z", "gl2z"])
+def test_absim_equals_reference_log_of_unshifted_inverse(name):
+    g = preset(name)
+    D = 4
+    unshifted = shift(invert(build_F(g, D)), "inverse")
+    one_minus_s = RatFunc(POLY_ONE - S)
+    ref = reference_plethystic(unshifted, "log")
+    want = {m: (one_minus_s * v).as_integer_poly() for m, v in ref.coeffs.items()}
+    assert compute_absim(g, D) == want
 
 
 def test_sim_corollary_values():
