@@ -4,16 +4,23 @@ over arbitrary-precision rationals.
 Everything downstream (graded series, counting tables) uses these scalars,
 so there is no floating point anywhere.  A polynomial is stored as a
 primitive integer coefficient vector together with a positive integer
-denominator; this keeps gcd computations in fast integer arithmetic while
-the public face stays "list of exact rationals, low degree first".  Exact
-division works on ints alone: the divisor is split into content times a
-primitive part, and by Gauss's lemma an exact quotient by a primitive
-integer polynomial is again an integer polynomial, so the long division
-never leaves Z and a remainder at any step proves it inexact.
+denominator, so its arithmetic runs on ints while the public face stays
+"list of exact rationals, low degree first".  Exact division works on ints
+alone: the divisor is split into content times a primitive part, and by
+Gauss's lemma an exact quotient by a primitive integer polynomial is again
+an integer polynomial, so the long division never leaves Z and a remainder
+at any step proves it inexact.
 
 Rational functions are kept in a unique canonical form (numerator and
 denominator coprime, denominator monic), so equal values constructed along
-different arithmetic paths compare equal coefficient-by-coefficient.
+different arithmetic paths compare equal coefficient-by-coefficient.  The
+denominator is stored factored: s^a times powers of cyclotomic polynomials
+Phi_n, as an exponent tuple, times a monic residual coprime to all of
+them.  Every denominator of the counting pipeline is built from
+general-linear counts and their Adams substitutes, so its residual is 1;
+products and sums are then exponent arithmetic plus exact division of the
+numerator by the Phi_n present.  Only a residual other than 1, which comes
+from outside data, brings in the primitive-PRS gcd.
 """
 
 from __future__ import annotations
@@ -200,7 +207,8 @@ class Poly:
 
     @classmethod
     def monomial(cls, k: int, c=1) -> "Poly":
-        return cls.from_coeffs([0] * k + [Fraction(c)])
+        c = Fraction(c)
+        return cls((0,) * k + (c.numerator,), c.denominator)
 
     # -- structure --------------------------------------------------------
 
@@ -415,94 +423,266 @@ def _poly_latex(coeffs, var: str) -> str:
 
 
 # ---------------------------------------------------------------------------
+# cyclotomic factors
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _cyclotomic(n: int) -> tuple:
+    """Integer coefficients of the n-th cyclotomic polynomial Phi_n, built
+    on first use from s^n - 1 = prod_{d | n} Phi_d."""
+    p = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            p = _exact_div_lists(p, _cyclotomic(d))[0]
+    return tuple(p)
+
+
+@lru_cache(maxsize=None)
+def _totient(n: int) -> int:
+    """Euler's phi(n), the degree of Phi_n."""
+    out = n
+    for p in factorize(n):
+        out = out // p * (p - 1)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _max_order(k: int) -> int:
+    """An upper bound on the n with phi(n) <= k.  The t distinct primes p of
+    such an n have prod (p - 1) <= phi(n) <= k, so t is at most the number
+    r of leading primes with that property, and n / phi(n) = prod p/(p - 1)
+    is at most the same product over the first r primes."""
+    num = den = 1
+    p = 2
+    while den * (p - 1) <= k:
+        num *= p
+        den *= p - 1
+        p += 1
+        while factorize(p) != {p: 1}:
+            p += 1
+    return k * num // den
+
+
+@lru_cache(maxsize=None)
+def _adams_factors(n: int, beta: int) -> tuple:
+    """Phi_n(s^beta) as ((m, e), ...), with n = 0 standing for s: s^beta,
+    and prime by prime Phi_n(s^p) = Phi_np if p | n, else Phi_np * Phi_n."""
+    if n == 0:
+        return ((0, beta),)
+    orders = [n]
+    for p, k in factorize(beta).items():
+        for _ in range(k):
+            orders = [x for m in orders for x in ((m * p,) if m % p == 0 else (m * p, m))]
+    return tuple((m, 1) for m in orders)
+
+
+def _split_cyclotomic(ints) -> tuple:
+    """Write the integer polynomial ints as s^a * prod Phi_n^e * rest with
+    rest coprime to s and to every Phi_n; returns ({n: e}, rest) with n = 0
+    for s.  Only the Phi_n with phi(n) <= deg(rest) are tried."""
+    a = 0
+    while not ints[a]:
+        a += 1
+    exps = {0: a} if a else {}
+    rest = list(ints[a:])
+    n = 1
+    while n <= _max_order(len(rest) - 1):
+        while _totient(n) < len(rest) and _divides(n, rest):
+            rest = _exact_div_lists(rest, _cyclotomic(n))[0]
+            exps[n] = exps.get(n, 0) + 1
+        n += 1
+    return exps, rest
+
+
+def _divides(n: int, ints) -> bool:
+    """Whether Phi_n divides ints, decided on ints mod s^n - 1, which
+    Phi_n divides and which has degree below n."""
+    r = _trim([sum(ints[i::n]) for i in range(n)])
+    return not r or _exact_div_lists(r, _cyclotomic(n)) is not None
+
+
+def _times(p: Poly, exps: dict) -> Poly:
+    """p * s^exps[0] * prod_n Phi_n^exps[n], exponents >= 0."""
+    ints = p.ints
+    for n, e in exps.items():
+        if not e:
+            continue
+        if n == 0:
+            ints = [0] * e + list(ints)
+        else:
+            phi = _cyclotomic(n)
+            for _ in range(e):
+                ints = _mul_lists(phi, ints)
+    return p if ints is p.ints else Poly(ints, p.den)
+
+
+def _cancel(num: Poly, exps: dict, trial) -> Poly:
+    """Divide the nonzero num by s (n = 0) and by Phi_n, for each n in
+    trial, as often as it divides and exps[n] allows, lowering exps to
+    match."""
+    ints = num.ints
+    for n in trial:
+        e = exps[n]
+        k = 0
+        if n == 0:
+            while k < e and not ints[k]:
+                k += 1
+            if k:
+                ints = ints[k:]
+        else:
+            while k < e and _divides(n, ints):
+                ints = _exact_div_lists(ints, _cyclotomic(n))[0]
+                k += 1
+        if k == e:
+            del exps[n]
+        elif k:
+            exps[n] = e - k
+    return num if ints is num.ints else Poly(ints, num.den)
+
+
+def _cancel_gcd(num: Poly, residual: Poly) -> tuple:
+    """Divide num and a residual by their monic gcd (primitive PRS)."""
+    g = num.gcd(residual)
+    if g.degree > 0:
+        return num.exact_div(g), residual.exact_div(g)
+    return num, residual
+
+
+# ---------------------------------------------------------------------------
 # rational functions
 # ---------------------------------------------------------------------------
 
 class RatFunc:
-    """Rational function in canonical form: gcd(num, den) = 1, den monic.
+    """Rational function num/den in canonical form: num and den coprime,
+    den monic, so equal values have equal (num, den).
+
+    den is kept factored as s^a * prod Phi_n^e * residual.  `factors` is
+    the sorted exponent tuple ((n, e), ...) with e > 0 and n = 0 standing
+    for s; `residual` is a monic Poly coprime to s and to every Phi_n, and
+    `den` expands the product on demand.  Every pipeline value has residual
+    1: products add exponents, sums take their maximum, Adams substitution
+    maps Phi_n(s^beta) to cyclotomic factors, and cancellation is exact
+    division of the numerator by the Phi_n present.  Only RatFunc(num, den)
+    factors a polynomial, and only a residual other than 1 (a denominator
+    from outside data, such as s - 2) brings in the primitive-PRS gcd.
 
     The canonical zero is 0/1.  Values are immutable and hashable, so they
     can be interned and memoized by the series layer.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "factors", "residual", "_hash")
 
-    def __init__(self, num: Poly, den: Poly = POLY_ONE, _canonical: bool = False):
+    def __init__(self, num: Poly, den: Poly = POLY_ONE):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator in rational function")
-        if not _canonical:
-            if num.is_zero():
-                num, den = POLY_ZERO, POLY_ONE
-            else:
-                g = num.gcd(den)
-                if g.degree and g.degree > 0:
-                    num = num.exact_div(g)
-                    den = den.exact_div(g)
-                if not den.is_monic():
-                    lead = den.leading()
-                    den = den.scale(1 / lead)
-                    num = num.scale(1 / lead)
+        exps, residual = {}, POLY_ONE
+        if num.is_zero():
+            num = POLY_ZERO
+        elif not den.is_one():
+            exps, rest = _split_cyclotomic(den.ints)
+            num = _cancel(num.scale(Fraction(den.den, rest[-1])), exps, list(exps))
+            residual = Poly(rest, rest[-1])
+            if not residual.is_one():
+                num, residual = _cancel_gcd(num, residual)
+        self._set(num, tuple(sorted(exps.items())), residual)
+
+    def _set(self, num: Poly, factors: tuple, residual: Poly) -> "RatFunc":
         self.num = num
-        self.den = den
-        self._hash = hash((num, den))
+        self.factors = factors
+        self.residual = residual
+        self._hash = hash((num, factors, residual))
+        return self
+
+    @classmethod
+    def _make(cls, num: Poly, factors: tuple, residual: Poly = POLY_ONE) -> "RatFunc":
+        """A value already in canonical form."""
+        return object.__new__(cls)._set(num, factors, residual)
+
+    @classmethod
+    def _reduced(cls, num: Poly, exps: dict, residual: Poly = POLY_ONE, trial=None) -> "RatFunc":
+        """num / (s^a * prod Phi_n^e * residual) over exps = {n: e}, put in
+        canonical form on the premise that num can share with it only the
+        residual and the factors whose n is in trial (all when None)."""
+        if num.is_zero():
+            return RF_ZERO
+        num = _cancel(num, exps, list(exps) if trial is None else trial)
+        if not residual.is_one():
+            num, residual = _cancel_gcd(num, residual)
+        return cls._make(num, tuple(sorted(exps.items())), residual)
 
     @classmethod
     def from_poly(cls, p: Poly) -> "RatFunc":
-        return cls(p, POLY_ONE, _canonical=True)
+        return cls._make(p, ())
 
     @classmethod
     def s_power(cls, k: int) -> "RatFunc":
         """s^k for any integer k; negative k gives denominator s^(-k)."""
         if k >= 0:
-            return cls(Poly.monomial(k), POLY_ONE, _canonical=True)
-        return cls(POLY_ONE, Poly.monomial(-k), _canonical=True)
+            return cls._make(Poly.monomial(k), ())
+        return cls._make(POLY_ONE, ((0, -k),))
+
+    @property
+    def den(self) -> Poly:
+        """The monic denominator s^a * prod Phi_n^e * residual, expanded."""
+        return _times(self.residual, dict(self.factors))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
     def is_one(self) -> bool:
-        return self.num.is_one() and self.den.is_one()
+        return self.num.is_one() and not self.factors and self.residual.is_one()
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
-        if self.den.is_one() and other.den.is_one():
-            return RatFunc.from_poly(self.num + other.num)
-        if self.den == other.den:
-            return RatFunc(self.num + other.num, self.den)
-        g = self.den.gcd(other.den)
-        if g.degree and g.degree > 0:
-            da = other.den.exact_div(g)
-            db = self.den.exact_div(g)
-        else:
-            da, db = other.den, self.den
-        return RatFunc(self.num * da + other.num * db, self.den * da)
+        if self.num.is_zero():
+            return other
+        if other.num.is_zero():
+            return self
+        r1, r2 = self.residual, other.residual
+        if self.factors == other.factors and r1 == r2:
+            return RatFunc._reduced(self.num + other.num, dict(self.factors), r1)
+        e1, e2 = dict(self.factors), dict(other.factors)
+        exps = dict(e1)
+        for n, e in e2.items():
+            if e > exps.get(n, 0):
+                exps[n] = e
+        n1 = _times(self.num, {n: e - e1.get(n, 0) for n, e in exps.items()})
+        n2 = _times(other.num, {n: e - e2.get(n, 0) for n, e in exps.items()})
+        residual = r1
+        if r1 != r2:
+            g = r1.gcd(r2)
+            c1, c2 = r2.exact_div(g), r1.exact_div(g)
+            n1, n2, residual = n1 * c1, n2 * c2, r1 * c1
+        # a factor with a higher exponent in one operand divides that
+        # operand's share of the sum and not the other's, so only factors
+        # with equal exponents can cancel
+        trial = [n for n, e in exps.items() if e1.get(n) == e2.get(n)]
+        return RatFunc._reduced(n1 + n2, exps, residual, trial)
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den, _canonical=True)
+        return RatFunc._make(-self.num, self.factors, self.residual)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         return self + (-other)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
-        if self.is_zero() or other.is_zero():
+        n1, n2 = self.num, other.num
+        if n1.is_zero() or n2.is_zero():
             return RF_ZERO
-        if self.den.is_one() and other.den.is_one():
-            return RatFunc.from_poly(self.num * other.num)
-        # cross-cancel before multiplying to keep degrees low
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        g = n1.gcd(d2)
-        if g.degree and g.degree > 0:
-            n1 = n1.exact_div(g)
-            d2 = d2.exact_div(g)
-        g = n2.gcd(d1)
-        if g.degree and g.degree > 0:
-            n2 = n2.exact_div(g)
-            d1 = d1.exact_div(g)
-        num, den = n1 * n2, d1 * d2
-        if not den.is_monic():
-            lead = den.leading()
-            den = den.scale(1 / lead)
-            num = num.scale(1 / lead)
-        return RatFunc(num, den, _canonical=True)
+        e1, e2 = dict(self.factors), dict(other.factors)
+        # each numerator is coprime to its own denominator, so it can only
+        # cancel the factors of the other operand that its own lacks
+        t1 = [n for n in e2 if n not in e1]
+        t2 = [n for n in e1 if n not in e2]
+        n1 = _cancel(n1, e2, t1)
+        n2 = _cancel(n2, e1, t2)
+        for n, e in e2.items():
+            e1[n] = e1.get(n, 0) + e
+        r1, r2 = self.residual, other.residual
+        if not r2.is_one():
+            n1, r2 = _cancel_gcd(n1, r2)
+        if not r1.is_one():
+            n2, r1 = _cancel_gcd(n2, r1)
+        return RatFunc._make(n1 * n2, tuple(sorted(e1.items())), r1 * r2)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         if other.is_zero():
@@ -513,7 +693,7 @@ class RatFunc:
         c = Fraction(c)
         if c == 0:
             return RF_ZERO
-        return RatFunc(self.num.scale(c), self.den, _canonical=True)
+        return RatFunc._make(self.num.scale(c), self.factors, self.residual)
 
     def __pow__(self, e: int) -> "RatFunc":
         if e < 0:
@@ -533,7 +713,13 @@ class RatFunc:
             raise ValueError("Adams substitution needs a >= 1")
         if a == 1:
             return self
-        return RatFunc(self.num.subs_power(a), self.den.subs_power(a), _canonical=True)
+        exps = {}
+        for n, e in self.factors:
+            for m, k in _adams_factors(n, a):
+                exps[m] = exps.get(m, 0) + e * k
+        return RatFunc._make(
+            self.num.subs_power(a), tuple(sorted(exps.items())), self.residual.subs_power(a)
+        )
 
     def eval(self, x) -> Fraction:
         d = self.den.eval(x)
@@ -543,14 +729,12 @@ class RatFunc:
 
     def as_integer_poly(self) -> Optional[Poly]:
         """The underlying polynomial when the value lies in Z[s], else None."""
-        if not self.den.is_one():
-            return None
-        if not self.num.is_integral():
+        if self.factors or not self.residual.is_one() or not self.num.is_integral():
             return None
         return self.num
 
     def text(self, var: str = "s") -> str:
-        if self.den.is_one():
+        if not self.factors and self.residual.is_one():
             return self.num.text(var)
         return f"({self.num.text(var)})/({self.den.text(var)})"
 
@@ -558,7 +742,8 @@ class RatFunc:
         return (
             isinstance(other, RatFunc)
             and self.num == other.num
-            and self.den == other.den
+            and self.factors == other.factors
+            and self.residual == other.residual
         )
 
     def __hash__(self):
@@ -568,8 +753,8 @@ class RatFunc:
         return f"RatFunc({self.text()})"
 
 
-RF_ZERO = RatFunc(POLY_ZERO, POLY_ONE, _canonical=True)
-RF_ONE = RatFunc(POLY_ONE, POLY_ONE, _canonical=True)
+RF_ZERO = RatFunc._make(POLY_ZERO, ())
+RF_ONE = RatFunc._make(POLY_ONE, ())
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +771,19 @@ def gl_count(d: int) -> Poly:
     for k in range(d):
         out = out * (Poly.monomial(d) - Poly.monomial(k))
     return out
+
+
+def gl_product(exps: dict, s_exponent: int = 0) -> RatFunc:
+    """s^s_exponent * prod_k gl_count(k)^e over exps = {k: e}, any signs,
+    by exponent arithmetic on gl_count(k) = s^(k(k-1)/2) * prod_{i<=k}
+    (s^i - 1) = s^(k(k-1)/2) * prod_{n<=k} Phi_n^(k//n)."""
+    net = {0: s_exponent}
+    for k, e in exps.items():
+        net[0] += e * (k * (k - 1) // 2)
+        for n in range(1, k + 1):
+            net[n] = net.get(n, 0) + e * (k // n)
+    num = _times(POLY_ONE, {n: e for n, e in net.items() if e > 0})
+    return RatFunc._make(num, tuple(sorted((n, -e) for n, e in net.items() if e < 0)))
 
 
 # ---------------------------------------------------------------------------

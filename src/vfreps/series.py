@@ -48,7 +48,7 @@ from .exactalg import (
     RatFunc,
     RF_ONE,
     RF_ZERO,
-    gl_count,
+    gl_product,
     mobius,
 )
 from .groupgraph import GraphOfGroups
@@ -186,12 +186,12 @@ class _Values:
             v = self.scale(self.by_index[idx], mult)
             if v.is_zero():
                 continue
-            prev = by_den.get(v.den)
-            by_den[v.den] = v.num if prev is None else prev + v.num
-        parts = [RatFunc(num, den) for den, num in by_den.items()]
+            den = (v.factors, v.residual)
+            prev = by_den.get(den)
+            by_den[den] = v.num if prev is None else prev + v.num
         acc = RF_ZERO
-        for p in parts:
-            acc = acc + p
+        for (factors, residual), num in by_den.items():
+            acc = acc + RatFunc._reduced(num, dict(factors), residual)
         r = self.intern(acc)
         self.sum_memo[key] = r
         return r
@@ -353,59 +353,62 @@ def shift(f: GradedSeries, direction: str, y_func=None) -> GradedSeries:
         raise ValueError(f"unknown shift direction {direction!r}")
     sign = 1 if direction == "forward" else -1
     vals = _values_for(f.graph)
+    powers = {}
     out = {}
     for m, v in f.coeffs.items():
         e = sign * shift_exponent(f.graph, m, y_func)
-        out[m] = vals.mul(vals.intern(v), vals.intern(RatFunc.s_power(e)))
+        p = powers.get(e)
+        if p is None:
+            p = powers[e] = vals.intern(RatFunc.s_power(e))
+        out[m] = vals.mul(vals.intern(v), p)
     return GradedSeries(f.graph, f.trunc, out)
+
+
+def _gl_exponents(g: GraphOfGroups, m: DimVector) -> dict:
+    """The counting polynomial of the m-component of the representation
+    space as prod_k gl_count(k)^e, returned as {k: e}: assembled edge by
+    edge (vertex factors times amalgam corrections, one general-linear
+    factor per HNN loop)."""
+    d = m.total
+    exps = {}
+
+    def bump(k, e):
+        if k >= 1:  # gl_0 is the empty product
+            exps[k] = exps.get(k, 0) + e
+
+    for mv in m.per_vertex:
+        bump(d, 1)
+        for x in mv:
+            bump(x, -1)
+    for j, e in enumerate(g.edges):
+        for x in m.per_edge[j]:
+            bump(x, 1)
+        if e.kind == "amalgam":
+            bump(d, -1)
+    return exps
 
 
 def build_F(g: GraphOfGroups, trunc: int, y_func=None) -> GradedSeries:
     """The generating series of representation-space point counts.
 
     Coefficient at m: the counting polynomial of the m-component of the
-    representation space, assembled edge by edge (vertex factors times
-    amalgam corrections, one general-linear factor per HNN loop), divided
-    by the general-linear count of the total dimension, with the forward
-    shift applied.
+    representation space (_gl_exponents), divided by the general-linear
+    count of the total dimension, with the forward shift applied; the
+    value is built by exponent arithmetic on cyclotomic factors.
     """
     vals = _values_for(g)
     factor_memo = g._pipeline_cache.setdefault("F_factors", {})
     out = {}
     for d in range(trunc + 1):
         for m in enumerate_dimvectors(g, d):
-            exps = {}
-
-            def bump(k, e):
-                if k >= 1:  # gl_0 is the empty product
-                    exps[k] = exps.get(k, 0) + e
-
-            for mv in m.per_vertex:
-                bump(d, 1)
-                for x in mv:
-                    bump(x, -1)
-            for j, e in enumerate(g.edges):
-                u = m.per_edge[j]
-                for x in u:
-                    bump(x, 1)
-                if e.kind == "amalgam":
-                    bump(d, -1)
-            bump(d, -1)  # divide by gl_d
+            exps = _gl_exponents(g, m)
+            if d:
+                exps[d] = exps.get(d, 0) - 1  # divide by gl_d
             sigma = shift_exponent(g, m, y_func)
             key = (tuple(sorted((k, e) for k, e in exps.items() if e)), sigma)
             v = factor_memo.get(key)
             if v is None:
-                num, den = POLY_ONE, POLY_ONE
-                for k, e in key[0]:
-                    if e > 0:
-                        num = num * gl_count(k) ** e
-                    else:
-                        den = den * gl_count(k) ** (-e)
-                if sigma >= 0:
-                    num = num.shift_up(sigma)
-                else:
-                    den = den.shift_up(-sigma)
-                v = vals.intern(RatFunc(num, den))
+                v = vals.intern(gl_product(dict(key[0]), sigma))
                 factor_memo[key] = v
             out[m] = v
     return GradedSeries(g, trunc, out)
@@ -413,9 +416,7 @@ def build_F(g: GraphOfGroups, trunc: int, y_func=None) -> GradedSeries:
 
 def rep_space_count(g: GraphOfGroups, m: DimVector) -> RatFunc:
     """Counting polynomial P_m of one representation-space component."""
-    f = build_F(g, m.total)
-    sigma = shift_exponent(g, m)
-    return f.coefficient(m) * RatFunc.s_power(-sigma) * RatFunc.from_poly(gl_count(m.total))
+    return gl_product(_gl_exponents(g, m))
 
 
 # ---------------------------------------------------------------------------

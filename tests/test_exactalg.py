@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vfreps.exactalg import (
     InexactDivision,
@@ -13,8 +14,12 @@ from vfreps.exactalg import (
     QPower,
     RatFunc,
     S,
+    _adams_factors,
+    _cyclotomic,
     _exact_div_lists,
+    _totient,
     gl_count,
+    gl_product,
     is_prime_power,
     mobius,
 )
@@ -289,3 +294,139 @@ def test_s_power_and_pow():
     assert f ** 0 == RatFunc(POLY_ONE)
     assert f ** -1 == RatFunc(S - POLY_ONE, S)
     assert f ** 3 == f * f * f
+
+
+# ---------------------------------------------------------------------------
+# cyclotomic factors
+# ---------------------------------------------------------------------------
+
+def _factor(n):
+    """s for n = 0, else the cyclotomic polynomial Phi_n."""
+    return S if n == 0 else Poly(_cyclotomic(n))
+
+
+def _expand(factors):
+    out = POLY_ONE
+    for n, e in factors:
+        out = out * _factor(n) ** e
+    return out
+
+
+def test_cyclotomic_divisor_products():
+    for n in range(1, 41):
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        assert _expand((d, 1) for d in divisors) == Poly.monomial(n) - POLY_ONE, n
+        assert _factor(n).degree == _totient(n)
+
+
+def test_adams_factor_map_matches_substitution():
+    for n in range(25):
+        for beta in range(1, 13):
+            assert _expand(_adams_factors(n, beta)) == _factor(n).subs_power(beta), (n, beta)
+    factors = ((0, 2), (1, 3), (4, 1), (6, 2), (10, 1))
+    value = RatFunc(S + POLY_ONE + POLY_ONE, _expand(factors))
+    assert value.factors == factors
+    for beta in range(1, 13):
+        assert value.adams(beta).den == _expand(factors).subs_power(beta), beta
+
+
+def test_gl_product_matches_expanded_gl_count():
+    for d in range(13):
+        assert gl_product({d: 1}) == RatFunc(gl_count(d))
+        inverse = gl_product({d: -1})
+        assert inverse == RatFunc(POLY_ONE, gl_count(d))
+        assert inverse.den == gl_count(d) and inverse.residual.is_one()
+    mixed = gl_product({4: 1, 3: -1, 2: -2}, -3)
+    assert mixed == RatFunc(gl_count(4), gl_count(3) * gl_count(2) ** 2 * Poly.monomial(3))
+    assert mixed.eval(5) == Fraction(gl_count(4).eval(5), gl_count(3).eval(5) * gl_count(2).eval(5) ** 2 * 125)
+
+
+# ---------------------------------------------------------------------------
+# RatFunc arithmetic against exact evaluation
+# ---------------------------------------------------------------------------
+
+# neither roots of unity, 0, nor integers, so no pole of a drawn value, nor
+# of its Adams substitutes
+POINTS = (Fraction(1, 3), Fraction(-2, 7), Fraction(7, 5))
+
+
+def _q_gcd_degree(a: Poly, b: Poly) -> int:
+    """Degree of gcd(a, b) over Q by Euclid on Fraction coefficient lists."""
+    a, b = list(a.coefficients()), list(b.coefficients())
+    while b:
+        r = list(a)
+        while len(r) >= len(b):
+            c, k = r[-1] / b[-1], len(r) - len(b)
+            for j, y in enumerate(b):
+                r[k + j] -= c * y
+            while r and r[-1] == 0:
+                r.pop()
+        a, b = b, r
+    return len(a) - 1
+
+
+@st.composite
+def ratfunc_parts(draw):
+    """A value num / (lead * s^a * prod Phi_n^e * prod (s - k)) by its parts."""
+    num = Poly(draw(st.lists(st.integers(-4, 4), min_size=1, max_size=5)), draw(st.sampled_from([1, 2, 3])))
+    a = draw(st.integers(0, 2))
+    cyclo = draw(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 2)), max_size=3))
+    linear = draw(st.lists(st.sampled_from([-5, -4, -3, -2, 2, 3, 4, 5]), max_size=2))
+    lead = draw(st.sampled_from([1, 2, -3]))
+    return num, a, cyclo, linear, lead
+
+
+def _build(parts):
+    """The value along two paths: the general constructor on the expanded
+    denominator, and a product of one factor at a time; plus its exact
+    evaluations at POINTS from the parts alone."""
+    num, a, cyclo, linear, lead = parts
+    factors = [Poly.monomial(a)] + [_factor(n) ** e for n, e in cyclo] + [S - Poly.const(k) for k in linear]
+    den = Poly((lead,))
+    by_factor = RatFunc(num.scale(Fraction(1, lead)))
+    for f in factors:
+        den = den * f
+        by_factor = by_factor * RatFunc(POLY_ONE, f)
+    value = RatFunc(num, den)
+    assert value == by_factor and hash(value) == hash(by_factor)
+    return value, {x: num.eval(x) / den.eval(x) for x in POINTS}
+
+
+def _check_canonical(r, expected, extra):
+    assert r.den.is_monic()
+    assert _q_gcd_degree(r.num, r.den) == 0
+    for x, v in expected.items():
+        assert r.num.eval(x) / r.den.eval(x) == v
+    again = RatFunc(r.num * extra, r.den * extra)
+    assert again == r and hash(again) == hash(r)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    ratfunc_parts(),
+    ratfunc_parts(),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.integers(1, 4),
+    st.integers(1, 12),
+    st.sampled_from([-3, 2, 5]),
+)
+def test_ratfunc_arithmetic_matches_evaluation(pa, pb, c, beta, n, k):
+    a, va = _build(pa)
+    b, vb = _build(pb)
+    extra = _factor(n) * (S - Poly.const(k))
+    _check_canonical(a + b, {x: va[x] + vb[x] for x in POINTS}, extra)
+    _check_canonical(a - b, {x: va[x] - vb[x] for x in POINTS}, extra)
+    _check_canonical(a * b, {x: va[x] * vb[x] for x in POINTS}, extra)
+    _check_canonical(a.scale(c), {x: va[x] * c for x in POINTS}, extra)
+    if not b.is_zero():
+        quotient = {x: va[x] / vb[x] for x in POINTS if vb[x]}
+        _check_canonical(a / b, quotient, extra)
+    substituted = a.adams(beta)
+    _check_canonical(substituted, {x: a.eval(x ** beta) for x in POINTS}, extra)
+    assert substituted == RatFunc(a.num.subs_power(beta), a.den.subs_power(beta))
+    # two paths to one value: these force the cancellations a sum or a
+    # product must make to return to the canonical form of a
+    assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+    if not b.is_zero():
+        assert (a * b) / b == a
+    assert a + b == b + a and hash(a * b) == hash(b * a)

@@ -15,6 +15,7 @@ from vfreps.dimmonoid import (
     try_sub,
     zero_vector,
 )
+from vfreps import exactalg
 from vfreps.exactalg import POLY_ONE, Poly, RatFunc, S, gl_count, mobius
 from vfreps.groupgraph import is_suitable_prime_power, preset
 from vfreps.series import (
@@ -308,6 +309,37 @@ def test_rep_space_denominators_clear_of_suitable_values():
         for m, v in f.coeffs.items():
             for q in qs:
                 assert v.den.eval(q) != 0
+
+
+@pytest.mark.parametrize("name", ["psl2z", "sl2z", "gl2z", "pgl2z", "dinf", "free(2)"])
+def test_rep_space_count_is_the_unshifted_F_coefficient_times_gl(name):
+    g = preset(name)
+    f = build_F(g, 4)
+    for d in range(5):
+        for m in enumerate_dimvectors(g, d):
+            unshifted = f.coefficient(m) * RatFunc.s_power(-shift_exponent(g, m))
+            assert rep_space_count(g, m) == unshifted * RatFunc(gl_count(d)), m
+
+
+@pytest.mark.parametrize("name, D", [("psl2z", 6), ("gl2z", 5)])
+def test_pipeline_denominators_are_cyclotomic(name, D, monkeypatch):
+    # every coefficient of F, F^-1, the unshifted series and the Log has a
+    # denominator s^a * prod Phi_n^e (residual 1), so the primitive-PRS gcd
+    # is never reached; a new, uncached graph makes every operation run
+    def no_gcd(a, b):
+        raise AssertionError("primitive-PRS gcd reached from the pipeline")
+
+    monkeypatch.setattr(exactalg, "_gcd_lists", no_gcd)
+    g = preset.__wrapped__(name)
+    f = build_F(g, D)
+    f_inv = invert(f)
+    unshifted = shift(f_inv, "inverse")
+    log = plethystic(unshifted, "log")
+    for series in (f, f_inv, unshifted, log):
+        assert series.coeffs
+        for m, v in series.coeffs.items():
+            assert v.residual.is_one(), (m, v)
+    assert compute_ss(g, D) == compute_ss(preset(name), D)
 
 
 def is_prime_power_safe(q):
