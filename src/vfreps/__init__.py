@@ -42,7 +42,6 @@ from .series import (
     GradedSeries,
     NonPolynomialCoefficient,
     build_F,
-    build_counting_table,
     compute_absim,
     compute_sim,
     compute_ss,

@@ -24,6 +24,7 @@ import sys
 
 from . import fforacle, series
 from .dimmonoid import (
+    TOTAL_LIMIT,
     correction_y,
     enumerate_dimvectors,
     euler_form,
@@ -34,7 +35,7 @@ from .dimmonoid import (
 )
 from .exactalg import Poly
 from .groupgraph import PRESET_NAMES, GraphOfGroups, ValidationError, load, preset
-from .series import NonPolynomialCoefficient, build_counting_table
+from .series import CountingTable, NonPolynomialCoefficient
 
 
 class CliError(Exception):
@@ -119,7 +120,7 @@ def cmd_count(args) -> str:
         wanted = parse_dimvector(g, args.vector)
         if wanted.total > args.max_dim:
             raise CliError("--vector exceeds --max-dim")
-    table = build_counting_table(g, args.max_dim)
+    table = CountingTable(g, args.max_dim)
     kinds = ["absim", "ss", "sim"] if args.kind == "all" else [args.kind]
     sections = []
     json_tables = {}
@@ -209,7 +210,7 @@ def cmd_monoid(args) -> str:
 
 def cmd_epoly(args) -> str:
     g = resolve_group(args.group)
-    table = build_counting_table(g, args.max_dim)
+    table = CountingTable(g, args.max_dim)
     data = series.epoly_and_euler(table, kind="ss", by="total")
     rows = []
     json_entries = []
@@ -329,8 +330,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command in ("count", "epoly") and args.max_dim < 0:
-            raise CliError("--max-dim must be >= 0")
+        if args.command in ("count", "epoly"):
+            if args.max_dim < 0:
+                raise CliError("--max-dim must be >= 0")
+            if args.max_dim >= TOTAL_LIMIT:
+                raise CliError(f"--max-dim must be below {TOTAL_LIMIT}, the total-dimension bound")
         if args.command == "count":
             print(cmd_count(args))
         elif args.command == "monoid":

@@ -6,9 +6,13 @@ group must agree.  The weighted total dimension is then the same at every
 vertex and grades the monoid.
 
 Enumeration is deterministic (lexicographic on the concatenated vertex
-vectors) and every enumerated vector is interned per graph.  The series
-layer packs the enumerated vectors into ints for its convolutions and maps
-them back to these interned vectors.
+vectors) and every vector is interned per graph under its code: the
+concatenated per-vertex entries in fixed 16-bit fields, most significant
+first.  Simple dimensions are >= 1, so no entry exceeds the total, and
+every total is below 2^16 (TOTAL_LIMIT); the code of m1 + m2 is therefore
+code(m1) + code(m2) and the code of beta*m is beta*code(m), both without
+carries, and within one graph int order is per_vertex order.  The series
+convolutions add codes and look the interned vectors up by code.
 """
 
 from __future__ import annotations
@@ -18,23 +22,29 @@ from dataclasses import dataclass
 
 from .groupgraph import GraphOfGroups
 
+_BITS = 16
+TOTAL_LIMIT = 1 << _BITS  # every total dimension is below this
+
 
 class DimVector:
     """An element of the dimension-vector monoid.
 
     per_vertex holds one multiplicity vector per vertex group; per_edge
     caches the common restriction to each edge group; total is the weighted
-    total dimension.  Instances are immutable, hashable and interned per
-    graph (use GraphOfGroups-bound helpers or dimvector() to create them).
+    total dimension; code packs per_vertex into one int (module docstring)
+    and is the key the graph interns the vector under.  Instances are
+    immutable, hashable and interned per graph (use GraphOfGroups-bound
+    helpers or dimvector() to create them).
     """
 
-    __slots__ = ("graph", "per_vertex", "per_edge", "total", "_hash")
+    __slots__ = ("graph", "per_vertex", "per_edge", "total", "code", "_hash")
 
-    def __init__(self, graph, per_vertex, per_edge, total):
+    def __init__(self, graph, per_vertex, per_edge, total, code):
         self.graph = graph
         self.per_vertex = per_vertex
         self.per_edge = per_edge
         self.total = total
+        self.code = code
         self._hash = hash(per_vertex)
 
     def __eq__(self, other):
@@ -47,7 +57,7 @@ class DimVector:
         return self.per_vertex < other.per_vertex
 
     def is_zero(self):
-        return self.total == 0 and all(all(x == 0 for x in v) for v in self.per_vertex)
+        return self.code == 0
 
     def __add__(self, other):
         return _intern_sum(self.graph, self, other, 1)
@@ -79,12 +89,10 @@ def parse_dimvector(g: GraphOfGroups, text: str) -> DimVector:
 
 
 def dimvector(g: GraphOfGroups, per_vertex) -> DimVector:
-    """Validating constructor; checks edge constraints and the common
+    """Validating constructor; checks the shape, the signs and the total
+    bound before packing, then the edge constraints and the common
     weighted total, then interns."""
     pv = tuple(tuple(int(x) for x in v) for v in per_vertex)
-    cached = g._dv_cache.get(pv)
-    if cached is not None:
-        return cached
     if len(pv) != len(g.vertices):
         raise ValueError(f"expected {len(g.vertices)} vertex vectors, got {len(pv)}")
     totals = []
@@ -96,6 +104,10 @@ def dimvector(g: GraphOfGroups, per_vertex) -> DimVector:
         if any(x < 0 for x in pv[i]):
             raise ValueError(f"vertex {i}: negative multiplicity in {pv[i]}")
         totals.append(sum(d * x for d, x in zip(v.simple_dims, pv[i])))
+        _check_total(totals[-1])
+    cached = g._dv_cache.get(_pack(pv))
+    if cached is not None:
+        return cached
     if len(set(totals)) > 1:
         raise ValueError(f"vertex totals differ: {totals}")
     per_edge = []
@@ -108,12 +120,30 @@ def dimvector(g: GraphOfGroups, per_vertex) -> DimVector:
     return _interned(g, pv, tuple(per_edge), totals[0] if totals else 0)
 
 
+def _check_total(total: int):
+    if total >= TOTAL_LIMIT:
+        raise ValueError(
+            f"total dimension {total} is not below 2^{_BITS} = {TOTAL_LIMIT}"
+        )
+
+
+def _pack(pv: tuple) -> int:
+    code = 0
+    for v in pv:
+        for x in v:
+            code = code << _BITS | x
+    return code
+
+
 def _interned(g: GraphOfGroups, pv: tuple, per_edge: tuple, total: int) -> DimVector:
     """The graph's interned vector with these per-vertex entries; per_edge
-    and total are trusted, and used only when pv is new."""
-    m = g._dv_cache.get(pv)
+    and total are trusted, and used only when pv is new.  The one
+    constructor of DimVector, so no vector with an unpackable total exists."""
+    _check_total(total)
+    code = _pack(pv)
+    m = g._dv_cache.get(code)
     if m is None:
-        m = g._dv_cache[pv] = DimVector(g, pv, per_edge, total)
+        m = g._dv_cache[code] = DimVector(g, pv, per_edge, total, code)
     return m
 
 
@@ -195,6 +225,7 @@ def enumerate_dimvectors(g: GraphOfGroups, d: int):
     """
     if d < 0:
         raise ValueError("negative total dimension")
+    _check_total(d)
     cached = g._enum_cache.get(d)
     if cached is not None:
         return cached

@@ -265,12 +265,6 @@ class Poly:
         c = Fraction(c)
         return Poly([x * c.numerator for x in self.ints], self.den * c.denominator)
 
-    def shift_up(self, k: int) -> "Poly":
-        """Multiply by s^k (k >= 0)."""
-        if not self.ints:
-            return self
-        return Poly((0,) * k + self.ints, self.den)
-
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
             raise ValueError("negative power of a polynomial")

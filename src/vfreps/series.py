@@ -18,11 +18,13 @@ symmetric data therefore cost one polynomial operation per distinct value,
 which is what makes desk-scale truncations (D around 12) fast in exact
 arithmetic.
 
-Inside the convolutions a dimension vector is a packed int (_KeyCodec):
-its per-vertex entries in base D+1.  Adding two keys whose totals sum to
-at most D is one int addition without carries, and int order is the monoid
-order, so no DimVector is built per product; codes are mapped back to the
-interned vectors only when a coefficient is stored.
+Inside the convolutions a term is a pair of ints: the dimension vector's
+code (DimVector.code, its per-vertex entries in 16-bit fields) and the
+coefficient's handle in the per-graph value table (_Values).  Adding two
+codes is one int addition without carries, and int order is the monoid
+order, so no DimVector is built per product; a code is looked up in the
+graph's intern table only when a coefficient is stored, and handles turn
+back into RatFunc values once, when a public operation returns.
 
 invert, plethystic Log and plethystic Exp are three instances of one
 graded triangular solve, out_d = alpha(d) * (rhs_d + sum_{k>=1} a_k *
@@ -116,74 +118,65 @@ def unit_series(g: GraphOfGroups, trunc: int) -> GradedSeries:
 class _Values:
     """Per-graph intern table for RatFunc values.
 
-    Every coefficient flowing through the pipeline is replaced by a unique
-    representative; products, scalings, Adams substitutions and whole
-    reduction sums are memoized on representative indices.  Symmetric
-    dimension vectors share values, so each distinct polynomial operation
-    happens once no matter how many keys need it.
+    Every coefficient flowing through the pipeline is named by an int
+    handle, its index in `value`; products, scalings, Adams substitutions
+    and whole reduction sums take and return handles and are memoized on
+    them.  Symmetric dimension vectors share values, so each distinct
+    polynomial operation happens once no matter how many keys need it.
+    Handle 0 is zero and handle 1 is one.
     """
 
     def __init__(self):
-        self.rep = {}
-        self.index = {}
-        self.by_index = []
+        self.handle = {}
+        self.value = []
         self.mul_memo = {}
         self.scale_memo = {}
         self.adams_memo = {}
         self.sum_memo = {}
-        self.one = self.intern(RF_ONE)
         self.zero = self.intern(RF_ZERO)
+        self.one = self.intern(RF_ONE)
 
-    def intern(self, v: RatFunc) -> RatFunc:
-        r = self.rep.get(v)
-        if r is None:
-            self.rep[v] = v
-            self.index[id(v)] = len(self.by_index)
-            self.by_index.append(v)
-            return v
-        return r
+    def intern(self, v: RatFunc) -> int:
+        h = self.handle.get(v)
+        if h is None:
+            h = self.handle[v] = len(self.value)
+            self.value.append(v)
+        return h
 
-    def mul(self, a: RatFunc, b: RatFunc) -> RatFunc:
-        ia, ib = self.index[id(a)], self.index[id(b)]
-        if ib < ia:
-            ia, ib = ib, ia
-        key = (ia, ib)
+    def mul(self, a: int, b: int) -> int:
+        key = (a, b) if a <= b else (b, a)
         r = self.mul_memo.get(key)
         if r is None:
-            r = self.intern(a * b)
-            self.mul_memo[key] = r
+            r = self.mul_memo[key] = self.intern(self.value[a] * self.value[b])
         return r
 
-    def scale(self, a: RatFunc, c) -> RatFunc:
+    def scale(self, a: int, c) -> int:
         if c == 1:
             return a
-        key = (self.index[id(a)], c)
+        key = (a, c)
         r = self.scale_memo.get(key)
         if r is None:
-            r = self.intern(a.scale(c))
-            self.scale_memo[key] = r
+            r = self.scale_memo[key] = self.intern(self.value[a].scale(c))
         return r
 
-    def adams(self, a: RatFunc, beta: int) -> RatFunc:
+    def adams(self, a: int, beta: int) -> int:
         if beta == 1:
             return a
-        key = (self.index[id(a)], beta)
+        key = (a, beta)
         r = self.adams_memo.get(key)
         if r is None:
-            r = self.intern(a.adams(beta))
-            self.adams_memo[key] = r
+            r = self.adams_memo[key] = self.intern(self.value[a].adams(beta))
         return r
 
-    def reduce(self, counter: dict) -> RatFunc:
-        """Sum of value*multiplicity over a {value: multiplicity} dict."""
-        items = sorted((self.index[id(v)], mult) for v, mult in counter.items())
-        key = tuple(items)
+    def reduce(self, counter: dict) -> int:
+        """Sum of value*multiplicity over a {handle: multiplicity} dict."""
+        key = tuple(sorted(counter.items()))
         r = self.sum_memo.get(key)
         if r is not None:
             return r
         by_den = {}
-        for idx, mult in items:
-            v = self.scale(self.by_index[idx], mult)
+        for h, mult in key:
+            v = self.value[self.scale(h, mult)]
             if v.is_zero():
                 continue
             den = (v.factors, v.residual)
@@ -192,8 +185,7 @@ class _Values:
         acc = RF_ZERO
         for (factors, residual), num in by_den.items():
             acc = acc + RatFunc._reduced(num, dict(factors), residual)
-        r = self.intern(acc)
-        self.sum_memo[key] = r
+        r = self.sum_memo[key] = self.intern(acc)
         return r
 
 
@@ -205,49 +197,30 @@ def _values_for(g: GraphOfGroups) -> _Values:
     return vals
 
 
-class _KeyCodec:
-    """Dimension vectors of total <= D packed into ints.
-
-    A code is the concatenation of the per_vertex entries in base D+1,
-    most significant first.  Simple dimensions are >= 1, so no entry
-    exceeds the total; the code of m1 + m2 is therefore code(m1) +
-    code(m2) with no carries whenever the sum stays within D, and int
-    order is per_vertex order.  `code` maps interned vectors to codes and
-    `vector` maps codes back.
-    """
-
-    __slots__ = ("code", "vector")
-
-    def __init__(self, g: GraphOfGroups, trunc: int):
-        base = trunc + 1
-        self.code = {}
-        self.vector = {}
-        for d in range(trunc + 1):
-            for m in enumerate_dimvectors(g, d):
-                c = 0
-                for v in m.per_vertex:
-                    for x in v:
-                        c = c * base + x
-                self.code[m] = c
-                self.vector[c] = m
+def _handles(f: GradedSeries, vals: _Values) -> dict:
+    return {m: vals.intern(v) for m, v in f.coeffs.items()}
 
 
-def _codec_for(g: GraphOfGroups, trunc: int) -> _KeyCodec:
-    key = ("codec", trunc)
-    codec = g._pipeline_cache.get(key)
-    if codec is None:
-        codec = _KeyCodec(g, trunc)
-        g._pipeline_cache[key] = codec
-    return codec
+def _series(g: GraphOfGroups, trunc: int, handles: dict, vals: _Values) -> GradedSeries:
+    return GradedSeries(g, trunc, {m: vals.value[h] for m, h in handles.items()})
 
 
-def _by_degree(coeffs: dict, vals: _Values, codec: _KeyCodec):
-    """Split {key: value} into degree buckets of sorted (code, interned) lists."""
+def _vectors(g: GraphOfGroups, trunc: int) -> dict:
+    """The graph's {code: DimVector} intern table, holding every vector of
+    total <= trunc."""
+    for d in range(trunc + 1):
+        enumerate_dimvectors(g, d)
+    return g._dv_cache
+
+
+def _by_degree(handles: dict):
+    """Split {DimVector: handle} into degree buckets of sorted (code, handle)
+    lists."""
     out = {}
-    for m, v in coeffs.items():
-        out.setdefault(m.total, []).append((codec.code[m], vals.intern(v)))
+    for m, h in handles.items():
+        out.setdefault(m.total, []).append((m.code, h))
     for bucket in out.values():
-        bucket.sort(key=lambda kv: kv[0])
+        bucket.sort()
     return out
 
 
@@ -257,7 +230,7 @@ def _accumulate(acc, items1, items2, vals):
     for c1, v1 in items1:
         for c2, v2 in items2:
             p = mul(v1, v2)
-            if p is zero:
+            if p == zero:
                 continue
             key = c1 + c2
             c = acc.get(key)
@@ -272,21 +245,21 @@ def _solve(g, trunc, a, rhs=None, out0=None, alpha=lambda d: 1):
     """The graded triangular solve behind invert, Log and Exp.
 
     For d = 1..trunc, out_d = alpha(d) * (rhs_d + sum_{k>=1} a_k *
-    out_{d-k}), where a and rhs are {DimVector: RatFunc} without constant
-    term and the constant term of out is out0 (absent when None).
-    Returns {DimVector: interned value}, zeros absent.
+    out_{d-k}), where a and rhs are {DimVector: handle} without constant
+    term and the constant term of out is the handle out0 (absent when
+    None).  Returns {DimVector: handle}, zeros absent.
     """
     vals = _values_for(g)
-    codec = _codec_for(g, trunc)
-    ad = _by_degree(a, vals, codec)
-    rd = _by_degree(rhs or {}, vals, codec)
+    vectors = _vectors(g, trunc)
+    ad = _by_degree(a)
+    rd = _by_degree(rhs or {})
     out = {}
     out_by_deg = {}
     if out0 is not None:
         out[zero_vector(g)] = out0
         out_by_deg[0] = [(0, out0)]
     for d in range(1, trunc + 1):
-        acc = {c: {v: 1} for c, v in rd.get(d, ())}
+        acc = {c: {h: 1} for c, h in rd.get(d, ())}
         for k in range(1, d + 1):
             items1 = ad.get(k)
             items2 = out_by_deg.get(d - k)
@@ -294,18 +267,17 @@ def _solve(g, trunc, a, rhs=None, out0=None, alpha=lambda d: 1):
                 _accumulate(acc, items1, items2, vals)
         bucket = []
         for c in sorted(acc):
-            v = vals.scale(vals.reduce(acc[c]), alpha(d))
-            if not v.is_zero():
-                out[codec.vector[c]] = v
-                bucket.append((c, v))
+            h = vals.scale(vals.reduce(acc[c]), alpha(d))
+            if h != vals.zero:
+                out[vectors[c]] = h
+                bucket.append((c, h))
         out_by_deg[d] = bucket
     return out
 
 
-def _derive(coeffs: dict, vals: _Values) -> dict:
-    """The degree derivation D on interned values: the coefficient at m
-    times |m|."""
-    return {m: vals.scale(v, m.total) for m, v in coeffs.items()}
+def _derive(handles: dict, vals: _Values) -> dict:
+    """The degree derivation D on handles: the coefficient at m times |m|."""
+    return {m: vals.scale(h, m.total) for m, h in handles.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -319,16 +291,16 @@ def mul(f: GradedSeries, g: GradedSeries) -> GradedSeries:
     if f.trunc != g.trunc:
         raise ValueError("series with different truncations")
     vals = _values_for(f.graph)
-    codec = _codec_for(f.graph, f.trunc)
-    fd = _by_degree(f.coeffs, vals, codec)
-    gd = _by_degree(g.coeffs, vals, codec)
+    vectors = _vectors(f.graph, f.trunc)
+    fd = _by_degree(_handles(f, vals))
+    gd = _by_degree(_handles(g, vals))
     acc = {}
     for d1, items1 in fd.items():
         for d2, items2 in gd.items():
             if d1 + d2 <= f.trunc:
                 _accumulate(acc, items1, items2, vals)
-    out = {codec.vector[c]: vals.reduce(acc[c]) for c in sorted(acc)}
-    return GradedSeries(f.graph, f.trunc, out)
+    out = {vectors[c]: vals.reduce(acc[c]) for c in sorted(acc)}
+    return _series(f.graph, f.trunc, out, vals)
 
 
 def invert(f: GradedSeries) -> GradedSeries:
@@ -338,9 +310,9 @@ def invert(f: GradedSeries) -> GradedSeries:
     if f0.is_zero():
         raise ValueError("series with zero constant term has no inverse")
     inv0 = vals.intern(RF_ONE / f0)
-    neg_inv0 = vals.intern(-inv0)
+    neg_inv0 = vals.scale(inv0, -1)
     a = {m: vals.mul(neg_inv0, vals.intern(v)) for m, v in f.coeffs.items() if m.total}
-    return GradedSeries(f.graph, f.trunc, _solve(f.graph, f.trunc, a, out0=inv0))
+    return _series(f.graph, f.trunc, _solve(f.graph, f.trunc, a, out0=inv0), vals)
 
 
 def shift(f: GradedSeries, direction: str, y_func=None) -> GradedSeries:
@@ -361,7 +333,7 @@ def shift(f: GradedSeries, direction: str, y_func=None) -> GradedSeries:
         if p is None:
             p = powers[e] = vals.intern(RatFunc.s_power(e))
         out[m] = vals.mul(vals.intern(v), p)
-    return GradedSeries(f.graph, f.trunc, out)
+    return _series(f.graph, f.trunc, out, vals)
 
 
 def _gl_exponents(g: GraphOfGroups, m: DimVector) -> dict:
@@ -396,7 +368,6 @@ def build_F(g: GraphOfGroups, trunc: int, y_func=None) -> GradedSeries:
     count of the total dimension, with the forward shift applied; the
     value is built by exponent arithmetic on cyclotomic factors.
     """
-    vals = _values_for(g)
     factor_memo = g._pipeline_cache.setdefault("F_factors", {})
     out = {}
     for d in range(trunc + 1):
@@ -408,8 +379,7 @@ def build_F(g: GraphOfGroups, trunc: int, y_func=None) -> GradedSeries:
             key = (tuple(sorted((k, e) for k, e in exps.items() if e)), sigma)
             v = factor_memo.get(key)
             if v is None:
-                v = vals.intern(gl_product(dict(key[0]), sigma))
-                factor_memo[key] = v
+                v = factor_memo[key] = gl_product(dict(key[0]), sigma)
             out[m] = v
     return GradedSeries(g, trunc, out)
 
@@ -423,12 +393,11 @@ def rep_space_count(g: GraphOfGroups, m: DimVector) -> RatFunc:
 # exp / log / plethystic operations
 # ---------------------------------------------------------------------------
 
-def _psi(coeffs, trunc, vals, codec, inverse: bool):
+def _psi(handles, trunc, vals, vectors, inverse: bool):
     """Adams-operation sum: Psi or its Moebius inverse.  The code of
-    beta*m is beta*code(m), carry-free while beta*total stays within D."""
+    beta*m is beta*m.code, carry-free while beta*total stays within D."""
     acc = {}
-    code = codec.code
-    for m, v in sorted(coeffs.items(), key=lambda kv: (kv[0].total, code[kv[0]])):
+    for m, h in handles.items():
         dm = m.total
         if dm == 0:
             raise ValueError("Adams sums need vanishing constant term")
@@ -436,39 +405,39 @@ def _psi(coeffs, trunc, vals, codec, inverse: bool):
         while beta * dm <= trunc:
             mu = mobius(beta) if inverse else 1
             if mu:
-                w = vals.scale(vals.adams(vals.intern(v), beta), Fraction(mu, beta))
-                if not w.is_zero():
-                    c = acc.setdefault(beta * code[m], {})
+                w = vals.scale(vals.adams(h, beta), Fraction(mu, beta))
+                if w != vals.zero:
+                    c = acc.setdefault(beta * m.code, {})
                     c[w] = c.get(w, 0) + 1
             beta += 1
-    return {codec.vector[key]: vals.reduce(acc[key]) for key in sorted(acc)}
+    return {vectors[c]: vals.reduce(acc[c]) for c in sorted(acc)}
 
 
 def plethystic(f: GradedSeries, direction: str) -> GradedSeries:
     """Plethystic Exp (exp after the Adams sum, needs constant term 0) or
     Log (Moebius-inverted Adams sum after log, needs constant term 1)."""
     vals = _values_for(f.graph)
-    codec = _codec_for(f.graph, f.trunc)
+    vectors = _vectors(f.graph, f.trunc)
     zero = zero_vector(f.graph)
     d = direction.lower()
     if d == "exp":
         if not f.coefficient(zero).is_zero():
             raise ValueError("plethystic Exp needs constant term 0")
-        psi = _psi(f.coeffs, f.trunc, vals, codec, inverse=False)
+        psi = _psi(_handles(f, vals), f.trunc, vals, vectors, inverse=False)
         out = _solve(
             f.graph, f.trunc, _derive(psi, vals), out0=vals.one, alpha=lambda k: Fraction(1, k)
         )
     elif d == "log":
         if not f.coefficient(zero).is_one():
             raise ValueError("plethystic Log needs constant term 1")
-        rest = {m: vals.intern(v) for m, v in f.coeffs.items() if m.total}
-        neg = {m: vals.scale(v, -1) for m, v in rest.items()}
+        rest = {m: h for m, h in _handles(f, vals).items() if m.total}
+        neg = {m: vals.scale(h, -1) for m, h in rest.items()}
         h = _solve(f.graph, f.trunc, neg, rhs=_derive(rest, vals))
         ell = {m: vals.scale(v, Fraction(1, m.total)) for m, v in h.items()}
-        out = _psi(ell, f.trunc, vals, codec, inverse=True)
+        out = _psi(ell, f.trunc, vals, vectors, inverse=True)
     else:
         raise ValueError(f"unknown plethystic direction {direction!r}")
-    return GradedSeries(f.graph, f.trunc, out)
+    return _series(f.graph, f.trunc, out, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +461,7 @@ def compute_absim(g: GraphOfGroups, trunc: int, y_func=None) -> dict:
     one_minus_s = vals.intern(RatFunc.from_poly(Poly((1, -1))))
     out = {}
     for m, v in series.coeffs.items():
-        w = vals.mul(one_minus_s, vals.intern(v))
+        w = vals.value[vals.mul(one_minus_s, vals.intern(v))]
         if w.is_zero():
             continue
         p = w.as_integer_poly()
@@ -612,10 +581,6 @@ class CountingTable:
             else:
                 out.setdefault(d, Poly(()))
         return dict(sorted(out.items()))
-
-
-def build_counting_table(g: GraphOfGroups, trunc: int) -> CountingTable:
-    return CountingTable(g, trunc)
 
 
 def epoly_text(p: Poly) -> str:

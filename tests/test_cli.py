@@ -212,7 +212,7 @@ def test_pipeline_integrity_error_exits_2(capsys, monkeypatch):
     def boom(g, trunc):
         raise NonPolynomialCoefficient("((1,0),(1,0,0))", "1/(s-1)")
 
-    monkeypatch.setattr(cli, "build_counting_table", boom)
+    monkeypatch.setattr(cli, "CountingTable", boom)
     code, _, err = run(capsys, "count", "--group", "psl2z", "--max-dim", "1")
     assert code == 2
     assert "integrity" in err
@@ -252,6 +252,17 @@ def test_epoly_negative_max_dim_exits_1(capsys):
     code, out, err = run(capsys, "epoly", "--group", "psl2z", "--max-dim", "-1")
     assert (code, out) == (1, "")
     assert err == "error: --max-dim must be >= 0\n"
+
+
+@pytest.mark.parametrize("command", ["count", "epoly"])
+def test_max_dim_beyond_total_bound_exits_1_at_once(capsys, monkeypatch, command):
+    def boom(g, trunc):
+        raise AssertionError("the pipeline started")
+
+    monkeypatch.setattr(cli, "CountingTable", boom)
+    code, out, err = run(capsys, command, "--group", "psl2z", "--max-dim", "65536")
+    assert (code, out) == (1, "")
+    assert "65536" in err and "bound" in err
 
 
 def test_unrequested_kinds_are_not_computed(capsys, monkeypatch):

@@ -18,7 +18,7 @@ from vfreps.dimmonoid import (
     try_sub,
     zero_vector,
 )
-from vfreps.groupgraph import preset
+from vfreps.groupgraph import load, preset, save
 
 
 def brute_force_enumerate(g, d):
@@ -275,3 +275,38 @@ def test_format_parse_round_trip():
     g = preset("pgl2z")
     for m in enumerate_dimvectors(g, 3):
         assert parse_dimvector(g, format_dimvector(m)) == m
+
+
+def test_total_dimension_bound_is_enforced_before_packing():
+    # codes hold one entry per 16-bit field, so totals must stay below 2^16
+    g = preset.__wrapped__("cyclic(1)")
+    assert dimvector(g, ((65535,),)).code == 65535
+    with pytest.raises(ValueError, match="65536"):
+        dimvector(g, ((65536,),))
+    with pytest.raises(ValueError, match="65536"):
+        enumerate_dimvectors(g, 65536)
+    half = dimvector(g, ((32768,),))
+    with pytest.raises(ValueError, match="65536"):
+        half + half
+    # oversized or misshapen input whose entries pack to a cached code is
+    # still refused: 65536 in the second field carries into the first
+    h = preset.__wrapped__("psl2z")
+    assert h._dv_cache[dimvector(h, ((1, 0), (0, 0, 1))).code]
+    with pytest.raises(ValueError, match="65536"):
+        dimvector(h, ((0, 65536), (0, 0, 1)))
+    with pytest.raises(ValueError, match="multiplicities"):
+        dimvector(h, ((1, 0, 0), (0, 1)))
+    with pytest.raises(ValueError, match="negative"):
+        dimvector(h, ((1, -1), (0, 0, 0)))
+
+
+def test_equality_is_per_vertex_across_graphs():
+    data = save(preset("psl2z"))
+    g1, g2 = load(data), load(data)
+    for a, b in zip(enumerate_dimvectors(g1, 4), enumerate_dimvectors(g2, 4), strict=True):
+        assert a is not b and a == b and hash(a) == hash(b)
+    # vertex simple counts (2,3) against (3,2): equal codes, unequal vectors
+    m = dimvector(preset("cyclic_free_product(2,3)"), ((1, 0), (0, 0, 1)))
+    n = dimvector(preset("cyclic_free_product(3,2)"), ((1, 0, 0), (0, 1)))
+    assert m.code == n.code
+    assert m != n and n != m

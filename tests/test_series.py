@@ -164,32 +164,31 @@ CODEC_PRESETS = [
 
 @pytest.mark.parametrize("name", CODEC_PRESETS)
 def test_key_codec_round_trip_order_and_carry_free_sums(name):
+    # DimVector.code is the packed key the convolutions add; the graph
+    # interns its vectors under it
     from vfreps.dimmonoid import scale as dv_scale
-    from vfreps.series import _codec_for
 
     D = 4
-    g = preset(name)
-    codec = _codec_for(g, D)
-    code = codec.code
+    g = preset.__wrapped__(name)  # new graph: its intern table holds only what we build
     by_deg = [enumerate_dimvectors(g, d) for d in range(D + 1)]
     vectors = [m for bucket in by_deg for m in bucket]
-    assert len(code) == len(codec.vector) == len(vectors)
+    assert len(g._dv_cache) == len({m.code for m in vectors}) == len(vectors)
     for m in vectors:
-        assert codec.vector[code[m]] is m
-    assert sorted(vectors, key=code.get) == sorted(vectors, key=lambda m: m.per_vertex)
+        assert g._dv_cache[m.code] is m
+    assert sorted(vectors, key=lambda m: m.code) == sorted(vectors, key=lambda m: m.per_vertex)
     # sums and multiples within D, checked against the tuple arithmetic
     for d1 in range(D + 1):
         for d2 in range(D + 1 - d1):
             for m1 in by_deg[d1]:
                 for m2 in by_deg[d2]:
-                    assert codec.vector[code[m1] + code[m2]] is m1 + m2
+                    assert g._dv_cache[m1.code + m2.code] is m1 + m2
         for beta in range(1, D // max(d1, 1) + 1):
             for m in by_deg[d1]:
-                assert codec.vector[beta * code[m]] is dv_scale(m, beta)
+                assert g._dv_cache[beta * m.code] is dv_scale(m, beta)
     # an entry may reach D itself, and the sums above then hit it carry-free
     if name == "cyclic(1)":
         (top,) = by_deg[D]
-        assert top.per_vertex == ((D,),) and code[top] == D
+        assert top.per_vertex == ((D,),) and top.code == D
 
 
 @pytest.mark.parametrize("name", CODEC_PRESETS)
