@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .groupgraph import GraphOfGroups
 
 _BITS = 16
 TOTAL_LIMIT = 1 << _BITS  # every total dimension is below this
+_CODE = attrgetter("code")
 
 
 class DimVector:
@@ -230,24 +232,39 @@ def enumerate_dimvectors(g: GraphOfGroups, d: int):
     if cached is not None:
         return cached
     amalgams = [e for e in g.edges if e.kind == "amalgam"]
-    partial = [[v] for v in _weighted_compositions(d, g.vertices[0].simple_dims)]
+    partial = [([v], []) for v in _weighted_compositions(d, g.vertices[0].simple_dims)]
     for e in amalgams:
-        # tree order guarantees e.s < e.t and e.t is the next new vertex
+        # tree order guarantees e.s < e.t and e.t is the next new vertex;
+        # many partial vectors share an edge image, so each image is
+        # solved for once
         grown = []
         dims_t = g.vertices[e.t].simple_dims
-        for pv in partial:
+        solutions = {}
+        for pv, images in partial:
             u = e.iota.apply(pv[e.s])
-            for w in _constrained_vectors(u, e.kappa.matrix, dims_t):
-                grown.append(pv + [w])
+            ws = solutions.get(u)
+            if ws is None:
+                ws = solutions[u] = _constrained_vectors(u, e.kappa.matrix, dims_t)
+            for w in ws:
+                grown.append((pv + [w], images + [u]))
         partial = grown
     out = []
-    for pv in partial:
+    for pv, images in partial:
         # every constraint but the HNN ones and every vertex total hold by
         # construction, so the vector is interned without revalidation
-        per_edge = tuple(e.iota.apply(pv[e.s]) for e in g.edges)
-        if all(u == e.kappa.apply(pv[e.t]) for u, e in zip(per_edge, g.edges) if e.kind == "hnn"):
-            out.append(_interned(g, tuple(pv), per_edge, d))
-    out.sort()
+        amalgam_images = iter(images)
+        per_edge = []
+        for e in g.edges:
+            if e.kind == "amalgam":
+                per_edge.append(next(amalgam_images))
+            else:
+                u = e.iota.apply(pv[e.s])
+                if u != e.kappa.apply(pv[e.t]):
+                    break
+                per_edge.append(u)
+        else:
+            out.append(_interned(g, tuple(pv), tuple(per_edge), d))
+    out.sort(key=_CODE)  # code order is per_vertex order
     out = tuple(out)
     g._enum_cache[d] = out
     return out
@@ -332,6 +349,23 @@ def shift_exponent(g: GraphOfGroups, m: DimVector, y_func=None) -> int:
             f"euler form and correction differ mod 2"
         )
     return e // 2
+
+
+# ---------------------------------------------------------------------------
+# the automorphism group of the graph data
+# ---------------------------------------------------------------------------
+
+def automorphisms(g: GraphOfGroups):
+    """The graph's automorphism group G (vfreps.orbits.Automorphisms): the
+    relabellings of vertex and edge simples that keep the graph data, with
+    its orbit representatives.  Built on first use; its module is imported
+    then too, so importing the package compiles none of it."""
+    G = g._pipeline_cache.get("automorphisms")
+    if G is None:
+        from .orbits import Automorphisms
+
+        G = g._pipeline_cache["automorphisms"] = Automorphisms(g)
+    return G
 
 
 # ---------------------------------------------------------------------------
@@ -426,33 +460,50 @@ def _one_vertex_transposition(g, vertex, a, b):
 
 
 def apply_symmetry(m: DimVector, perms) -> DimVector:
-    pv = []
-    for v, p in zip(m.per_vertex, perms):
-        out = [0] * len(v)
+    """The image of m under one tuple of per-vertex permutations, looked up
+    by its code among the enumerated keys of m's total; ValueError when
+    the image is not one of them."""
+    g = m.graph
+    enumerate_dimvectors(g, m.total)
+    return _image(g, _permuted(m.per_vertex, perms))
+
+
+def _permuted(pv: tuple, perms) -> tuple:
+    out = []
+    for v, p in zip(pv, perms):
+        row = [0] * len(v)
         for gamma, x in enumerate(v):
-            out[p[gamma]] = x
-        pv.append(tuple(out))
-    return dimvector(m.graph, pv)
+            row[p[gamma]] = x
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _image(g: GraphOfGroups, pv: tuple) -> DimVector:
+    m = g._dv_cache.get(_pack(pv))
+    if m is None:
+        raise ValueError(f"symmetry image {pv} is not a dimension vector of the graph")
+    return m
 
 
 def symmetry_orbits(g: GraphOfGroups, descriptor: SymmetryGroupDescriptor, d: int):
     """Partition of enumerate_dimvectors(g, d) into symmetry orbits,
-    each orbit sorted, orbits ordered by their minimal element."""
+    each orbit sorted, orbits ordered by their minimal element.  The walk
+    permutes per_vertex tuples and looks every image up by its code."""
     vectors = enumerate_dimvectors(g, d)
     seen = set()
     orbits = []
     for start in vectors:
-        if start in seen:
+        if start.code in seen:
             continue
-        orbit = {start}
-        frontier = [start]
+        orbit = {start.code: start}
+        frontier = [start.per_vertex]
         while frontier:
             cur = frontier.pop()
             for perms in descriptor.generators:
-                nxt = apply_symmetry(cur, perms)
-                if nxt not in orbit:
-                    orbit.add(nxt)
-                    frontier.append(nxt)
-        seen |= orbit
-        orbits.append(sorted(orbit))
+                nxt = _image(g, _permuted(cur, perms))
+                if nxt.code not in orbit:
+                    orbit[nxt.code] = nxt
+                    frontier.append(nxt.per_vertex)
+        seen.update(orbit)
+        orbits.append(sorted(orbit.values()))
     return orbits

@@ -34,6 +34,27 @@ solves f h = D f, so a = -f_+ and rhs = D f_+; g = exp(psi) solves
 D g = (D psi) g, so a = D psi, out_0 = 1 and alpha(d) = 1/d.  These agree
 with the defining power sums truncated at total degree D; the test suite
 checks the two against each other on small truncations.
+
+The orbit quotient.  Relabelling simples by an element of the graph's
+automorphism group G (dimmonoid.automorphisms) permutes the dimension
+vectors and fixes every count, so the pipeline's series are constant on
+the orbits of G.  A series records this in its tag, `symmetry`: build_F
+sets it to G when G is nontrivial and y_func is None or constant on every
+orbit (it evaluates y_func on every key to check), and invert, shift,
+plethystic and mul keep it only when their inputs carry it; compute_ss
+tags the absim series it exponentiates with the tag of the Log it came
+from.  On a tagged series the work is done at orbit representatives
+only: _solve and mul sum, for each representative m, over its
+decompositions m = m1 + (m - m1), which a walk over the sub-vectors of m
+finds and which name a[rep(m1)] and out[rep(m - m1)]; build_F, shift,
+_psi and compute_sim evaluate at representatives; every other key copies
+its representative's value once, when the public series is built.
+
+The reference path.  An untagged series (built by hand, built with an
+orbit-breaking y_func, or over a graph whose G is trivial) multiplies
+whole degree buckets pairwise, as above.  Both paths feed the same
+counters to the same memoized reductions, so they give identical values,
+and the tests check every tagged result against the untagged run.
 """
 
 from __future__ import annotations
@@ -73,9 +94,14 @@ class NonPolynomialCoefficient(ArithmeticError):
 
 
 class GradedSeries:
-    """Truncated series: dimension vector -> rational function, zero absent."""
+    """Truncated series: dimension vector -> rational function, zero absent.
 
-    __slots__ = ("graph", "trunc", "coeffs")
+    symmetry is the tag of the orbit quotient (module docstring): the
+    graph's automorphism group when the series is known to be constant on
+    its orbits, else None.  A series built by hand is untagged.
+    """
+
+    __slots__ = ("graph", "trunc", "coeffs", "symmetry")
 
     def __init__(self, graph: GraphOfGroups, trunc: int, coeffs=None):
         if trunc < 0:
@@ -91,6 +117,7 @@ class GradedSeries:
             if not v.is_zero():
                 clean[m] = v
         self.coeffs = clean
+        self.symmetry = None
 
     def coefficient(self, m: DimVector) -> RatFunc:
         return self.coeffs.get(m, RF_ZERO)
@@ -197,14 +224,6 @@ def _values_for(g: GraphOfGroups) -> _Values:
     return vals
 
 
-def _handles(f: GradedSeries, vals: _Values) -> dict:
-    return {m: vals.intern(v) for m, v in f.coeffs.items()}
-
-
-def _series(g: GraphOfGroups, trunc: int, handles: dict, vals: _Values) -> GradedSeries:
-    return GradedSeries(g, trunc, {m: vals.value[h] for m, h in handles.items()})
-
-
 def _vectors(g: GraphOfGroups, trunc: int) -> dict:
     """The graph's {code: DimVector} intern table, holding every vector of
     total <= trunc."""
@@ -213,12 +232,72 @@ def _vectors(g: GraphOfGroups, trunc: int) -> dict:
     return g._dv_cache
 
 
-def _by_degree(handles: dict):
-    """Split {DimVector: handle} into degree buckets of sorted (code, handle)
+def _symmetry_for(g: GraphOfGroups, trunc: int, y_func):
+    """The tag for a series built with this correction: the graph's
+    automorphism group when it is nontrivial and y_func is None or
+    constant on every orbit (checked on every key), else None."""
+    G = dimmonoid.automorphisms(g)
+    if G.is_trivial():
+        return None
+    if y_func is not None:
+        for c in _codes(g, trunc, G):
+            orbit = G.orbits[c]
+            y = y_func(g, orbit[0])
+            if any(y_func(g, m) != y for m in orbit[1:]):
+                return None
+    return G
+
+
+def _codes(g: GraphOfGroups, trunc: int, G):
+    """The codes a series works at: the representatives of G, or every
+    key when G is None; by total, ascending within a total."""
+    if G is not None:
+        G.representatives(trunc)
+    for d in range(trunc + 1):
+        if G is None:
+            yield from (m.code for m in enumerate_dimvectors(g, d))
+        else:
+            yield from G.reps(d)
+
+
+def _handles(f: GradedSeries, vals: _Values, G) -> dict:
+    """{code: handle} of f at the codes of G (see _codes)."""
+    if G is None:
+        return {m.code: vals.intern(v) for m, v in f.coeffs.items()}
+    vectors, coeffs = f.graph._dv_cache, f.coeffs
+    out = {}
+    for c in _codes(f.graph, f.trunc, G):
+        v = coeffs.get(vectors[c])
+        if v is not None:
+            out[c] = vals.intern(v)
+    return out
+
+
+def _series(g: GraphOfGroups, trunc: int, handles: dict, vals: _Values, G) -> GradedSeries:
+    """The public series of {code: handle}, tagged with G; under a tag
+    every key copies its representative's value."""
+    value, zero, vectors = vals.value, vals.zero, g._dv_cache
+    if G is None:
+        coeffs = {vectors[c]: value[h] for c, h in handles.items() if h != zero}
+    else:
+        coeffs = {}
+        for c, h in handles.items():
+            if h != zero:
+                v = value[h]
+                for m in G.orbits[c]:
+                    coeffs[m] = v
+    f = GradedSeries(g, trunc)
+    f.coeffs = coeffs
+    f.symmetry = G
+    return f
+
+
+def _by_degree(handles: dict, vectors: dict):
+    """Split {code: handle} into degree buckets of sorted (code, handle)
     lists."""
     out = {}
-    for m, h in handles.items():
-        out.setdefault(m.total, []).append((m.code, h))
+    for c, h in handles.items():
+        out.setdefault(vectors[c].total, []).append((c, h))
     for bucket in out.values():
         bucket.sort()
     return out
@@ -241,23 +320,52 @@ def _accumulate(acc, items1, items2, vals):
     return acc
 
 
-def _solve(g, trunc, a, rhs=None, out0=None, alpha=lambda d: 1):
+def _orbit_sum(acc, decompositions, left, right, vals):
+    """Add sum f[r1] * g[r2] over the decompositions (r1, r2, k) of one
+    representative into the counter acc."""
+    mul, zero = vals.mul, vals.zero
+    for r1, r2, k in decompositions:
+        h1 = left.get(r1)
+        if h1 is None:
+            continue
+        h2 = right.get(r2)
+        if h2 is None:
+            continue
+        p = mul(h1, h2)
+        if p != zero:
+            acc[p] = acc.get(p, 0) + k
+    return acc
+
+
+def _solve(g, trunc, G, a, rhs=None, out0=None, alpha=lambda d: 1):
     """The graded triangular solve behind invert, Log and Exp.
 
     For d = 1..trunc, out_d = alpha(d) * (rhs_d + sum_{k>=1} a_k *
-    out_{d-k}), where a and rhs are {DimVector: handle} without constant
-    term and the constant term of out is the handle out0 (absent when
-    None).  Returns {DimVector: handle}, zeros absent.
+    out_{d-k}), where a and rhs are {code: handle} without constant term
+    and the constant term of out is the handle out0 (absent when None).
+    Under a tag G the inputs and the result hold representatives only and
+    each representative sums over its decompositions; untagged, degree
+    buckets are multiplied pairwise.  Returns {code: handle}, zeros absent.
     """
     vals = _values_for(g)
+    rhs = rhs or {}
+    out = {} if out0 is None else {0: out0}
+    if G is not None:
+        G.representatives(trunc)
+        for d in range(1, trunc + 1):
+            factor = alpha(d)
+            for c in G.reps(d):
+                h = rhs.get(c)
+                acc = _orbit_sum({} if h is None else {h: 1}, G.decompositions(c), a, out, vals)
+                if acc:
+                    h = vals.scale(vals.reduce(acc), factor)
+                    if h != vals.zero:
+                        out[c] = h
+        return out
     vectors = _vectors(g, trunc)
-    ad = _by_degree(a)
-    rd = _by_degree(rhs or {})
-    out = {}
-    out_by_deg = {}
-    if out0 is not None:
-        out[zero_vector(g)] = out0
-        out_by_deg[0] = [(0, out0)]
+    ad = _by_degree(a, vectors)
+    rd = _by_degree(rhs, vectors)
+    out_by_deg = {} if out0 is None else {0: [(0, out0)]}
     for d in range(1, trunc + 1):
         acc = {c: {h: 1} for c, h in rd.get(d, ())}
         for k in range(1, d + 1):
@@ -269,15 +377,15 @@ def _solve(g, trunc, a, rhs=None, out0=None, alpha=lambda d: 1):
         for c in sorted(acc):
             h = vals.scale(vals.reduce(acc[c]), alpha(d))
             if h != vals.zero:
-                out[vectors[c]] = h
+                out[c] = h
                 bucket.append((c, h))
         out_by_deg[d] = bucket
     return out
 
 
-def _derive(handles: dict, vals: _Values) -> dict:
+def _derive(handles: dict, vals: _Values, vectors: dict) -> dict:
     """The degree derivation D on handles: the coefficient at m times |m|."""
-    return {m: vals.scale(h, m.total) for m, h in handles.items()}
+    return {c: vals.scale(h, vectors[c].total) for c, h in handles.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -285,55 +393,74 @@ def _derive(handles: dict, vals: _Values) -> dict:
 # ---------------------------------------------------------------------------
 
 def mul(f: GradedSeries, g: GradedSeries) -> GradedSeries:
-    """Convolution product, truncated at the common truncation."""
+    """Convolution product, truncated at the common truncation; tagged
+    when both factors carry the same tag."""
     if f.graph is not g.graph:
         raise ValueError("series over different graphs")
     if f.trunc != g.trunc:
         raise ValueError("series with different truncations")
+    G = f.symmetry if f.symmetry is g.symmetry else None
     vals = _values_for(f.graph)
-    vectors = _vectors(f.graph, f.trunc)
-    fd = _by_degree(_handles(f, vals))
-    gd = _by_degree(_handles(g, vals))
-    acc = {}
-    for d1, items1 in fd.items():
-        for d2, items2 in gd.items():
-            if d1 + d2 <= f.trunc:
-                _accumulate(acc, items1, items2, vals)
-    out = {vectors[c]: vals.reduce(acc[c]) for c in sorted(acc)}
-    return _series(f.graph, f.trunc, out, vals)
+    fh = _handles(f, vals, G)
+    gh = _handles(g, vals, G)
+    out = {}
+    if G is not None:
+        for c in _codes(f.graph, f.trunc, G):
+            acc = _orbit_sum({}, G.decompositions(c), fh, gh, vals)
+            if acc:
+                out[c] = vals.reduce(acc)
+    else:
+        vectors = _vectors(f.graph, f.trunc)
+        fd = _by_degree(fh, vectors)
+        gd = _by_degree(gh, vectors)
+        acc = {}
+        for d1, items1 in fd.items():
+            for d2, items2 in gd.items():
+                if d1 + d2 <= f.trunc:
+                    _accumulate(acc, items1, items2, vals)
+        out = {c: vals.reduce(acc[c]) for c in sorted(acc)}
+    return _series(f.graph, f.trunc, out, vals, G)
 
 
 def invert(f: GradedSeries) -> GradedSeries:
-    """Multiplicative inverse up to truncation; needs a unit constant term."""
+    """Multiplicative inverse up to truncation; needs a unit constant term.
+    Keeps the tag of f."""
     vals = _values_for(f.graph)
     f0 = f.coefficient(zero_vector(f.graph))
     if f0.is_zero():
         raise ValueError("series with zero constant term has no inverse")
+    G = f.symmetry
     inv0 = vals.intern(RF_ONE / f0)
     neg_inv0 = vals.scale(inv0, -1)
-    a = {m: vals.mul(neg_inv0, vals.intern(v)) for m, v in f.coeffs.items() if m.total}
-    return _series(f.graph, f.trunc, _solve(f.graph, f.trunc, a, out0=inv0), vals)
+    a = {c: vals.mul(neg_inv0, h) for c, h in _handles(f, vals, G).items() if c}
+    return _series(f.graph, f.trunc, _solve(f.graph, f.trunc, G, a, out0=inv0), vals, G)
 
 
 def shift(f: GradedSeries, direction: str, y_func=None) -> GradedSeries:
     """Multiply the coefficient at m by s^(+-shift_exponent(m)).
 
     "forward" turns the twisted product into the plain one; "inverse"
-    undoes it.
+    undoes it.  Keeps the tag of f when y_func is None or constant on its
+    orbits.
     """
     if direction not in ("forward", "inverse"):
         raise ValueError(f"unknown shift direction {direction!r}")
     sign = 1 if direction == "forward" else -1
-    vals = _values_for(f.graph)
+    g = f.graph
+    G = f.symmetry
+    if G is not None and y_func is not None:
+        G = _symmetry_for(g, f.trunc, y_func)
+    vals = _values_for(g)
+    vectors = g._dv_cache
     powers = {}
     out = {}
-    for m, v in f.coeffs.items():
-        e = sign * shift_exponent(f.graph, m, y_func)
+    for c, h in _handles(f, vals, G).items():
+        e = sign * shift_exponent(g, vectors[c], y_func)
         p = powers.get(e)
         if p is None:
             p = powers[e] = vals.intern(RatFunc.s_power(e))
-        out[m] = vals.mul(vals.intern(v), p)
-    return _series(f.graph, f.trunc, out, vals)
+        out[c] = vals.mul(h, p)
+    return _series(g, f.trunc, out, vals, G)
 
 
 def _gl_exponents(g: GraphOfGroups, m: DimVector) -> dict:
@@ -366,22 +493,27 @@ def build_F(g: GraphOfGroups, trunc: int, y_func=None) -> GradedSeries:
     Coefficient at m: the counting polynomial of the m-component of the
     representation space (_gl_exponents), divided by the general-linear
     count of the total dimension, with the forward shift applied; the
-    value is built by exponent arithmetic on cyclotomic factors.
+    value is built by exponent arithmetic on cyclotomic factors.  The
+    series is tagged (see _symmetry_for) and then evaluated at
+    representatives only.
     """
+    G = _symmetry_for(g, trunc, y_func)
+    vals = _values_for(g)
+    vectors = _vectors(g, trunc)
     factor_memo = g._pipeline_cache.setdefault("F_factors", {})
     out = {}
-    for d in range(trunc + 1):
-        for m in enumerate_dimvectors(g, d):
-            exps = _gl_exponents(g, m)
-            if d:
-                exps[d] = exps.get(d, 0) - 1  # divide by gl_d
-            sigma = shift_exponent(g, m, y_func)
-            key = (tuple(sorted((k, e) for k, e in exps.items() if e)), sigma)
-            v = factor_memo.get(key)
-            if v is None:
-                v = factor_memo[key] = gl_product(dict(key[0]), sigma)
-            out[m] = v
-    return GradedSeries(g, trunc, out)
+    for c in _codes(g, trunc, G):
+        m = vectors[c]
+        exps = _gl_exponents(g, m)
+        if m.total:
+            exps[m.total] = exps.get(m.total, 0) - 1  # divide by gl_d
+        sigma = shift_exponent(g, m, y_func)
+        key = (tuple(sorted((k, e) for k, e in exps.items() if e)), sigma)
+        h = factor_memo.get(key)
+        if h is None:
+            h = factor_memo[key] = vals.intern(gl_product(dict(key[0]), sigma))
+        out[c] = h
+    return _series(g, trunc, out, vals, G)
 
 
 def rep_space_count(g: GraphOfGroups, m: DimVector) -> RatFunc:
@@ -395,10 +527,11 @@ def rep_space_count(g: GraphOfGroups, m: DimVector) -> RatFunc:
 
 def _psi(handles, trunc, vals, vectors, inverse: bool):
     """Adams-operation sum: Psi or its Moebius inverse.  The code of
-    beta*m is beta*m.code, carry-free while beta*total stays within D."""
+    beta*m is beta*m.code, carry-free while beta*total stays within D, and
+    a multiple of a representative is a representative."""
     acc = {}
-    for m, h in handles.items():
-        dm = m.total
+    for c0, h in handles.items():
+        dm = vectors[c0].total
         if dm == 0:
             raise ValueError("Adams sums need vanishing constant term")
         beta = 1
@@ -407,42 +540,76 @@ def _psi(handles, trunc, vals, vectors, inverse: bool):
             if mu:
                 w = vals.scale(vals.adams(h, beta), Fraction(mu, beta))
                 if w != vals.zero:
-                    c = acc.setdefault(beta * m.code, {})
+                    c = acc.setdefault(beta * c0, {})
                     c[w] = c.get(w, 0) + 1
             beta += 1
-    return {vectors[c]: vals.reduce(acc[c]) for c in sorted(acc)}
+    return {c: vals.reduce(acc[c]) for c in sorted(acc)}
 
 
 def plethystic(f: GradedSeries, direction: str) -> GradedSeries:
     """Plethystic Exp (exp after the Adams sum, needs constant term 0) or
-    Log (Moebius-inverted Adams sum after log, needs constant term 1)."""
-    vals = _values_for(f.graph)
-    vectors = _vectors(f.graph, f.trunc)
-    zero = zero_vector(f.graph)
+    Log (Moebius-inverted Adams sum after log, needs constant term 1).
+    Keeps the tag of f."""
+    g, G = f.graph, f.symmetry
+    vals = _values_for(g)
+    vectors = _vectors(g, f.trunc)
+    zero = zero_vector(g)
     d = direction.lower()
     if d == "exp":
         if not f.coefficient(zero).is_zero():
             raise ValueError("plethystic Exp needs constant term 0")
-        psi = _psi(_handles(f, vals), f.trunc, vals, vectors, inverse=False)
+        psi = _psi(_handles(f, vals, G), f.trunc, vals, vectors, inverse=False)
         out = _solve(
-            f.graph, f.trunc, _derive(psi, vals), out0=vals.one, alpha=lambda k: Fraction(1, k)
+            g, f.trunc, G, _derive(psi, vals, vectors), out0=vals.one,
+            alpha=lambda k: Fraction(1, k),
         )
     elif d == "log":
         if not f.coefficient(zero).is_one():
             raise ValueError("plethystic Log needs constant term 1")
-        rest = {m: h for m, h in _handles(f, vals).items() if m.total}
-        neg = {m: vals.scale(h, -1) for m, h in rest.items()}
-        h = _solve(f.graph, f.trunc, neg, rhs=_derive(rest, vals))
-        ell = {m: vals.scale(v, Fraction(1, m.total)) for m, v in h.items()}
+        rest = {c: h for c, h in _handles(f, vals, G).items() if c}
+        neg = {c: vals.scale(h, -1) for c, h in rest.items()}
+        h = _solve(g, f.trunc, G, neg, rhs=_derive(rest, vals, vectors))
+        ell = {c: vals.scale(v, Fraction(1, vectors[c].total)) for c, v in h.items()}
         out = _psi(ell, f.trunc, vals, vectors, inverse=True)
     else:
         raise ValueError(f"unknown plethystic direction {direction!r}")
-    return _series(f.graph, f.trunc, out, vals)
+    return _series(g, f.trunc, out, vals, G)
 
 
 # ---------------------------------------------------------------------------
 # the counting pipeline
 # ---------------------------------------------------------------------------
+
+def _integer_polys(f: GradedSeries, vals: _Values, factor=None) -> dict:
+    """{DimVector: Poly} of the coefficients of f, each times the handle
+    factor when given, converted once per distinct value; zeros absent.
+    Raises NonPolynomialCoefficient at the first key that fails."""
+    polys = {}
+    out = {}
+    for m, v in f.coeffs.items():
+        p = polys.get(v)
+        if p is None:
+            w = v if factor is None else vals.value[vals.mul(factor, vals.intern(v))]
+            p = polys[v] = w.as_integer_poly()
+            if p is None:
+                raise NonPolynomialCoefficient(m, w)
+        if not p.is_zero():
+            out[m] = p
+    return out
+
+
+def _absim(g: GraphOfGroups, trunc: int, y_func) -> tuple:
+    """(compute_absim's table, the tag of the series it came from)."""
+    cache_key = ("absim", trunc, y_func)
+    cached = g._pipeline_cache.get(cache_key)
+    if cached is None:
+        vals = _values_for(g)
+        series = plethystic(shift(invert(build_F(g, trunc, y_func)), "inverse", y_func), "log")
+        one_minus_s = vals.intern(RatFunc.from_poly(Poly((1, -1))))
+        cached = (_integer_polys(series, vals, one_minus_s), series.symmetry)
+        g._pipeline_cache[cache_key] = cached
+    return cached
+
 
 def compute_absim(g: GraphOfGroups, trunc: int, y_func=None) -> dict:
     """Counting polynomials of absolutely simple modules per dimension
@@ -451,44 +618,27 @@ def compute_absim(g: GraphOfGroups, trunc: int, y_func=None) -> dict:
     Returns {DimVector: Poly} with zero entries absent.  Raises
     NonPolynomialCoefficient if any coefficient fails to normalize.
     """
-    cache_key = ("absim", trunc, y_func)
-    cached = g._pipeline_cache.get(cache_key)
-    if cached is not None:
-        return cached
-    vals = _values_for(g)
-    f = build_F(g, trunc, y_func)
-    series = plethystic(shift(invert(f), "inverse", y_func), "log")
-    one_minus_s = vals.intern(RatFunc.from_poly(Poly((1, -1))))
-    out = {}
-    for m, v in series.coeffs.items():
-        w = vals.value[vals.mul(one_minus_s, vals.intern(v))]
-        if w.is_zero():
-            continue
-        p = w.as_integer_poly()
-        if p is None:
-            raise NonPolynomialCoefficient(m, w)
-        out[m] = p
-    g._pipeline_cache[cache_key] = out
-    return out
+    return _absim(g, trunc, y_func)[0]
 
 
 def compute_ss(g: GraphOfGroups, trunc: int, y_func=None) -> dict:
     """Counting polynomials of semisimple modules per dimension vector:
-    plethystic Exp of the absolutely simple series.  The zero vector maps
-    to the constant 1 (the zero module)."""
+    plethystic Exp of the absolutely simple series, which carries the tag
+    of the absim series.  The zero vector maps to the constant 1 (the
+    zero module)."""
     cache_key = ("ss", trunc, y_func)
     cached = g._pipeline_cache.get(cache_key)
     if cached is not None:
         return cached
-    absim = compute_absim(g, trunc, y_func)
-    as_series = GradedSeries(g, trunc, {m: RatFunc.from_poly(p) for m, p in absim.items()})
-    out = {}
-    for m, v in plethystic(as_series, "exp").coeffs.items():
-        p = v.as_integer_poly()
-        if p is None:
-            raise NonPolynomialCoefficient(m, v)
-        if not p.is_zero():
-            out[m] = p
+    absim, G = _absim(g, trunc, y_func)
+    vals = _values_for(g)
+    vectors = g._dv_cache
+    handles = {}
+    for c in _codes(g, trunc, G):
+        p = absim.get(vectors[c])
+        if p is not None:
+            handles[c] = vals.intern(RatFunc.from_poly(p))
+    out = _integer_polys(plethystic(_series(g, trunc, handles, vals, G), "exp"), vals)
     g._pipeline_cache[cache_key] = out
     return out
 
@@ -499,32 +649,42 @@ def compute_sim(g: GraphOfGroups, trunc: int):
     Returns (per_pair, per_vector): per_pair maps (m, c) with c | m to the
     rational-coefficient polynomial counting simples of dimension vector m
     with endomorphism field of degree c; per_vector sums those over c.
+    Both are computed at orbit representatives and copied to the other
+    keys; m/c is the vector with code m.code // c.
     """
     absim = compute_absim(g, trunc)
+    G = _symmetry_for(g, trunc, None)
+    vectors = _vectors(g, trunc)
     per_pair = {}
     per_vector = {}
-    for d in range(1, trunc + 1):
-        for m in enumerate_dimvectors(g, d):
-            gcd_m, divisors = dimmonoid.gcd_div(m)
-            total = Poly(())
-            for c in divisors:
-                base = dimmonoid.divide(m, c)
-                acc = Poly(())
-                for gamma in range(1, c + 1):
-                    if c % gamma:
-                        continue
-                    mu = mobius(gamma)
-                    if not mu:
-                        continue
-                    p = absim.get(base)
-                    if p is not None:
-                        acc = acc + p.subs_power(c // gamma).scale(mu)
-                val = acc.scale(Fraction(1, c))
-                per_pair[(m, c)] = val
-                total = total + val
-            if not total.is_zero():
-                per_vector[m] = total
+    for r in _codes(g, trunc, G):
+        if r:
+            pairs, total = _sim_at(absim, vectors, vectors[r])
+            for m in (vectors[r],) if G is None else G.orbits[r]:
+                for c, val in pairs:
+                    per_pair[(m, c)] = val
+                if not total.is_zero():
+                    per_vector[m] = total
     return per_pair, per_vector
+
+
+def _sim_at(absim: dict, vectors: dict, m: DimVector) -> tuple:
+    """([(c, simple count with endomorphism degree c)], their sum) at m."""
+    _, divisors = dimmonoid.gcd_div(m)
+    pairs = []
+    total = Poly(())
+    for c in divisors:
+        p = absim.get(vectors[m.code // c])
+        acc = Poly(())
+        if p is not None:
+            for gamma in range(1, c + 1):
+                mu = mobius(gamma) if c % gamma == 0 else 0
+                if mu:
+                    acc = acc + p.subs_power(c // gamma).scale(mu)
+        val = acc.scale(Fraction(1, c))
+        pairs.append((c, val))
+        total = total + val
+    return pairs, total
 
 
 # ---------------------------------------------------------------------------

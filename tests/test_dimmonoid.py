@@ -4,6 +4,9 @@ from itertools import product
 import pytest
 
 from vfreps.dimmonoid import (
+    SymmetryGroupDescriptor,
+    apply_symmetry,
+    automorphisms,
     correction_y,
     dimvector,
     divide,
@@ -12,13 +15,24 @@ from vfreps.dimmonoid import (
     format_dimvector,
     gcd_div,
     parse_dimvector,
+    scale,
     shift_exponent,
     symmetry_descriptor,
     symmetry_orbits,
     try_sub,
     zero_vector,
 )
-from vfreps.groupgraph import load, preset, save
+from vfreps.groupgraph import (
+    Edge,
+    GraphOfGroups,
+    RestrictionMap,
+    cyclic_group,
+    cyclic_restriction,
+    load,
+    preset,
+    save,
+    validate,
+)
 
 
 def brute_force_enumerate(g, d):
@@ -211,6 +225,181 @@ def test_symmetry_preserves_euler_form():
 def test_symmetry_not_applicable_for_dihedral_amalgams():
     with pytest.raises(ValueError):
         symmetry_descriptor(preset("gl2z"))
+
+
+def test_symmetry_walk_rejects_a_permutation_that_breaks_an_edge():
+    # swapping two C4 simples that restrict to different C2 simples, with
+    # C6 fixed, maps a key to a vector that violates the edge constraint
+    g = preset("sl2z")
+    bad = ((1, 0, 2, 3), tuple(range(6)))
+    m = parse_dimvector(g, "((1,0,0,0),(1,0,0,0,0,0))")
+    with pytest.raises(ValueError):
+        apply_symmetry(m, bad)
+    with pytest.raises(ValueError):
+        symmetry_orbits(g, SymmetryGroupDescriptor("bad", (bad,)), 1)
+    ok = ((2, 1, 0, 3), tuple(range(6)))
+    assert apply_symmetry(m, ok) == parse_dimvector(g, "((0,0,1,0),(1,0,0,0,0,0))")
+
+
+# ---------------------------------------------------------------------------
+# the automorphism group G and its orbit representatives
+# ---------------------------------------------------------------------------
+
+DESCRIPTOR_PRESETS = [
+    "psl2z", "sl2z", "dinf", "gc(2)", "free(2)",
+    "cyclic_amalgam(2,2,4)", "cyclic_amalgam(6,3,6)",
+]
+
+
+def _fresh(name):
+    """A new, uncached graph of a preset."""
+    return load(save(preset(name)))
+
+
+def _orbits_of(G, g, d):
+    rep = G.representatives(d)
+    orbits = {}
+    for m in enumerate_dimvectors(g, d):
+        orbits.setdefault(rep[m.code], []).append(m.code)
+    return orbits
+
+
+@pytest.mark.parametrize("name", DESCRIPTOR_PRESETS)
+def test_automorphism_orbits_equal_descriptor_orbits(name):
+    g = _fresh(name)
+    G = automorphisms(g)
+    desc = symmetry_descriptor(g)
+    for d in range(6):
+        want = sorted(tuple(m.code for m in o) for o in symmetry_orbits(g, desc, d))
+        got = _orbits_of(G, g, d)
+        assert sorted(tuple(o) for o in got.values()) == want
+        # each orbit's representative is its least code
+        assert all(r == min(o) for r, o in got.items())
+        assert G.reps(d) == tuple(sorted(got))
+
+
+def _hnn_loop(twisted):
+    c4, c2 = cyclic_group(4), cyclic_group(2)
+    iota = cyclic_restriction(4, 2)
+    kappa = RestrictionMap(iota.matrix[::-1]) if twisted else iota
+    return GraphOfGroups("c4_loop", [c4], [Edge(c2, 0, 0, iota, kappa, "hnn")])
+
+
+def _generator_checks(g, G, D):
+    assert not G.is_trivial()
+    other = load(save(g))
+    for sigma, tau in zip(G.generators, G.edge_perms):
+        assert any(p != tuple(range(len(p))) for p in sigma)
+        for v, p in zip(g.vertices, sigma):
+            assert sorted(p) == list(range(len(v.simple_dims)))
+            assert all(v.simple_dims[p[x]] == v.simple_dims[x] for x in range(len(p)))
+        for e, t in zip(g.edges, tau):
+            dims = e.group.simple_dims
+            assert sorted(t) == list(range(len(dims)))
+            assert all(dims[t[x]] == dims[x] for x in range(len(t)))
+            for rm, p in ((e.iota.matrix, sigma[e.s]), (e.kappa.matrix, sigma[e.t])):
+                for delta, row in enumerate(rm):
+                    for gamma, x in enumerate(row):
+                        assert rm[t[delta]][p[gamma]] == x
+        # keys go to keys, checked by the validating constructor on a
+        # second uncached copy of the graph
+        for d in range(D + 1):
+            keys = {m.per_vertex for m in enumerate_dimvectors(g, d)}
+            for m in enumerate_dimvectors(g, d):
+                pv = []
+                for x, p in zip(m.per_vertex, sigma):
+                    row = [0] * len(x)
+                    for gamma, k in enumerate(x):
+                        row[p[gamma]] = k
+                    pv.append(tuple(row))
+                assert dimvector(other, pv).per_vertex in keys
+
+
+@pytest.mark.parametrize("name", ["gl2z", "pgl2z", "hnn", "twisted_hnn"])
+def test_automorphism_generators_keep_the_graph_data(name):
+    g = _hnn_loop(name == "twisted_hnn") if "hnn" in name else _fresh(name)
+    assert validate(g) == []
+    _generator_checks(g, automorphisms(g), 4)
+
+
+def test_automorphism_quotient_sizes_without_a_descriptor():
+    # counted independently of G by a brute force over all tuples of
+    # dimension-preserving vertex permutations that map keys to keys
+    for name, D, keys, reps in (("pgl2z", 4, 120, 28), ("gl2z", 3, 61, 16)):
+        g = _fresh(name)
+        G = automorphisms(g)
+        rep = G.representatives(D)
+        assert len(rep) == keys
+        assert sum(len(G.reps(d)) for d in range(D + 1)) == reps
+        assert _brute_force_orbit_count(g, D) == reps
+
+
+def _brute_force_orbit_count(g, D):
+    from itertools import permutations
+
+    per_vertex = [
+        [p for p in permutations(range(len(v.simple_dims)))
+         if all(v.simple_dims[p[x]] == v.simple_dims[x] for x in range(len(p)))]
+        for v in g.vertices
+    ]
+    keys = {m.per_vertex for d in range(D + 1) for m in enumerate_dimvectors(g, d)}
+    group = []
+    for sigma in product(*per_vertex):
+        images = {}
+        for pv in keys:
+            out = []
+            for x, p in zip(pv, sigma):
+                row = [0] * len(x)
+                for gamma, k in enumerate(x):
+                    row[p[gamma]] = k
+                out.append(tuple(row))
+            images[pv] = tuple(out)
+        if set(images.values()) == keys:
+            group.append(images)
+    return len({min(images[pv] for images in group) for pv in keys})
+
+
+def test_representatives_commute_with_scaling():
+    g = _fresh("sl2z")
+    G = automorphisms(g)
+    rep = G.representatives(6)
+    for d in range(1, 4):
+        for m in enumerate_dimvectors(g, d):
+            for beta in (2, 3):
+                if beta * d <= 6:
+                    assert rep[scale(m, beta).code] == beta * rep[m.code]
+
+
+def test_decompositions_list_every_sub_vector_once():
+    for name in ("sl2z", "gl2z", "twisted_hnn"):
+        g = _hnn_loop(True) if name == "twisted_hnn" else _fresh(name)
+        G = automorphisms(g)
+        rep = G.representatives(4)
+        for r in G.reps(4):
+            m = g._dv_cache[r]
+            want = {}
+            for d1 in range(5):
+                for m1 in enumerate_dimvectors(g, d1):
+                    m2 = try_sub(m, m1)
+                    if m2 is not None:
+                        key = (rep[m1.code], rep[m2.code])
+                        want[key] = want.get(key, 0) + 1
+            got = {(r1, r2): k for r1, r2, k in G.decompositions(r)}
+            assert got == want
+
+
+def test_automorphism_group_of_a_large_free_product_is_quick():
+    # G = S6 x S6 has 518400 elements; it is kept as a few generators
+    import time
+
+    g = _fresh("cyclic_free_product(6,6)")
+    t0 = time.perf_counter()
+    G = automorphisms(g)
+    assert time.perf_counter() - t0 < 0.5
+    assert len(G.generators) <= 10
+    G.representatives(2)
+    # degree 2: (2) or (1,1) at each vertex
+    assert len(G.reps(1)) == 1 and len(G.reps(2)) == 4
 
 
 # ---------------------------------------------------------------------------

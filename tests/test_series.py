@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vfreps.dimmonoid import (
     correction_y,
@@ -596,6 +597,181 @@ def test_symmetry_law_for_unequal_block_sizes():
         for orbit in symmetry_orbits(g, desc, d):
             assert len({absim.get(m, Poly(())) for m in orbit}) == 1
             assert len({ss[m] for m in orbit}) == 1
+
+
+# ---------------------------------------------------------------------------
+# the orbit quotient against the untagged reference path
+# ---------------------------------------------------------------------------
+
+def _c4_hnn_loop():
+    # a twisted loop: kappa exchanges the two C2 simples, so the loop
+    # constrains the vector (x0 + x2 = x1 + x3)
+    from vfreps.groupgraph import Edge, GraphOfGroups, RestrictionMap, cyclic_group, cyclic_restriction
+
+    iota = cyclic_restriction(4, 2)
+    kappa = RestrictionMap(iota.matrix[::-1])
+    return GraphOfGroups("c4_loop", [cyclic_group(4)], [Edge(cyclic_group(2), 0, 0, iota, kappa, "hnn")])
+
+
+def _c2_chain():
+    from vfreps.groupgraph import Edge, GraphOfGroups, RestrictionMap, TRIVIAL_GROUP, cyclic_group
+
+    to_triv = RestrictionMap(((1, 1),))
+    c2 = cyclic_group(2)
+    return GraphOfGroups("c2_chain", [c2, c2, c2], [
+        Edge(TRIVIAL_GROUP, 0, 1, to_triv, to_triv, "amalgam"),
+        Edge(TRIVIAL_GROUP, 0, 2, to_triv, to_triv, "amalgam"),
+    ])
+
+
+QUOTIENT_CASES = [
+    ("psl2z", 5), ("sl2z", 5), ("gl2z", 5), ("pgl2z", 5), ("dinf", 5), ("gc(2)", 5),
+    ("hnn_loop", 5), ("three_vertex_tree", 5),
+]
+
+
+def _quotient_graph(name):
+    from vfreps.groupgraph import load, save
+
+    if name == "hnn_loop":
+        return _c4_hnn_loop()
+    if name == "three_vertex_tree":
+        return _c2_chain()
+    return load(save(preset(name)))
+
+
+def _times_one_minus_s(series):
+    out = {}
+    for m, v in series.coeffs.items():
+        p = (v * RatFunc(poly([1, -1]))).as_integer_poly()
+        assert p is not None
+        if not p.is_zero():
+            out[m] = p
+    return out
+
+
+def _reference_sim(g, absim, trunc):
+    from vfreps.dimmonoid import divide, gcd_div
+
+    per_pair = {}
+    for d in range(1, trunc + 1):
+        for m in enumerate_dimvectors(g, d):
+            for c in gcd_div(m)[1]:
+                base = absim.get(divide(m, c), Poly(()))
+                acc = Poly(())
+                for gamma in range(1, c + 1):
+                    if c % gamma == 0 and mobius(gamma):
+                        acc = acc + base.subs_power(c // gamma).scale(mobius(gamma))
+                per_pair[(m, c)] = acc.scale(Fraction(1, c))
+    return per_pair
+
+
+@pytest.mark.parametrize("name, D", QUOTIENT_CASES)
+def test_tagged_pipeline_equals_untagged_reference(name, D):
+    g = _quotient_graph(name)
+    F = build_F(g, D)
+    assert F.symmetry is not None
+    untagged = GradedSeries(g, D, F.coeffs)
+    assert untagged.symmetry is None and untagged == F
+
+    # every public operation, tagged against untagged
+    inv_t, inv_u = invert(F), invert(untagged)
+    assert inv_t.symmetry is F.symmetry and inv_u.symmetry is None
+    assert inv_t == inv_u
+    un_t, un_u = shift(inv_t, "inverse"), shift(inv_u, "inverse")
+    assert un_t.symmetry is F.symmetry and un_u.symmetry is None
+    assert un_t == un_u
+    log_t, log_u = plethystic(un_t, "log"), plethystic(un_u, "log")
+    assert log_t.symmetry is F.symmetry and log_u.symmetry is None
+    assert log_t == log_u
+    sq_t, sq_u = mul(F, F), mul(untagged, untagged)
+    assert sq_t.symmetry is F.symmetry and sq_u.symmetry is None
+    assert sq_t == sq_u
+    assert mul(F, untagged).symmetry is None and mul(F, untagged) == sq_u
+
+    # the production tables against the untagged run
+    absim = _times_one_minus_s(log_u)
+    assert compute_absim(g, D) == absim
+    exp_u = plethystic(GradedSeries(g, D, {m: RatFunc(p) for m, p in absim.items()}), "exp")
+    assert exp_u.symmetry is None
+    assert compute_ss(g, D) == {m: v.as_integer_poly() for m, v in exp_u.coeffs.items()}
+    per_pair, per_vector = compute_sim(g, D)
+    assert per_pair == _reference_sim(g, absim, D)
+    want = {}
+    for (m, c), p in per_pair.items():
+        want[m] = want.get(m, Poly(())) + p
+    assert per_vector == {m: p for m, p in want.items() if not p.is_zero()}
+
+
+def _alt_y(g, m):
+    # the acceptance suite's _alt_correction: it reads simple 0 of every
+    # vertex, so it is not constant on orbits
+    return correction_y(g, m) + 2 * sum(v[0] for v in m.per_vertex)
+
+
+def test_alt_correction_leaves_the_series_untagged():
+    g = _quotient_graph("psl2z")
+    D = 4
+    assert build_F(g, D).symmetry is not None
+    assert build_F(g, D, y_func=correction_y).symmetry is not None
+    assert build_F(g, D, y_func=_alt_y).symmetry is None
+    # a tagged series loses its tag under an orbit-breaking shift only
+    inv = invert(build_F(g, D))
+    assert shift(inv, "inverse", y_func=_alt_y).symmetry is None
+    assert shift(inv, "inverse", y_func=correction_y).symmetry is inv.symmetry
+    assert compute_absim(g, D, y_func=_alt_y) == compute_absim(g, D)
+    assert compute_ss(g, D, y_func=_alt_y) == compute_ss(g, D)
+
+
+def test_trivial_group_leaves_the_series_untagged():
+    assert build_F(preset("free(2)"), 3).symmetry is None
+
+
+RELABEL_PRESETS = ["psl2z", "sl2z", "gl2z", "pgl2z", "dinf", "gc(2)", "hnn_loop", "three_vertex_tree"]
+
+
+@settings(derandomize=True, max_examples=24, deadline=None)
+@given(st.sampled_from(RELABEL_PRESETS), st.randoms(use_true_random=False))
+def test_relabelled_simples_give_relabelled_tables(name, rng):
+    from vfreps.groupgraph import Edge, FiniteGroupData, GraphOfGroups, RestrictionMap
+
+    g = _quotient_graph(name)
+    D = 4
+    # an amalgam of two vertices may also exchange its sides
+    swap = len(g.vertices) == 2 and g.edges[0].kind == "amalgam" and rng.random() < 0.5
+    order = [1, 0] if swap else list(range(len(g.vertices)))
+    perms = []
+    vertices = []
+    for v in (g.vertices[i] for i in order):
+        p = list(range(len(v.simple_dims)))
+        rng.shuffle(p)
+        perms.append(p)
+        vertices.append(FiniteGroupData(v.label, tuple(v.simple_dims[i] for i in p), v.order, v.exponent))
+    edges = []
+    for e in g.edges:
+        rows = list(range(len(e.group.simple_dims)))
+        rng.shuffle(rows)
+        group = FiniteGroupData(e.group.label, tuple(e.group.simple_dims[i] for i in rows),
+                                e.group.order, e.group.exponent)
+
+        def permuted(rm, cols):
+            return RestrictionMap(tuple(tuple(rm.matrix[r][c] for c in cols) for r in rows))
+
+        iota, kappa = permuted(e.iota, perms[order.index(e.s)]), permuted(e.kappa, perms[order.index(e.t)])
+        if swap:
+            edges.append(Edge(group, 0, 1, kappa, iota, e.kind))
+        else:
+            edges.append(Edge(group, e.s, e.t, iota, kappa, e.kind))
+    h = GraphOfGroups("relabelled", vertices, edges)
+
+    def moved(m):
+        # new vertex k is old vertex order[k], and its simple i is old simple p[i]
+        return dimvector(h, [tuple(m.per_vertex[k][i] for i in p) for k, p in zip(order, perms)])
+
+    for table_g, table_h in ((compute_absim(g, D), compute_absim(h, D)),
+                             (compute_ss(g, D), compute_ss(h, D)),
+                             (compute_sim(g, D)[1], compute_sim(h, D)[1])):
+        assert {moved(m): p for m, p in table_g.items()} == table_h
 
 
 def test_epoly_examples():
