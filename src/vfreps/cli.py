@@ -7,9 +7,13 @@ Subcommands:
   oracle  brute-force finite-field cross-checks against the pipeline
 
 `--group` takes a preset name (see groupgraph.PRESET_NAMES) or a path to a
-JSON group description.  Output formats: text, json, csv, latex.  All
-commands are deterministic; identical invocations produce byte-identical
-output.
+JSON group description.  Output formats: text, json, csv, latex; each
+command builds only what its format prints.  json output is byte for byte
+what json.dumps(doc, indent=2) prints (two-space indent, one scalar per
+line, non-ASCII escaped), written by render_json without the pure-Python
+encoder that indent selects; integral coefficients are JSON ints and
+rational ones "p/q" strings.  All commands are deterministic; identical
+invocations produce byte-identical output.
 
 Exit codes: 0 success, 1 validation/usage error, 2 pipeline integrity
 error (including oracle FAIL).
@@ -18,9 +22,9 @@ error (including oracle FAIL).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import fforacle, series
 from .dimmonoid import (
@@ -64,25 +68,43 @@ def resolve_group(name_or_path: str) -> GraphOfGroups:
 # renderers
 # ---------------------------------------------------------------------------
 
-def _poly_cell(p: Poly, fmt: str):
-    if fmt == "latex":
-        return p.latex()
-    if fmt == "json":
-        return p.json_coeffs()
-    return p.text()
+_INT = {int}
 
 
-def _dimvec_cell(m, fmt: str):
-    if fmt == "json":
-        return [list(v) for v in m.per_vertex]
-    return format_dimvector(m)
+def render_json(obj, pad: str = "") -> str:
+    """json.dumps(obj, indent=2), byte for byte, for the documents the
+    commands emit: dicts with str keys, lists, ints and strs.  A list of
+    ints (a coefficient list, say) is one C-level type scan and one join,
+    with no Python call per entry."""
+    t = type(obj)
+    if t is int:
+        return str(obj)
+    if t is str:
+        return encode_basestring_ascii(obj)
+    if t is list:
+        if set(map(type, obj)) <= _INT:
+            return _block("[", map(str, obj), "]", pad)
+        return _block("[", [render_json(v, pad + "  ") for v in obj], "]", pad)
+    if t is dict:
+        inner = pad + "  "
+        items = [f"{encode_basestring_ascii(k)}: {render_json(v, inner)}" for k, v in obj.items()]
+        return _block("{", items, "}", pad)
+    raise TypeError(f"cannot render {t.__name__} as JSON")
 
 
-def _emit_rows(rows, header, fmt: str, json_doc=None):
-    """rows: list of lists of already-rendered cells."""
+def _block(opening: str, items, closing: str, pad: str) -> str:
+    inner = pad + "  "
+    body = (",\n" + inner).join(items)
+    return f"{opening}\n{inner}{body}\n{pad}{closing}" if body else opening + closing
+
+
+def _json_dimvector(m) -> list:
+    return [list(v) for v in m.per_vertex]
+
+
+def _emit_rows(rows, header, fmt: str) -> str:
+    """Text, csv or latex table of rows of cells (str or int)."""
     out = []
-    if fmt == "json":
-        return json.dumps(json_doc, indent=2)
     if fmt == "csv":
         out.append(",".join(header))
         for row in rows:
@@ -122,117 +144,96 @@ def cmd_count(args) -> str:
             raise CliError("--vector exceeds --max-dim")
     table = CountingTable(g, args.max_dim)
     kinds = ["absim", "ss", "sim"] if args.kind == "all" else [args.kind]
-    sections = []
-    json_tables = {}
+    tables = {}
     for kind in kinds:
         if args.by == "total":
-            entries = [
-                (d, p) for d, p in table.aggregate(kind).items() if d >= 1
-            ]
-            label = (lambda d: f"d={d}") if args.format == "text" else str
-            rows = [[label(d), _poly_cell(p, args.format)] for d, p in entries]
-            header = ["d", kind]
-            json_tables[kind] = [
-                {"d": d, "coefficients": p.json_coeffs()} for d, p in entries
-            ]
+            entries = [(d, p) for d, p in table.aggregate(kind).items() if d >= 1]
+        elif wanted is not None:
+            found = table.per_vector(kind).get(wanted)
+            entries = [(wanted, found if found is not None else Poly(()))]
         else:
-            entries = sorted(
-                table.per_vector(kind).items(),
-                key=lambda kv: (kv[0].total, kv[0].per_vertex),
-            )
-            entries = [(m, p) for m, p in entries if m.total >= 1]
-            if wanted is not None:
-                found = table.per_vector(kind).get(wanted)
-                entries = [(wanted, found if found is not None else Poly(()))]
-            rows = [
-                [_dimvec_cell(m, "text"), _poly_cell(p, args.format)]
-                for m, p in entries
-            ]
-            header = ["dimvector", kind]
-            json_tables[kind] = [
-                {
-                    "dimvector": _dimvec_cell(m, "json"),
-                    "total_dim": m.total,
-                    "coefficients": p.json_coeffs(),
-                }
-                for m, p in entries
-            ]
-        if args.format == "json":
-            continue
-        body = _emit_rows(rows, header, args.format)
+            entries = [(m, p) for m, p in table.per_vector(kind).items() if m.total >= 1]
+            entries.sort(key=lambda kv: (kv[0].total, kv[0].code))
+        tables[kind] = entries
+    if args.format == "json":
+        if args.by == "total":
+            entry = lambda d, p: {"d": d, "coefficients": p.json_coeffs()}
+        else:
+            entry = lambda m, p: {
+                "dimvector": _json_dimvector(m),
+                "total_dim": m.total,
+                "coefficients": p.json_coeffs(),
+            }
+        tables = {kind: [entry(k, p) for k, p in entries] for kind, entries in tables.items()}
+        doc = {"group": g.label, "D": args.max_dim, "kind": args.kind, "by": args.by}
+        if len(kinds) == 1:
+            doc["entries"] = tables[kinds[0]]
+        else:
+            doc["tables"] = tables
+        return render_json(doc)
+    cell = Poly.latex if args.format == "latex" else Poly.text
+    if args.by == "dimvector":
+        label, first = format_dimvector, "dimvector"
+    else:
+        label, first = (lambda d: f"d={d}") if args.format == "text" else str, "d"
+    sections = []
+    for kind, entries in tables.items():
         if len(kinds) > 1:
             sections.append(f"[{kind}]")
-        sections.append(body)
-    if args.format == "json":
-        doc = {
-            "group": g.label,
-            "D": args.max_dim,
-            "kind": args.kind,
-            "by": args.by,
-        }
-        if len(kinds) == 1:
-            doc["entries"] = json_tables[kinds[0]]
-        else:
-            doc["tables"] = json_tables
-        return json.dumps(doc, indent=2)
+        rows = [[label(k), cell(p)] for k, p in entries]
+        sections.append(_emit_rows(rows, [first, kind], args.format))
     return "\n".join(sections)
 
 
 def cmd_monoid(args) -> str:
     g = resolve_group(args.group)
-    rows = []
-    json_entries = []
-    for m in enumerate_dimvectors(g, args.dim):
-        e = euler_form(g, m, m)
-        sig = shift_exponent(g, m)
-        gc = 0 if m.total == 0 else gcd_div(m)[0]
-        rows.append([format_dimvector(m), f"euler={e}", f"shift={sig}", f"gcd={gc}"])
-        json_entries.append(
+    rows = [
+        (m, euler_form(g, m, m), shift_exponent(g, m), 0 if m.total == 0 else gcd_div(m)[0])
+        for m in enumerate_dimvectors(g, args.dim)
+    ]
+    if args.format == "json":
+        entries = [
             {
-                "dimvector": _dimvec_cell(m, "json"),
+                "dimvector": _json_dimvector(m),
                 "euler_form": e,
                 "correction": correction_y(g, m),
                 "shift_exponent": sig,
                 "gcd": gc,
             }
-        )
-    doc = {"group": g.label, "d": args.dim, "entries": json_entries}
+            for m, e, sig, gc in rows
+        ]
+        return render_json({"group": g.label, "d": args.dim, "entries": entries})
     if args.format == "csv":
-        out = ["dimvector,euler_form,shift_exponent,gcd"]
-        for m, e in zip(enumerate_dimvectors(g, args.dim), json_entries):
-            out.append(
-                _csv_cell(format_dimvector(m))
-                + f",{e['euler_form']},{e['shift_exponent']},{e['gcd']}"
-            )
-        return "\n".join(out)
-    return _emit_rows(rows, ["dimvector", "euler", "shift", "gcd"], args.format, doc)
+        rows = [[format_dimvector(m), e, sig, gc] for m, e, sig, gc in rows]
+        return _emit_rows(rows, ["dimvector", "euler_form", "shift_exponent", "gcd"], "csv")
+    rows = [
+        [format_dimvector(m), f"euler={e}", f"shift={sig}", f"gcd={gc}"] for m, e, sig, gc in rows
+    ]
+    return _emit_rows(rows, ["dimvector", "euler", "shift", "gcd"], args.format)
 
 
 def cmd_epoly(args) -> str:
     g = resolve_group(args.group)
     table = CountingTable(g, args.max_dim)
-    data = series.epoly_and_euler(table, kind="ss", by="total")
-    rows = []
-    json_entries = []
-    for d, (etext, chi) in data.items():
-        if d < 1:
-            continue
-        rows.append([f"d={d}", etext, f"euler={chi}"])
-        json_entries.append({"d": d, "e_polynomial": etext, "euler_characteristic": chi})
-    doc = {"group": g.label, "D": args.max_dim, "entries": json_entries}
+    data = [
+        (d, etext, chi)
+        for d, (etext, chi) in series.epoly_and_euler(table, kind="ss", by="total").items()
+        if d >= 1
+    ]
+    if args.format == "json":
+        entries = [
+            {"d": d, "e_polynomial": etext, "euler_characteristic": chi}
+            for d, etext, chi in data
+        ]
+        return render_json({"group": g.label, "D": args.max_dim, "entries": entries})
     if args.format == "csv":
-        out = ["d,e_polynomial,euler_characteristic"]
-        for e in json_entries:
-            out.append(f"{e['d']},{_csv_cell(e['e_polynomial'])},{e['euler_characteristic']}")
-        return "\n".join(out)
+        return _emit_rows(data, ["d", "e_polynomial", "euler_characteristic"], "csv")
     if args.format == "latex":
         agg = table.aggregate("ss")
-        rows = [
-            [str(e["d"]), series.epoly_latex(agg[e["d"]]), str(e["euler_characteristic"])]
-            for e in json_entries
-        ]
-        return _emit_rows(rows, ["d", "E-polynomial", "Euler"], "latex")
-    return _emit_rows(rows, ["d", "E-polynomial", "Euler"], args.format, doc)
+        rows = [[d, series.epoly_latex(agg[d]), chi] for d, _, chi in data]
+    else:
+        rows = [[f"d={d}", etext, f"euler={chi}"] for d, etext, chi in data]
+    return _emit_rows(rows, ["d", "E-polynomial", "Euler"], args.format)
 
 
 def cmd_oracle(args) -> tuple:

@@ -291,10 +291,17 @@ def _weighted_compositions(d: int, dims):
 def _constrained_vectors(u, matrix, dims):
     """All nonnegative integer x with matrix . x = u (column-nonzero matrix).
 
-    Dimension preservation makes the weighted total of x automatic.
+    Dimension preservation makes the weighted total of x automatic.  A row
+    is closed by its last nonzero column: once that column is assigned, the
+    row's residual must be zero, so the row fixes the column's value.
     """
     rows = len(matrix)
     cols = len(dims)
+    closing = [[] for _ in range(cols)]
+    for delta, row in enumerate(matrix):
+        nonzero = [gamma for gamma in range(cols) if row[gamma]]
+        if nonzero:
+            closing[nonzero[-1]].append(delta)
     out = []
 
     def rec(gamma, residual, acc):
@@ -308,7 +315,11 @@ def _constrained_vectors(u, matrix, dims):
             if c:
                 b = residual[delta] // c
                 bound = b if bound is None else min(bound, b)
-        for x in range(bound + 1):
+        xs = range(bound + 1)
+        for delta in closing[gamma]:
+            x, r = divmod(residual[delta], matrix[delta][gamma])
+            xs = [x] if r == 0 and x in xs else []
+        for x in xs:
             rec(
                 gamma + 1,
                 tuple(residual[delta] - x * matrix[delta][gamma] for delta in range(rows)),

@@ -317,14 +317,19 @@ class Poly:
 
     # -- rendering & comparison --------------------------------------------
 
+    # an int renders as the equal Fraction does, so integral polynomials
+    # skip building Fractions
+
     def text(self, var: str = "s") -> str:
-        return _poly_text(self.coefficients(), var)
+        return _poly_text(self.ints if self.den == 1 else self.coefficients(), var)
 
     def latex(self, var: str = "s") -> str:
-        return _poly_latex(self.coefficients(), var)
+        return _poly_latex(self.ints if self.den == 1 else self.coefficients(), var)
 
     def json_coeffs(self) -> list:
         """Coefficients low degree first; ints stay ints, rationals "p/q"."""
+        if self.den == 1:
+            return list(self.ints)
         out = []
         for c in self.coefficients():
             out.append(int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}")

@@ -1,8 +1,10 @@
 import json
+import re
 
 import pytest
 
 from vfreps import cli
+from vfreps.dimmonoid import enumerate_dimvectors, format_dimvector, scale
 from vfreps.groupgraph import preset, save
 
 
@@ -142,6 +144,127 @@ def test_epoly_gl2z_euler(capsys):
     by_d = {e["d"]: e for e in doc["entries"]}
     assert by_d[4]["euler_characteristic"] == 85
     assert by_d[4]["e_polynomial"] == "3*(x*y)^2+26*x*y+56"
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+# ---------------------------------------------------------------------------
+
+JSON_GROUPS = ["psl2z", "sl2z", "gl2z", "pgl2z", "dinf", "gc(2)"]
+ODD_LABEL = 'q"b\\é中'  # reaches the output through the file name
+
+
+def _json_requests(group):
+    for kind in ("all", "absim", "ss", "sim"):
+        for by in ("dimvector", "total"):
+            yield ("count", "--group", group, "--max-dim", "4", "--kind", kind, "--by", by)
+    # no entries at all
+    yield ("count", "--group", group, "--max-dim", "0", "--kind", "all", "--by", "dimvector")
+    # twice a one-dimensional vector: every vertex group acts by scalars,
+    # so on these amalgams no module of it is simple, and the absim and sim
+    # tables hold an empty coefficient list for it
+    g = preset(group)
+    doubled = format_dimvector(scale(enumerate_dimvectors(g, 1)[0], 2))
+    yield ("count", "--group", group, "--max-dim", "2", "--kind", "all", "--by", "dimvector",
+           "--vector", doubled)
+    for d in range(4):
+        yield ("monoid", "--group", group, "--dim", str(d))
+    yield ("epoly", "--group", group, "--max-dim", "4")
+
+
+def _lines_of(text):
+    # compared as line lists: a failing text comparison of long outputs
+    # makes pytest's line diff very slow
+    return text.split("\n")
+
+
+def _json_out(capsys, *argv):
+    """The document a json request prints, after checking that stdout is
+    json.dumps(doc, indent=2) plus the newline print adds."""
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert _lines_of(out) == _lines_of(json.dumps(doc, indent=2) + "\n")
+    return doc
+
+
+@pytest.fixture
+def odd_psl2z(tmp_path):
+    path = tmp_path / f"{ODD_LABEL}.json"
+    path.write_bytes(save(preset("psl2z")))
+    return str(path)
+
+
+@pytest.mark.parametrize("group", JSON_GROUPS)
+def test_json_writer_matches_json_dumps_on_every_document(capsys, monkeypatch, group):
+    docs = []
+    writer = cli.render_json
+
+    def recording(obj, pad=""):
+        if not pad:
+            docs.append(obj)
+        return writer(obj, pad)
+
+    monkeypatch.setattr(cli, "render_json", recording)
+    with_empty_list = 0
+    for argv in _json_requests(group):
+        docs.clear()
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0 and len(docs) == 1
+        assert _lines_of(out) == _lines_of(json.dumps(docs[0], indent=2) + "\n")
+        with_empty_list += "[]" in out
+    assert with_empty_list
+
+
+def test_json_stdout_is_canonical_for_an_odd_group_file_name(capsys, odd_psl2z):
+    vector = "((2,0),(2,0,0))"  # absent from absim and sim
+    doc = _json_out(
+        capsys, "count", "--group", odd_psl2z, "--max-dim", "2", "--kind", "all",
+        "--by", "dimvector", "--vector", vector,
+    )
+    assert doc["group"] == ODD_LABEL
+    assert doc["tables"]["absim"] == [
+        {"dimvector": [[2, 0], [2, 0, 0]], "total_dim": 2, "coefficients": []}
+    ]
+    code, out, _ = run(capsys, "monoid", "--group", odd_psl2z, "--dim", "1", "--format", "json")
+    assert out.isascii() and '"group": "q\\"b\\\\\\u00e9\\u4e2d"' in out
+    assert _json_out(capsys, "epoly", "--group", odd_psl2z, "--max-dim", "2")["group"] == ODD_LABEL
+
+
+def test_json_coefficients_are_ints_or_fraction_strings(capsys, odd_psl2z):
+    doc = _json_out(
+        capsys, "count", "--group", odd_psl2z, "--max-dim", "4", "--kind", "all", "--by", "total"
+    )
+    assert doc["group"] == ODD_LABEL
+    for kind, entries in doc["tables"].items():
+        for e in entries:
+            for c in e["coefficients"]:
+                assert type(c) is int or (kind == "sim" and re.fullmatch(r"-?\d+/[2-9]\d*", c))
+    assert doc["tables"]["sim"][3] == {"d": 4, "coefficients": [-12, "27/2", "-15/2", 3]}
+    assert doc["tables"]["absim"][3] == {"d": 4, "coefficients": [-12, 15, -9, 3]}
+
+
+HAND_MADE_DOCUMENTS = [
+    {"big": [2**64, -(2**64) - 1, 10**40, -(10**40)], "small": [-1, 0, 1]},
+    [[], {}, [[]], [{}], {"a": []}, {"b": {}}],
+    [1, "1/2", -3, [4, [5, "six"]]],
+    {"text": 'quote " backslash \\ slash / é 中 \U0001F600 \n\t\x00\x7f'},
+    {'k"\\é': {"nested": {"deeper": [0]}}, "": ""},
+    [],
+    {},
+    "中",
+]
+
+
+@pytest.mark.parametrize("doc", HAND_MADE_DOCUMENTS)
+def test_json_writer_hand_made_documents(doc):
+    assert cli.render_json(doc) == json.dumps(doc, indent=2)
+
+
+def test_json_writer_rejects_other_types():
+    for bad in (True, None, 1.5, (1, 2), {1: 2}):
+        with pytest.raises(TypeError):
+            cli.render_json([bad])
 
 
 # ---------------------------------------------------------------------------

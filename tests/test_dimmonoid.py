@@ -96,6 +96,59 @@ def test_enumeration_is_sorted_lexicographically():
     assert vecs == sorted(vecs)
 
 
+def _unpruned_constrained_vectors(u, matrix, dims):
+    """The edge solver before pruning: every column is enumerated up to its
+    bound and the residual is checked only at the leaf."""
+    rows, cols = len(matrix), len(dims)
+    out = []
+
+    def rec(gamma, residual, acc):
+        if gamma == cols:
+            if all(r == 0 for r in residual):
+                out.append(tuple(acc))
+            return
+        bound = min(residual[r] // matrix[r][gamma] for r in range(rows) if matrix[r][gamma])
+        for x in range(bound + 1):
+            rec(
+                gamma + 1,
+                tuple(residual[r] - x * matrix[r][gamma] for r in range(rows)),
+                acc + [x],
+            )
+
+    rec(0, tuple(u), [])
+    return out
+
+
+ENUMERATION_PRESETS = [
+    "free(2)", "cyclic(1)", "cyclic(3)", "dihedral(4)", "cyclic_free_product(2,3)",
+    "cyclic_amalgam(2,2,4)", "dinf", "gc(2)", "psl2z", "sl2z", "gl2z", "pgl2z",
+    "cyclic_amalgam(6,3,6)", "cyclic_amalgam(12,12,12)",
+]
+
+
+@pytest.mark.parametrize("name", ENUMERATION_PRESETS)
+def test_pruned_edge_solver_matches_the_unpruned_recursion(name, monkeypatch):
+    from vfreps import dimmonoid
+
+    pruned = dimmonoid._constrained_vectors
+    images = []
+
+    def both(u, matrix, dims):
+        got = pruned(u, matrix, dims)
+        assert got == _unpruned_constrained_vectors(u, matrix, dims)
+        images.append(u)
+        return got
+
+    # a new graph, so that every edge image is solved for here; the
+    # enumeration is a function of the solver's answers, so equal answers
+    # give the same keys
+    monkeypatch.setattr(dimmonoid, "_constrained_vectors", both)
+    g = preset.__wrapped__(name)
+    for d in range(5):
+        enumerate_dimvectors(g, d)
+    assert bool(images) == any(e.kind == "amalgam" for e in g.edges)
+
+
 # ---------------------------------------------------------------------------
 # monoid arithmetic
 # ---------------------------------------------------------------------------
