@@ -5,27 +5,33 @@ subject to one linear constraint per edge: both restrictions to the edge
 group must agree.  The weighted total dimension is then the same at every
 vertex and grades the monoid.
 
-Enumeration is deterministic (lexicographic on the concatenated vertex
-vectors) and every vector is interned per graph under its code: the
-concatenated per-vertex entries in fixed 16-bit fields, most significant
-first.  Simple dimensions are >= 1, so no entry exceeds the total, and
-every total is below 2^16 (TOTAL_LIMIT); the code of m1 + m2 is therefore
+Every vector is interned per graph under its code: the concatenated
+per-vertex entries in fixed 16-bit fields, most significant first.
+Simple dimensions are >= 1, so no entry exceeds the total, and every
+total is below 2^16 (TOTAL_LIMIT); the code of m1 + m2 is therefore
 code(m1) + code(m2) and the code of beta*m is beta*code(m), both without
 carries, and within one graph int order is per_vertex order.  The series
 convolutions add codes and look the interned vectors up by code.
+
+One edge-constraint join (_EdgeJoin) solves the edge constraints for
+every caller: enumeration feeds it each vertex's weighted compositions
+of d and returns the keys in code order, and the orbit quotient
+(vfreps.orbits) feeds it each vertex's sub-box x <= m_v to walk the
+sub-vectors of m.  No other module knows the code layout.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import itemgetter, mul
 
 from .groupgraph import GraphOfGroups
 
 _BITS = 16
 TOTAL_LIMIT = 1 << _BITS  # every total dimension is below this
-_CODE = attrgetter("code")
+_FIELD = TOTAL_LIMIT - 1
+_VECTOR = itemgetter(2)  # of an item made by _EdgeJoin.items
 
 
 class DimVector:
@@ -107,7 +113,8 @@ def dimvector(g: GraphOfGroups, per_vertex) -> DimVector:
             raise ValueError(f"vertex {i}: negative multiplicity in {pv[i]}")
         totals.append(sum(d * x for d, x in zip(v.simple_dims, pv[i])))
         _check_total(totals[-1])
-    cached = g._dv_cache.get(_pack(pv))
+    code = _pack(pv)
+    cached = g._dv_cache.get(code)
     if cached is not None:
         return cached
     if len(set(totals)) > 1:
@@ -119,7 +126,7 @@ def dimvector(g: GraphOfGroups, per_vertex) -> DimVector:
         if u != w:
             raise ValueError(f"edge {j} constraint violated: {u} != {w}")
         per_edge.append(u)
-    return _interned(g, pv, tuple(per_edge), totals[0] if totals else 0)
+    return _interned(g, code, pv, tuple(per_edge), totals[0] if totals else 0)
 
 
 def _check_total(total: int):
@@ -137,12 +144,11 @@ def _pack(pv: tuple) -> int:
     return code
 
 
-def _interned(g: GraphOfGroups, pv: tuple, per_edge: tuple, total: int) -> DimVector:
-    """The graph's interned vector with these per-vertex entries; per_edge
-    and total are trusted, and used only when pv is new.  The one
-    constructor of DimVector, so no vector with an unpackable total exists."""
+def _interned(g: GraphOfGroups, code: int, pv: tuple, per_edge: tuple, total: int) -> DimVector:
+    """The graph's interned vector with this code; pv, per_edge and total
+    are trusted, and used only when the code is new.  The one constructor
+    of DimVector, so no vector with an unpackable total exists."""
     _check_total(total)
-    code = _pack(pv)
     m = g._dv_cache.get(code)
     if m is None:
         m = g._dv_cache[code] = DimVector(g, pv, per_edge, total, code)
@@ -170,7 +176,7 @@ def _intern_sum(g, a: DimVector, b: DimVector, sign: int):
         tuple(x + sign * y for x, y in zip(ua, ub))
         for ua, ub in zip(a.per_edge, b.per_edge)
     )
-    return _interned(g, pv, pe, a.total + sign * b.total)
+    return _interned(g, a.code + sign * b.code, pv, pe, a.total + sign * b.total)
 
 
 def zero_vector(g: GraphOfGroups) -> DimVector:
@@ -185,6 +191,7 @@ def try_sub(m: DimVector, n: DimVector):
 def scale(m: DimVector, c: int) -> DimVector:
     return _interned(
         m.graph,
+        c * m.code,
         tuple(tuple(c * x for x in v) for v in m.per_vertex),
         tuple(tuple(c * x for x in u) for u in m.per_edge),
         c * m.total,
@@ -214,120 +221,112 @@ def divide(m: DimVector, c: int):
 
 
 # ---------------------------------------------------------------------------
-# enumeration
+# enumeration: the edge-constraint join
 # ---------------------------------------------------------------------------
 
 def enumerate_dimvectors(g: GraphOfGroups, d: int):
-    """All dimension vectors of total dimension d, sorted lexicographically
-    on the concatenated per-vertex vectors.
-
-    Vertex 0 ranges over the weighted compositions of d; each amalgam tree
-    edge then propagates by solving its linear constraint; HNN loops are
-    pure filters.
-    """
+    """All dimension vectors of total dimension d, in code order (which is
+    lexicographic on the concatenated per-vertex vectors): the join of the
+    vertices' weighted compositions of d, each key interned under the code
+    the join computed, per_edge decoded once per distinct image."""
     if d < 0:
         raise ValueError("negative total dimension")
     _check_total(d)
     cached = g._enum_cache.get(d)
     if cached is not None:
         return cached
-    amalgams = [e for e in g.edges if e.kind == "amalgam"]
-    partial = [([v], []) for v in _weighted_compositions(d, g.vertices[0].simple_dims)]
-    for e in amalgams:
-        # tree order guarantees e.s < e.t and e.t is the next new vertex;
-        # many partial vectors share an edge image, so each image is
-        # solved for once
-        grown = []
-        dims_t = g.vertices[e.t].simple_dims
-        solutions = {}
-        for pv, images in partial:
-            u = e.iota.apply(pv[e.s])
-            ws = solutions.get(u)
-            if ws is None:
-                ws = solutions[u] = _constrained_vectors(u, e.kappa.matrix, dims_t)
-            for w in ws:
-                grown.append((pv + [w], images + [u]))
-        partial = grown
+    join = _EdgeJoin(g)
+    decoded = [{} for _ in g.edges]  # per edge: packed image -> per_edge entry
     out = []
-    for pv, images in partial:
-        # every constraint but the HNN ones and every vertex total hold by
-        # construction, so the vector is interned without revalidation
-        amalgam_images = iter(images)
+    boxes = [join.items(v, _weighted_compositions(d, u.simple_dims)) for v, u in enumerate(g.vertices)]
+    for code, picks in sorted(join(boxes)):
         per_edge = []
-        for e in g.edges:
-            if e.kind == "amalgam":
-                per_edge.append(next(amalgam_images))
-            else:
-                u = e.iota.apply(pv[e.s])
-                if u != e.kappa.apply(pv[e.t]):
-                    break
-                per_edge.append(u)
-        else:
-            out.append(_interned(g, tuple(pv), tuple(per_edge), d))
-    out.sort(key=_CODE)  # code order is per_vertex order
-    out = tuple(out)
-    g._enum_cache[d] = out
+        for ((s, at, mask), rows), images in zip(join.sources, decoded):
+            u = picks[s][1] >> at & mask
+            entry = images.get(u)
+            if entry is None:
+                entry = images[u] = tuple(u >> _BITS * delta & _FIELD for delta in range(rows))
+            per_edge.append(entry)
+        out.append(_interned(g, code, tuple(map(_VECTOR, picks)), tuple(per_edge), d))
+    out = g._enum_cache[d] = tuple(out)
     return out
 
 
-def _weighted_compositions(d: int, dims):
-    """All nonnegative m with sum(dims[i] * m[i]) = d."""
-    out = []
-
-    def rec(i, rest, acc):
-        if i == len(dims) - 1:
-            if rest % dims[i] == 0:
-                out.append(tuple(acc + [rest // dims[i]]))
-            return
-        w = dims[i]
-        for x in range(rest // w + 1):
-            rec(i + 1, rest - w * x, acc + [x])
-
-    if dims:
-        rec(0, d, [])
-    return out
+def _weighted_compositions(d: int, dims) -> list:
+    """All nonnegative m with sum(dims[i] * m[i]) = d, in lexicographic order."""
+    if len(dims) <= 1:
+        return [(d // dims[0],)] if dims and d % dims[0] == 0 else []
+    w = dims[0]
+    return [(x,) + rest for x in range(d // w + 1) for rest in _weighted_compositions(d - w * x, dims[1:])]
 
 
-def _constrained_vectors(u, matrix, dims):
-    """All nonnegative integer x with matrix . x = u (column-nonzero matrix).
+class _EdgeJoin:
+    """The one solver of the edge constraints of a graph.  Called with one
+    box of items per vertex, it returns (code, picks), unordered, for every
+    dimension vector whose vertex vectors come from the boxes; picks[v] is
+    the item chosen at vertex v.
 
-    Dimension preservation makes the weighted total of x automatic.  A row
-    is closed by its last nonzero column: once that column is assigned, the
-    row's residual must be zero, so the row fixes the column's value.
+    An item starts with the vertex vector's code contribution and its
+    packed images: its images under every restriction at the vertex, side
+    by side in 16-bit fields (no image entry exceeds the total), so both
+    are carry-free sums of per-simple weights.  The boxes are joined on the
+    image of each amalgam edge (in tree order edge j glues vertex j+1 onto
+    an earlier vertex), and HNN edges filter.  sources[j] locates edge j's
+    image in the s-side item: ((vertex, shift, mask), edge simples).
     """
-    rows = len(matrix)
-    cols = len(dims)
-    closing = [[] for _ in range(cols)]
-    for delta, row in enumerate(matrix):
-        nonzero = [gamma for gamma in range(cols) if row[gamma]]
-        if nonzero:
-            closing[nonzero[-1]].append(delta)
-    out = []
 
-    def rec(gamma, residual, acc):
-        if gamma == cols:
-            if all(r == 0 for r in residual):
-                out.append(tuple(acc))
-            return
-        bound = None
-        for delta in range(rows):
-            c = matrix[delta][gamma]
-            if c:
-                b = residual[delta] // c
-                bound = b if bound is None else min(bound, b)
-        xs = range(bound + 1)
-        for delta in closing[gamma]:
-            x, r = divmod(residual[delta], matrix[delta][gamma])
-            xs = [x] if r == 0 and x in xs else []
-        for x in xs:
-            rec(
-                gamma + 1,
-                tuple(residual[delta] - x * matrix[delta][gamma] for delta in range(rows)),
-                acc + [x],
-            )
+    def __init__(self, g: GraphOfGroups):
+        flat = sum(len(v.simple_dims) for v in g.vertices)  # simples not yet placed
+        ends = [[] for _ in g.vertices]
+        for j, e in enumerate(g.edges):
+            ends[e.s].append((j, 0, e.iota.matrix))
+            ends[e.t].append((j, 1, e.kappa.matrix))
+        self.weights = []
+        fields = {}  # (edge index, side) -> (vertex, shift, mask)
+        for v, vertex in enumerate(g.vertices):
+            images = [0] * len(vertex.simple_dims)
+            at = 0
+            for j, side, matrix in ends[v]:
+                fields[j, side] = (v, at, (1 << _BITS * len(matrix)) - 1)
+                for delta, row in enumerate(matrix):
+                    for gamma, k in enumerate(row):
+                        images[gamma] |= k << (at + _BITS * delta)
+                at += _BITS * len(matrix)
+            codes = [1 << _BITS * (flat - 1 - gamma) for gamma in range(len(images))]
+            flat -= len(images)
+            self.weights.append((codes, images))
+        self.joins, self.filters = [], []
+        for j, e in enumerate(g.edges):
+            (self.joins if e.kind == "amalgam" else self.filters).append((fields[j, 0], fields[j, 1]))
+        self.sources = [(fields[j, 0], len(e.group.simple_dims)) for j, e in enumerate(g.edges)]
 
-    rec(0, tuple(u), [])
-    return out
+    def items(self, v: int, xs) -> list:
+        """The items (code contribution, packed images, x) of the vectors
+        xs at vertex v."""
+        codes, images = self.weights[v]
+        return [(sum(map(mul, x, codes)), sum(map(mul, x, images)), x) for x in xs]
+
+    def box(self, v: int, bound: tuple) -> list:
+        """The items (code contribution, packed images) of all x <= bound
+        at vertex v, zero and bound included."""
+        items = [(0, 0)]
+        for k, cw, ew in zip(bound, *self.weights[v]):
+            if k:
+                steps = [(i * cw, i * ew) for i in range(k + 1)]
+                items = [(c + a, e + b) for c, e in items for a, b in steps]
+        return items
+
+    def __call__(self, items: list) -> list:
+        parts = [(item[0], (item,)) for item in items[0]]
+        for (s, s_at, mask), (t, t_at, _) in self.joins:
+            groups = {}
+            for item in items[t]:
+                groups.setdefault(item[1] >> t_at & mask, []).append(item)
+            parts = [(c + item[0], picks + (item,)) for c, picks in parts
+                     for item in groups.get(picks[s][1] >> s_at & mask, ())]
+        for (s, s_at, mask), (t, t_at, _) in self.filters:
+            parts = [p for p in parts if p[1][s][1] >> s_at & mask == p[1][t][1] >> t_at & mask]
+        return parts
 
 
 # ---------------------------------------------------------------------------

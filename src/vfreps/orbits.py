@@ -6,15 +6,18 @@ graph data, so it permutes dimension vectors and fixes every count of the
 counting pipeline.  The series layer uses it to compute at one
 representative per orbit (see the series module docstring).  Get G
 through dimmonoid.automorphisms(g), which builds it once per graph and
-imports this module on first use.
+imports this module on first use.  The sub-vectors of a representative,
+which its decompositions count, come from the edge-constraint join of
+dimmonoid; this module works on per_vertex tuples and never on the code
+layout.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
-from .dimmonoid import _BITS, _CODE, DimVector, enumerate_dimvectors
+from .dimmonoid import _EdgeJoin, enumerate_dimvectors
 from .groupgraph import GraphOfGroups
 
 
@@ -35,8 +38,8 @@ class Automorphisms:
     code order, each found by a backtrack over the edge simples.
     `generators` holds their per-vertex permutations in the format of
     SymmetryGroupDescriptor (p[gamma] is the image of gamma) and
-    `edge_perms` their tau_e.  On codes a generator permutes the 16-bit
-    fields; the orbit walk applies it to flat tuples of per_vertex entries.
+    `edge_perms` their tau_e.  The orbit walk applies the generators to flat
+    tuples of per_vertex entries.
     The representative of an orbit is its least code, and since scaling
     commutes with G and keeps code order, rep(beta*m) = beta*rep(m).
     """
@@ -57,7 +60,7 @@ class Automorphisms:
         self._reps = []
         self.orbits = {}  # representative code -> its orbit's keys, in code order
         self._decompositions = {}
-        self._walk = None
+        self._join = None
 
     def is_trivial(self) -> bool:
         return not self.generators
@@ -86,7 +89,7 @@ class Automorphisms:
                         if w not in seen:
                             seen.add(w)
                             orbit.append(w)
-                members = sorted((vector_of[u] for u in orbit), key=_CODE)
+                members = sorted((vector_of[u] for u in orbit), key=attrgetter("code"))
                 for x in members:
                     rep[x.code] = c
                 self.orbits[c] = tuple(members)
@@ -104,11 +107,12 @@ class Automorphisms:
         rep(m - m1) = r2.  Needs the representatives of its total."""
         out = self._decompositions.get(code)
         if out is None:
-            if self._walk is None:
-                self._walk = _SubvectorWalk(self.graph)
+            if self._join is None:
+                self._join = _EdgeJoin(self.graph)
             rep = self._rep
             count = {}
-            for c1 in self._walk(self.graph._dv_cache[code]):
+            m = self.graph._dv_cache[code]
+            for c1, _ in self._join([self._join.box(v, x) for v, x in enumerate(m.per_vertex)]):
                 key = (rep[c1], rep[code - c1])
                 count[key] = count.get(key, 0) + 1
             out = self._decompositions[code] = tuple(
@@ -187,11 +191,14 @@ def _extend(g: GraphOfGroups, pinned: list):
         dims = e.group.simple_dims
         pins = [(m, x, y) for m, v in ((e.iota.matrix, e.s), (e.kappa.matrix, e.t))
                 for x, y in pinned[v].items()]
+        # images grouped by what they must match: dimension and pinned entries
+        images = {}
+        for image in range(len(dims)):
+            key = (dims[image],) + tuple(m[image][y] for m, _, y in pins)
+            images.setdefault(key, []).append(image)
         for delta in range(len(dims)):
-            domains[j, delta] = [
-                image for image in range(len(dims))
-                if dims[image] == dims[delta] and all(m[image][y] == m[delta][x] for m, x, y in pins)
-            ]
+            key = (dims[delta],) + tuple(m[delta][x] for m, x, _ in pins)
+            domains[j, delta] = images.get(key, [])
     points = sorted(domains, key=lambda point: len(domains[point]))
 
     def signatures(v):
@@ -243,68 +250,3 @@ def _extend(g: GraphOfGroups, pinned: list):
         sigma.append(tuple(p[x] for x in range(len(src))))
     return tuple(sigma), tuple(tuple(t) for t in tau)
 
-
-class _SubvectorWalk:
-    """The codes of all dimension vectors m1 <= m (componentwise) of one
-    graph, zero and m included.
-
-    Each vertex contributes its box of sub-vectors x <= m_v as pairs (code
-    contribution, packed images): the images of x under every restriction
-    at that vertex, side by side in 16-bit fields, so that both are sums of
-    per-simple weights without carries.  The boxes are joined vertex by
-    vertex on the image of each amalgam edge, and HNN edges filter."""
-
-    def __init__(self, g: GraphOfGroups):
-        n = sum(len(v.simple_dims) for v in g.vertices)
-        ends = [[] for _ in g.vertices]
-        for j, e in enumerate(g.edges):
-            ends[e.s].append((j, "iota", e.iota.matrix))
-            ends[e.t].append((j, "kappa", e.kappa.matrix))
-        self.weights = []
-        where = {}  # (edge index, side) -> (vertex, shift, mask)
-        for v, (base, vertex) in enumerate(zip(_offsets(g), g.vertices)):
-            shifts = []
-            at = 0
-            for j, side, _ in ends[v]:
-                rows = len(g.edges[j].group.simple_dims)
-                where[j, side] = (v, at, (1 << _BITS * rows) - 1)
-                shifts.append(at)
-                at += _BITS * rows
-            weights = []
-            for gamma in range(len(vertex.simple_dims)):
-                image = 0
-                for (_, _, matrix), at in zip(ends[v], shifts):
-                    for delta, row in enumerate(matrix):
-                        image |= row[gamma] << (at + _BITS * delta)
-                weights.append((1 << _BITS * (n - 1 - base - gamma), image))
-            self.weights.append(weights)
-        self.joins = []
-        self.filters = []
-        for j, e in enumerate(g.edges):
-            pair = (where[j, "iota"], where[j, "kappa"])
-            (self.joins if e.kind == "amalgam" else self.filters).append(pair)
-
-    def _box(self, v: int, x: tuple) -> list:
-        items = [(0, 0)]
-        for k, (cw, ew) in zip(x, self.weights[v]):
-            if k:
-                steps = [(i * cw, i * ew) for i in range(k + 1)]
-                items = [(c + a, e + b) for c, e in items for a, b in steps]
-        return items
-
-    def __call__(self, m: DimVector) -> list:
-        pv = m.per_vertex
-        parts = [(c, (e,)) for c, e in self._box(0, pv[0])]
-        # amalgam edge j glues vertex j+1 onto an earlier vertex
-        for (s, s_at, mask), (t, t_at, _) in self.joins:
-            groups = {}
-            for c, e in self._box(t, pv[t]):
-                groups.setdefault(e >> t_at & mask, []).append((c, e))
-            parts = [
-                (c0 + c1, es + (e1,))
-                for c0, es in parts
-                for c1, e1 in groups.get(es[s] >> s_at & mask, ())
-            ]
-        for (s, s_at, mask), (t, t_at, _) in self.filters:
-            parts = [p for p in parts if p[1][s] >> s_at & mask == p[1][t] >> t_at & mask]
-        return [c for c, _ in parts]

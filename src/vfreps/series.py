@@ -500,19 +500,13 @@ def build_F(g: GraphOfGroups, trunc: int, y_func=None) -> GradedSeries:
     G = _symmetry_for(g, trunc, y_func)
     vals = _values_for(g)
     vectors = _vectors(g, trunc)
-    factor_memo = g._pipeline_cache.setdefault("F_factors", {})
     out = {}
     for c in _codes(g, trunc, G):
         m = vectors[c]
         exps = _gl_exponents(g, m)
         if m.total:
             exps[m.total] = exps.get(m.total, 0) - 1  # divide by gl_d
-        sigma = shift_exponent(g, m, y_func)
-        key = (tuple(sorted((k, e) for k, e in exps.items() if e)), sigma)
-        h = factor_memo.get(key)
-        if h is None:
-            h = factor_memo[key] = vals.intern(gl_product(dict(key[0]), sigma))
-        out[c] = h
+        out[c] = vals.intern(gl_product(exps, shift_exponent(g, m, y_func)))
     return _series(g, trunc, out, vals, G)
 
 

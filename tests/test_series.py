@@ -192,11 +192,14 @@ def test_key_codec_round_trip_order_and_carry_free_sums(name):
         assert top.per_vertex == ((D,),) and top.code == D
 
 
-@pytest.mark.parametrize("name", CODEC_PRESETS)
+@pytest.mark.parametrize("name", CODEC_PRESETS + ["hnn_loop", "three_vertex_tree", "mixed_tree"])
 def test_enumeration_agrees_with_validating_constructor(name):
-    # enumeration interns its vectors without revalidating them; on a second
-    # new, uncached graph dimvector() checks every constraint from scratch
-    g, fresh = preset.__wrapped__(name), preset.__wrapped__(name)
+    # enumeration interns its vectors without revalidating them and decodes
+    # per_edge from the join's packed images (on the twisted HNN loop from a
+    # filtered edge, on the trees from two joins at vertex 0, on the mixed
+    # tree from three edges of different images); on a second new, uncached
+    # graph dimvector() checks every constraint from scratch
+    g, fresh = _quotient_graph(name), _quotient_graph(name)
     for d in range(5):
         for m in enumerate_dimvectors(g, d):
             ref = dimvector(fresh, m.per_vertex)
@@ -624,6 +627,20 @@ def _c2_chain():
     ])
 
 
+def _mixed_tree():
+    # C4 glued to C2 along C2 and to C8 along C4, with a twisted C2 loop
+    # from the C2 vertex to the C8 vertex; the loop keeps only keys whose
+    # C2 entries are equal
+    from vfreps.groupgraph import Edge, GraphOfGroups, RestrictionMap, cyclic_group, cyclic_restriction
+
+    c2, c4 = cyclic_group(2), cyclic_group(4)
+    return GraphOfGroups("c4_c2_c8", [c4, c2, cyclic_group(8)], [
+        Edge(c2, 0, 1, cyclic_restriction(4, 2), cyclic_restriction(2, 2), "amalgam"),
+        Edge(c4, 0, 2, cyclic_restriction(4, 4), cyclic_restriction(8, 4), "amalgam"),
+        Edge(c2, 1, 2, cyclic_restriction(2, 2), RestrictionMap(cyclic_restriction(8, 2).matrix[::-1]), "hnn"),
+    ])
+
+
 QUOTIENT_CASES = [
     ("psl2z", 5), ("sl2z", 5), ("gl2z", 5), ("pgl2z", 5), ("dinf", 5), ("gc(2)", 5),
     ("hnn_loop", 5), ("three_vertex_tree", 5),
@@ -637,6 +654,8 @@ def _quotient_graph(name):
         return _c4_hnn_loop()
     if name == "three_vertex_tree":
         return _c2_chain()
+    if name == "mixed_tree":
+        return _mixed_tree()
     return load(save(preset(name)))
 
 
