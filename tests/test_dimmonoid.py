@@ -99,6 +99,75 @@ def test_enumeration_is_sorted_lexicographically():
     assert vecs == sorted(vecs)
 
 
+def _unpruned_constrained_vectors(u, matrix, dims):
+    """All nonnegative x with matrix . x = u, unpruned: every column is
+    enumerated up to its bound and the residual is checked only at the leaf."""
+    rows, cols = len(matrix), len(dims)
+    out = []
+
+    def rec(gamma, residual, acc):
+        if gamma == cols:
+            if all(r == 0 for r in residual):
+                out.append(tuple(acc))
+            return
+        bound = min(residual[r] // matrix[r][gamma] for r in range(rows) if matrix[r][gamma])
+        for x in range(bound + 1):
+            rec(
+                gamma + 1,
+                tuple(residual[r] - x * matrix[r][gamma] for r in range(rows)),
+                acc + [x],
+            )
+
+    rec(0, tuple(u), [])
+    return out
+
+
+ENUMERATION_PRESETS = [
+    "free(2)", "cyclic(1)", "cyclic(3)", "dihedral(4)", "cyclic_free_product(2,3)",
+    "cyclic_amalgam(2,2,4)", "dinf", "gc(2)", "psl2z", "sl2z", "gl2z", "pgl2z",
+    "cyclic_amalgam(6,3,6)", "cyclic_amalgam(12,12,12)",
+]
+
+
+@pytest.mark.parametrize("name", ENUMERATION_PRESETS)
+def test_pruned_edge_solver_matches_the_unpruned_recursion(name):
+    # the edge-constraint join against the propagation it replaced: vertex 0
+    # ranges over the weighted compositions of d, each amalgam tree edge is
+    # solved for by the unpruned recursion, and HNN edges filter; both the
+    # keys (in code order) and their edge images must agree
+    g = preset.__wrapped__(name)
+    images = []
+    for d in range(5):
+        # the weighted compositions of d at vertex 0 are the solutions of
+        # the one-row system dims . x = d
+        dims = g.vertices[0].simple_dims
+        partial = [((x,), ()) for x in _unpruned_constrained_vectors((d,), [dims], dims)]
+        for e in g.edges:
+            if e.kind != "amalgam":
+                continue
+            grown = []
+            for pv, us in partial:
+                u = e.iota.apply(pv[e.s])
+                images.append(u)
+                for w in _unpruned_constrained_vectors(u, e.kappa.matrix, g.vertices[e.t].simple_dims):
+                    grown.append((pv + (w,), us + (u,)))
+            partial = grown
+        expected = []
+        for pv, us in partial:
+            amalgam_images = iter(us)
+            per_edge = []
+            for e in g.edges:
+                u = next(amalgam_images) if e.kind == "amalgam" else e.iota.apply(pv[e.s])
+                if e.kind != "amalgam" and u != e.kappa.apply(pv[e.t]):
+                    break
+                per_edge.append(u)
+            else:
+                expected.append((pv, tuple(per_edge)))
+        got = [(m.per_vertex, m.per_edge) for m in enumerate_dimvectors(g, d)]
+        assert got == sorted(expected, key=lambda key: sum(key[0], ()))
+    assert bool(images) == any(e.kind == "amalgam" for e in g.edges)
+
+
 @pytest.mark.parametrize("n,D", [(1, 8), (2, 8), (6, 6), (12, 5)])
 def test_cyclic_amalgam_key_counts_match_the_closed_form(n, D):
     # C_n *_{C_n} C_n glues both vertices along the identity, so a key of
