@@ -7,6 +7,11 @@ multiplicities.  Everything here is deliberately independent of the
 series pipeline: matrix enumeration, orbit counting and linear algebra
 over F_q only, so agreement with the pipeline is a real cross-check.
 
+Conjugation by GL_d preserves every count taken here, so generator 0 runs
+over one representative per conjugacy class (`class_keys`: the scalar, or
+else trace and det), weighted by the class size counted in the enumerated
+set, never by a centralizer or pipeline formula.
+
 Supported: d <= 2, q <= 13 with q = 4, 9 realized through fixed
 irreducible polynomials.  Character indexing over F_q fixes the canonical
 primitive element g0 (the smallest generator of the multiplicative
@@ -18,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product, tee
+from math import prod
 
 from .dimmonoid import dimvector
 from .exactalg import QPower
@@ -140,32 +147,32 @@ def mat_det(F, A):
     return F.add[F.mul[a][d]][F.neg[F.mul[b][c]]]
 
 
+def class_keys(F, mats):
+    """GL_2(F_q) conjugacy class of each matrix: ("s", a) for the scalar
+    a*I, else (trace, det); a non-scalar 2x2 matrix is cyclic, so its
+    characteristic polynomial decides its class."""
+    M, P, n = F.mul, F.add, F.neg
+    for a, b, c, d in mats:
+        yield ("s", a) if b == c == 0 and a == d else (P[a][d], P[M[a][d]][n[M[b][c]]])
+
+
 @lru_cache(maxsize=None)
 def power_solutions(q: int, d: int, k):
-    """All X in GL_d(F_q) with X^k = 1 (all of GL_d when k is None)."""
+    """All X in GL_d(F_q) with X^k = 1 (all of GL_d when k is None), in
+    sweep order; at d = 2, X^k = 1 is tested once per conjugacy class."""
     F = field(q)
     if d == 1:
-        if k is None:
-            return tuple(range(1, q))
-        out = []
-        for x in range(1, q):
-            y = 1
-            for _ in range(k):
-                y = F.mul[y][x]
-            if y == 1:
-                out.append(x)
-        return tuple(out)
+        return tuple(x for x in range(1, q) if k is None or _power_value(q, 1, x, k) == 1)
     if d == 2:
-        out = []
-        for a in range(q):
-            for b in range(q):
-                for c in range(q):
-                    for dd in range(q):
-                        A = (a, b, c, dd)
-                        if mat_det(F, A) == 0:
-                            continue
-                        if k is None or mat_pow(F, A, k) == (1, 0, 0, 1):
-                            out.append(A)
+        mats, keyed = tee(product(range(q), repeat=4))
+        solves, out = {}, []
+        for A, key in zip(mats, class_keys(F, keyed)):
+            ok = solves.get(key)
+            if ok is None:
+                # key[1] is det, or a for a*I: zero exactly when A is singular
+                ok = solves[key] = key[1] != 0 and (k is None or mat_pow(F, A, k) == (1, 0, 0, 1))
+            if ok:
+                out.append(A)
         return tuple(out)
     raise ValueError("oracle supports d <= 2 only")
 
@@ -286,13 +293,12 @@ def _check_supported(p: PresentationData, d: int, q: int):
 
 
 def _power_value(q, d, x, k):
-    if d == 1:
-        F = field(q)
-        y = 1
-        for _ in range(k):
-            y = F.mul[y][x]
-        return y
-    return mat_pow(field(q), x, k)
+    if d == 2:
+        return mat_pow(field(q), x, k)
+    y = 1
+    for _ in range(k):
+        y = field(q).mul[y][x]
+    return y
 
 
 def _solution_buckets(p: PresentationData, d: int, q: int):
@@ -316,54 +322,59 @@ def count_hom(p: PresentationData, d: int, q: int) -> int:
     _check_supported(p, d, q)
     sets, eq = _solution_buckets(p, d, q)
     if eq is None:
-        total = 1
-        for s in sets:
-            total *= len(s)
-        return total
+        return prod(len(s) for s in sets)
     _, _, bi, bj = eq
     return sum(len(bi[v]) * len(bj[v]) for v in bi if v in bj)
 
 
-def _hom_pairs(p: PresentationData, d: int, q: int):
-    """Iterate all relation-satisfying generator tuples."""
-    from itertools import product
-
+def _class_points(p: PresentationData, d: int, q: int):
+    """Per conjugacy class of generator 0's power solutions: (class size,
+    the relation-satisfying tuples whose generator 0 is the class's first
+    member x0).  An equality relation takes generator 1 from the bucket
+    of x0^a.  At d = 1 every class is a single point."""
     sets, eq = _solution_buckets(p, d, q)
-    if eq is None:
-        yield from product(*sets)
-        return
-    if p.generators != 2:
+    if eq is not None and p.generators != 2:
         raise ValueError("equality relations are handled for two generators only")
-    _, _, bi, bj = eq
-    for v, xs in bi.items():
-        ys = bj.get(v)
-        if not ys:
-            continue
-        for x in xs:
-            for y in ys:
-                yield (x, y)
+    classes = {}
+    for x, key in zip(sets[0], sets[0] if d == 1 else class_keys(field(q), sets[0])):
+        classes.setdefault(key, []).append(x)
+    for members in classes.values():
+        x0 = members[0]
+        if eq is None:
+            rest = product(*sets[1:])
+        else:
+            rest = ((y,) for y in eq[3].get(_power_value(q, d, x0, p.equality[1]), ()))
+        yield len(members), ((x0,) + r for r in rest)
+
+
+def _absolutely_simple(q: int, mats) -> bool:
+    """No common invariant line and a one-dimensional commutant."""
+    common = invariant_lines(q, mats[0])
+    for A in mats[1:]:
+        if not common:
+            break
+        common = common & invariant_lines(q, A)
+    return not common and commutant_dimension(q, mats) == 1
 
 
 def count_absim_orbits(p: PresentationData, d: int, q: int) -> int:
     """Number of isomorphism classes of absolutely simple d-dimensional
-    modules: points with no common invariant line and one-dimensional
-    commutant, divided by the conjugation-orbit size |GL_d|/(q-1)."""
+    modules: absolutely simple points over |GL_d|/(q-1), the size of a
+    conjugation orbit.  Points are counted at class representatives of
+    generator 0, weighted by class size; PGL_d acts freely on them, so each
+    class's weighted count and the total must be multiples of the orbit size."""
     _check_supported(p, d, q)
     if d != 2:
         raise ValueError("absolutely simple orbit counting needs d = 2")
+    orbit_size = (q * q - 1) * (q * q - q) // (q - 1)
     points = 0
-    for mats in _hom_pairs(p, d, q):
-        common = invariant_lines(q, mats[0])
-        for A in mats[1:]:
-            if not common:
-                break
-            common = common & invariant_lines(q, A)
-        if common:
-            continue
-        if commutant_dimension(q, mats) == 1:
-            points += 1
-    gl2 = (q * q - 1) * (q * q - q)
-    orbit_size = gl2 // (q - 1)
+    for weight, tuples in _class_points(p, d, q):
+        n = weight * sum(1 for mats in tuples if _absolutely_simple(q, mats))
+        if n % orbit_size:
+            raise ArithmeticError(
+                f"class of size {weight}: {n} absim points not divisible by {orbit_size}"
+            )
+        points += n
     if points % orbit_size:
         raise ArithmeticError(
             f"absim point count {points} not divisible by orbit size {orbit_size}"
@@ -382,7 +393,7 @@ def dimvector_of_point(p: PresentationData, mats, q: int):
     per_vertex = []
     for i, v in enumerate(g.vertices):
         if v.order == 1:
-            d = _dim_of(mats[0] if mats else 1)
+            d = 2 if mats and not isinstance(mats[0], int) else 1
             per_vertex.append((d,))
             continue
         n = v.order  # cyclic vertex groups only
@@ -402,10 +413,6 @@ def dimvector_of_point(p: PresentationData, mats, q: int):
             mult[roots.index(ev)] += count
         per_vertex.append(tuple(mult))
     return dimvector(g, per_vertex)
-
-
-def _dim_of(x):
-    return 1 if isinstance(x, int) else 2
 
 
 def _eigenvalues(F, x):
@@ -430,12 +437,15 @@ def _eigenvalues(F, x):
 
 
 def dimvector_census(p: PresentationData, d: int, q: int):
-    """Per-dimension-vector point counts, refining count_hom."""
+    """Per-dimension-vector point counts, refining count_hom.  The
+    dimension vector of a point is a conjugation invariant, so each point
+    at a class representative of generator 0 counts once per class member."""
     _check_supported(p, d, q)
     out = {}
-    for mats in _hom_pairs(p, d, q):
-        m = dimvector_of_point(p, mats, q)
-        out[m] = out.get(m, 0) + 1
+    for weight, tuples in _class_points(p, d, q):
+        for mats in tuples:
+            m = dimvector_of_point(p, mats, q)
+            out[m] = out.get(m, 0) + weight
     return out
 
 

@@ -1,11 +1,15 @@
+from collections import Counter
+from itertools import product
+
 import pytest
 
 from vfreps.dimmonoid import dimvector, enumerate_dimvectors, parse_dimvector
 from vfreps.exactalg import Poly
-from vfreps.groupgraph import preset
+from vfreps.groupgraph import is_suitable_prime_power, preset
 from vfreps.series import compute_absim, compute_ss, rep_space_count
 from vfreps.fforacle import (
     SmallField,
+    commutant_dimension,
     count_absim_orbits,
     count_gl1_orbits,
     count_hom,
@@ -13,6 +17,7 @@ from vfreps.fforacle import (
     dimvector_of_point,
     field,
     invariant_lines,
+    mat_det,
     mat_mul,
     mat_pow,
     power_solutions,
@@ -93,13 +98,28 @@ def test_power_solutions_d2_sizes():
         assert mat_pow(F, X, 2) == (1, 0, 0, 1)
 
 
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 9, 13])
+@pytest.mark.parametrize("k", [2, 3, 4, 6, None])
+def test_power_solutions_match_the_per_matrix_test(q, k):
+    # power_solutions tests X^k = 1 once per conjugacy class; the reference
+    # tests every invertible matrix, in the same sweep order
+    F = field(q)
+    direct = tuple(
+        A for A in product(range(q), repeat=4)
+        if mat_det(F, A) and (k is None or mat_pow(F, A, k) == (1, 0, 0, 1))
+    )
+    assert power_solutions(q, 2, k) == direct
+
+
 def test_invariant_lines():
     q = 5
     diag = (1, 0, 0, 4)
     lines = invariant_lines(q, diag)
     assert len(lines) == 2
     assert len(invariant_lines(q, (1, 0, 0, 1))) == q + 1
-    assert len(invariant_lines(q, (0, 1, 4, 0))) == 0 or True  # may be empty
+    # t^2 - 4: eigenvalues 2 and 3; t^2 - 3 is irreducible mod 5
+    assert len(invariant_lines(q, (0, 1, 4, 0))) == 2
+    assert len(invariant_lines(q, (0, 1, 3, 0))) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -151,14 +171,90 @@ def test_count_absim_examples():
     assert count_absim_orbits(presentation("psl2z"), 2, 7) == 15
     assert count_absim_orbits(presentation("dinf"), 2, 5) == 3
     assert count_absim_orbits(presentation("gc(2)"), 2, 13) == 22
+    assert count_absim_orbits(presentation("sl2z"), 2, 13) == 66
 
 
 @pytest.mark.parametrize(
     "name,q",
-    [("dinf", 3), ("dinf", 5), ("psl2z", 7), ("gc(2)", 5)],
+    [
+        ("dinf", 3), ("dinf", 5), ("psl2z", 7), ("gc(2)", 5), ("psl2z", 13),
+        ("dinf", 13), ("free(2)", 5), ("cyclic_free_product(2,4)", 13),
+    ],
 )
 def test_count_absim_matches_pipeline(name, q):
     assert count_absim_orbits(presentation(name), 2, q) == pipeline_absim_count(name, 2, q)
+
+
+def _all_points(p, d, q):
+    """Every relation-satisfying tuple: the full product of the power
+    solutions, filtered by the equality relation."""
+    F = field(q)
+
+    def power(x, k):
+        if d == 2:
+            return mat_pow(F, x, k)
+        y = 1
+        for _ in range(k):
+            y = F.mul[y][x]
+        return y
+
+    sets = [power_solutions(q, d, k) for k in p.power_orders]
+    if p.equality is None:
+        return list(product(*sets))
+    i, a, j, b = p.equality
+    lhs = {x: power(x, a) for x in sets[i]}
+    rhs = {y: power(y, b) for y in sets[j]}
+    return [t for t in product(*sets) if lhs[t[i]] == rhs[t[j]]]
+
+
+def _unweighted_absim(q, points):
+    count = 0
+    for mats in points:
+        common = invariant_lines(q, mats[0])
+        for A in mats[1:]:
+            common = common & invariant_lines(q, A)
+        if not common and commutant_dimension(q, mats) == 1:
+            count += 1
+    orbit = (q * q - 1) * (q * q - q) // (q - 1)
+    assert count % orbit == 0
+    return count // orbit
+
+
+# every oracle family on a suitable field q <= 9; sl2z needs q = 1 mod 12.
+# free(2) stops at q = 4: its full product has |GL_2|^2 points (230400 at q = 5)
+WEIGHTING_POINTS = [
+    (name, q)
+    for q in (3, 4, 5, 7, 9)
+    for name in (
+        "dinf", "psl2z", "sl2z", "gc(1)", "gc(2)", "gc(3)", "free(1)",
+        "cyclic_free_product(2,3)", "cyclic_free_product(3,3)", "cyclic_free_product(2,4)",
+    ) + (("free(2)",) if q <= 4 else ())
+    if is_suitable_prime_power(preset(name), q)
+]
+
+
+@pytest.mark.parametrize("name,q", WEIGHTING_POINTS)
+def test_class_weighting_matches_the_unweighted_loop(name, q):
+    # count_absim_orbits and dimvector_census weight one representative
+    # per conjugacy class of generator 0; the reference tries every tuple
+    p = presentation(name)
+    for d in (1, 2):
+        points = _all_points(p, d, q)
+        census = Counter(dimvector_of_point(p, mats, q) for mats in points)
+        assert dimvector_census(p, d, q) == census
+    assert count_absim_orbits(p, 2, q) == _unweighted_absim(q, points)
+
+
+def test_per_class_check_rejects_a_wrong_class_weight(monkeypatch):
+    from vfreps import fforacle
+
+    classes = fforacle._class_points
+    monkeypatch.setattr(
+        fforacle, "_class_points",
+        lambda p, d, q: ((w + 1, tuples) for w, tuples in classes(p, d, q)),
+    )
+    with pytest.raises(ArithmeticError, match="class of size"):
+        count_absim_orbits(presentation("psl2z"), 2, 7)
 
 
 def test_count_absim_infinite_cyclic_vanishes():

@@ -813,27 +813,54 @@ def test_ss_dimension_one_matches_oracle_counts():
         assert total == fforacle.count_gl1_orbits(fforacle.presentation("psl2z"), q)
 
 
-def _absim_orbits_by_enumeration(q, generator_sets):
-    """Matrix brute force for arbitrary generator tuples (d = 2)."""
+def _conjugacy_key(q, A):
+    """GL_2(F_q) conjugacy class of A for prime q: trace, det and whether A
+    is scalar (a non-scalar 2x2 matrix is cyclic, so its characteristic
+    polynomial decides its class)."""
+    a, b, c, d = A
+    return (a + d) % q, (a * d - b * c) % q, b == c == 0 and a == d
+
+
+def _absim_orbits_by_enumeration(q, generator_sets, weighted=True):
+    """Matrix brute force for arbitrary generator tuples (d = 2, prime q).
+
+    weighted: the first generator runs over one member per conjugacy class
+    of its set, and each point found there counts once per class member;
+    this needs the other sets to be closed under conjugation.  Otherwise
+    every tuple of the full product is tried."""
     from itertools import product as iproduct
 
     from vfreps.fforacle import commutant_dimension, invariant_lines
 
+    classes = {}
+    for x in generator_sets[0]:
+        classes.setdefault(_conjugacy_key(q, x) if weighted else x, []).append(x)
     points = 0
-    for mats in iproduct(*generator_sets):
-        common = invariant_lines(q, mats[0])
-        for A in mats[1:]:
-            if not common:
-                break
-            common = common & invariant_lines(q, A)
-        if common:
-            continue
-        if commutant_dimension(q, mats) == 1:
-            points += 1
+    for members in classes.values():
+        for rest in iproduct(*generator_sets[1:]):
+            mats = (members[0],) + rest
+            common = invariant_lines(q, mats[0])
+            for A in mats[1:]:
+                if not common:
+                    break
+                common = common & invariant_lines(q, A)
+            if not common and commutant_dimension(q, mats) == 1:
+                points += len(members)
     gl2 = (q * q - 1) * (q * q - q)
     orbit = gl2 // (q - 1)
     assert points % orbit == 0
     return points // orbit
+
+
+def test_weighted_brute_force_matches_the_full_product():
+    # the weighted helper below, pinned against every tuple of the full
+    # product at q = 3 on both generator lists it is used with
+    from vfreps.fforacle import power_solutions
+
+    invol, units = power_solutions(3, 2, 2), power_solutions(3, 2, None)
+    for sets in ([invol, invol, invol], [invol, invol, units]):
+        full = _absim_orbits_by_enumeration(3, sets, weighted=False)
+        assert _absim_orbits_by_enumeration(3, sets) == full
 
 
 def test_three_vertex_tree_and_cross_vertex_loop():
