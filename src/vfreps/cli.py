@@ -15,6 +15,16 @@ encoder that indent selects; integral coefficients are JSON ints and
 rational ones "p/q" strings.  All commands are deterministic; identical
 invocations produce byte-identical output.
 
+A count table is rendered from two kinds of piece.  Each distinct value
+is rendered once per command: its coefficient block (render_json at the
+entry's indent) or its text or latex cell.  Each key is one str.format
+call on a template built once per command from the graph's simple counts
+per vertex (for json, render_json of an entry skeleton); the template
+holds layout only, so data text such as the group label never goes
+through it.  Entries come in output order, by total and then by code,
+from the enumeration of the keys, with no sort.  The argument parser is
+built on the first main call and reused by later calls.
+
 Exit codes: 0 success, 1 validation/usage error, 2 pipeline integrity
 error (including oracle FAIL).
 """
@@ -24,6 +34,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import lru_cache
+from itertools import chain, count
 from json.encoder import encode_basestring_ascii
 
 from . import fforacle, series
@@ -37,7 +49,7 @@ from .dimmonoid import (
     parse_dimvector,
     shift_exponent,
 )
-from .exactalg import Poly
+from .exactalg import POLY_ZERO, Poly
 from .groupgraph import PRESET_NAMES, GraphOfGroups, ValidationError, load, preset
 from .series import CountingTable, NonPolynomialCoefficient
 
@@ -68,22 +80,33 @@ def resolve_group(name_or_path: str) -> GraphOfGroups:
 # renderers
 # ---------------------------------------------------------------------------
 
+class _Raw(str):
+    """JSON text rendered beforehand; render_json inserts it verbatim."""
+
+
 _INT = {int}
+_RAW = {_Raw}
 
 
 def render_json(obj, pad: str = "") -> str:
     """json.dumps(obj, indent=2), byte for byte, for the documents the
-    commands emit: dicts with str keys, lists, ints and strs.  A list of
-    ints (a coefficient list, say) is one C-level type scan and one join,
-    with no Python call per entry."""
+    commands emit: dicts with str keys, lists, ints and strs, and _Raw
+    text rendered at the indent it lands at.  A list of ints (a
+    coefficient list, say) or of _Raw texts is one C-level type scan and
+    one join, with no Python call per entry."""
     t = type(obj)
     if t is int:
         return str(obj)
     if t is str:
         return encode_basestring_ascii(obj)
+    if t is _Raw:
+        return obj
     if t is list:
-        if set(map(type, obj)) <= _INT:
+        types = set(map(type, obj))
+        if types <= _INT:
             return _block("[", map(str, obj), "]", pad)
+        if types <= _RAW:
+            return _block("[", obj, "]", pad)
         return _block("[", [render_json(v, pad + "  ") for v in obj], "]", pad)
     if t is dict:
         inner = pad + "  "
@@ -98,35 +121,57 @@ def _block(opening: str, items, closing: str, pad: str) -> str:
     return f"{opening}\n{inner}{body}\n{pad}{closing}" if body else opening + closing
 
 
+def _field(i: int) -> _Raw:
+    """Stands for str.format field {i} in a skeleton given to _json_template."""
+    return _Raw(f"\0{i}\1")
+
+
+def _json_template(skeleton: dict, pad: str) -> str:
+    """str.format template of render_json(skeleton, pad) with each _field(i)
+    turned into the field {i}; the skeleton holds no data text."""
+    text = render_json(skeleton, pad).replace("{", "{{").replace("}", "}}")
+    return text.replace("\0", "{").replace("\1", "}")
+
+
 def _json_dimvector(m) -> list:
     return [list(v) for v in m.per_vertex]
 
 
+def _row(cells, fmt: str) -> str:
+    """One row of a text, csv or latex table from str cells."""
+    if fmt == "csv":
+        return ",".join(map(_csv_cell, cells))
+    if fmt == "latex":
+        return " & ".join(f"${c}$" for c in cells) + r" \\\hline"
+    return f"{cells[0]}: " + "  ".join(cells[1:])
+
+
+def _table(rows: list, header, fmt: str) -> str:
+    """Text, csv or latex table around rows already made by _row."""
+    if fmt == "csv":
+        return "\n".join([",".join(header), *rows])
+    if fmt == "latex":
+        top = r"\begin{tabular}{|" + "c|" * len(header) + "}"
+        return "\n".join([top, r"\hline", " & ".join(header) + r" \\\hline", *rows, r"\end{tabular}"])
+    return "\n".join(rows)
+
+
 def _emit_rows(rows, header, fmt: str) -> str:
     """Text, csv or latex table of rows of cells (str or int)."""
-    out = []
-    if fmt == "csv":
-        out.append(",".join(header))
-        for row in rows:
-            out.append(",".join(_csv_cell(c) for c in row))
-    elif fmt == "latex":
-        out.append(r"\begin{tabular}{|" + "c|" * len(header) + "}")
-        out.append(r"\hline")
-        out.append(" & ".join(header) + r" \\\hline")
-        for row in rows:
-            out.append(" & ".join(f"${c}$" for c in row) + r" \\\hline")
-        out.append(r"\end{tabular}")
-    else:
-        for row in rows:
-            out.append(f"{row[0]}: " + "  ".join(str(c) for c in row[1:]))
-    return "\n".join(out)
+    return _table([_row([str(c) for c in row], fmt) for row in rows], header, fmt)
 
 
-def _csv_cell(c):
-    c = str(c)
+def _csv_cell(c: str) -> str:
     if "," in c or '"' in c:
         c = '"' + c.replace('"', '""') + '"'
     return c
+
+
+_CELL = {
+    "text": Poly.text,
+    "csv": lambda p: _csv_cell(p.text()),
+    "latex": Poly.latex,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -134,54 +179,74 @@ def _csv_cell(c):
 # ---------------------------------------------------------------------------
 
 def cmd_count(args) -> str:
+    """Each entry is one str.format call on a template built once per
+    command, with the entry's value as field 0 and its key's fields after
+    it; each distinct value is rendered once per command."""
     g = resolve_group(args.group)
+    D = args.max_dim
     wanted = None
     if getattr(args, "vector", None):
         if args.by != "dimvector":
             raise CliError("--vector needs --by dimvector")
         wanted = parse_dimvector(g, args.vector)
-        if wanted.total > args.max_dim:
+        if wanted.total > D:
             raise CliError("--vector exceeds --max-dim")
-    table = CountingTable(g, args.max_dim)
+    table = CountingTable(g, D)
     kinds = ["absim", "ss", "sim"] if args.kind == "all" else [args.kind]
+    if args.by == "total":
+        keys = [(d, (d,)) for d in range(1, D + 1)]
+        values = table.aggregate
+        first = "d"
+        label = "d={1}" if args.format == "text" else "{1}"
+        skeleton = {"d": _field(1), "coefficients": _field(0)}
+    else:
+        vectors = [wanted] if wanted is not None else [
+            m for d in range(1, D + 1) for m in enumerate_dimvectors(g, d)
+        ]
+        keys = [(m, (*chain.from_iterable(m.per_vertex), m.total)) for m in vectors]
+        values = table.per_vector
+        fields = count(1)
+        slots = [[next(fields) for _ in v.simple_dims] for v in g.vertices]
+        first = "dimvector"
+        label = "(" + ",".join("(" + ",".join(f"{{{i}}}" for i in v) + ")" for v in slots) + ")"
+        skeleton = {
+            "dimvector": [list(map(_field, v)) for v in slots],
+            "total_dim": _field(next(fields)),
+            "coefficients": _field(0),
+        }
+    # entries in output order (total, then code) as (key fields, value);
+    # keys without a value are left out, except a wanted vector
+    default = None if wanted is None else POLY_ZERO
     tables = {}
     for kind in kinds:
-        if args.by == "total":
-            entries = [(d, p) for d, p in table.aggregate(kind).items() if d >= 1]
-        elif wanted is not None:
-            found = table.per_vector(kind).get(wanted)
-            entries = [(wanted, found if found is not None else Poly(()))]
-        else:
-            entries = [(m, p) for m, p in table.per_vector(kind).items() if m.total >= 1]
-            entries.sort(key=lambda kv: (kv[0].total, kv[0].code))
-        tables[kind] = entries
+        found = values(kind)
+        tables[kind] = [(f, p) for k, f in keys if (p := found.get(k, default)) is not None]
+    distinct = {p for entries in tables.values() for _, p in entries}
     if args.format == "json":
-        if args.by == "total":
-            entry = lambda d, p: {"d": d, "coefficients": p.json_coeffs()}
-        else:
-            entry = lambda m, p: {
-                "dimvector": _json_dimvector(m),
-                "total_dim": m.total,
-                "coefficients": p.json_coeffs(),
-            }
-        tables = {kind: [entry(k, p) for k, p in entries] for kind, entries in tables.items()}
-        doc = {"group": g.label, "D": args.max_dim, "kind": args.kind, "by": args.by}
+        pad = " " * (4 if len(kinds) == 1 else 6)  # under "entries" or "tables"
+        template = _json_template(skeleton, pad)
+        cells = {p: render_json(p.json_coeffs(), pad + "  ") for p in distinct}
+        texts = {
+            kind: [_Raw(template.format(cells[p], *f)) for f, p in entries]
+            for kind, entries in tables.items()
+        }
+        doc = {"group": g.label, "D": D, "kind": args.kind, "by": args.by}
         if len(kinds) == 1:
-            doc["entries"] = tables[kinds[0]]
+            doc["entries"] = texts[kinds[0]]
         else:
-            doc["tables"] = tables
+            doc["tables"] = texts
         return render_json(doc)
-    cell = Poly.latex if args.format == "latex" else Poly.text
-    if args.by == "dimvector":
-        label, first = format_dimvector, "dimvector"
-    else:
-        label, first = (lambda d: f"d={d}") if args.format == "text" else str, "d"
+    # key fields are ints, so csv quotes the label template exactly when it
+    # quotes the labels
+    template = _row([label, "{0}"], args.format)
+    cell = _CELL[args.format]
+    cells = {p: cell(p) for p in distinct}
     sections = []
     for kind, entries in tables.items():
         if len(kinds) > 1:
             sections.append(f"[{kind}]")
-        rows = [[label(k), cell(p)] for k, p in entries]
-        sections.append(_emit_rows(rows, [first, kind], args.format))
+        rows = [template.format(cells[p], *f) for f, p in entries]
+        sections.append(_table(rows, [first, kind], args.format))
     return "\n".join(sections)
 
 
@@ -214,25 +279,21 @@ def cmd_monoid(args) -> str:
 
 def cmd_epoly(args) -> str:
     g = resolve_group(args.group)
-    table = CountingTable(g, args.max_dim)
-    data = [
-        (d, etext, chi)
-        for d, (etext, chi) in series.epoly_and_euler(table, kind="ss", by="total").items()
-        if d >= 1
-    ]
+    agg = CountingTable(g, args.max_dim).aggregate("ss")
+    data = [(d, p, int(p.eval(1))) for d, p in agg.items() if d >= 1]
     if args.format == "json":
         entries = [
-            {"d": d, "e_polynomial": etext, "euler_characteristic": chi}
-            for d, etext, chi in data
+            {"d": d, "e_polynomial": series.epoly_text(p), "euler_characteristic": chi}
+            for d, p, chi in data
         ]
         return render_json({"group": g.label, "D": args.max_dim, "entries": entries})
     if args.format == "csv":
-        return _emit_rows(data, ["d", "e_polynomial", "euler_characteristic"], "csv")
+        rows = [[d, series.epoly_text(p), chi] for d, p, chi in data]
+        return _emit_rows(rows, ["d", "e_polynomial", "euler_characteristic"], "csv")
     if args.format == "latex":
-        agg = table.aggregate("ss")
-        rows = [[d, series.epoly_latex(agg[d]), chi] for d, _, chi in data]
+        rows = [[d, series.epoly_latex(p), chi] for d, p, chi in data]
     else:
-        rows = [[f"d={d}", etext, f"euler={chi}"] for d, etext, chi in data]
+        rows = [[f"d={d}", series.epoly_text(p), f"euler={chi}"] for d, p, chi in data]
     return _emit_rows(rows, ["d", "E-polynomial", "Euler"], args.format)
 
 
@@ -327,10 +388,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> _Parser:
+    """The process's one parser, built on the first main call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.command in ("count", "epoly"):
             if args.max_dim < 0:
                 raise CliError("--max-dim must be >= 0")

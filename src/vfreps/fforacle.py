@@ -301,50 +301,46 @@ def _power_value(q, d, x, k):
     return y
 
 
-def _solution_buckets(p: PresentationData, d: int, q: int):
-    """Per generator: its power-solution set, keyed by the value of the
-    side of the equality relation it participates in (None when free)."""
-    sets = [power_solutions(q, d, k) for k in p.power_orders]
-    if p.equality is None:
-        return sets, None
-    i, a, j, b = p.equality
-    buckets_i = {}
-    for x in sets[i]:
-        buckets_i.setdefault(_power_value(q, d, x, a), []).append(x)
-    buckets_j = {}
-    for x in sets[j]:
-        buckets_j.setdefault(_power_value(q, d, x, b), []).append(x)
-    return sets, (i, j, buckets_i, buckets_j)
-
-
-def count_hom(p: PresentationData, d: int, q: int) -> int:
-    """Number of generator tuples in GL_d(F_q) satisfying all relations."""
-    _check_supported(p, d, q)
-    sets, eq = _solution_buckets(p, d, q)
-    if eq is None:
-        return prod(len(s) for s in sets)
-    _, _, bi, bj = eq
-    return sum(len(bi[v]) * len(bj[v]) for v in bi if v in bj)
-
-
-def _class_points(p: PresentationData, d: int, q: int):
+def _classes(p: PresentationData, d: int, q: int):
     """Per conjugacy class of generator 0's power solutions: (class size,
-    the relation-satisfying tuples whose generator 0 is the class's first
-    member x0).  An equality relation takes generator 1 from the bucket
-    of x0^a.  At d = 1 every class is a single point."""
-    sets, eq = _solution_buckets(p, d, q)
-    if eq is not None and p.generators != 2:
-        raise ValueError("equality relations are handled for two generators only")
+    x0 = the class's first member, the candidate lists of the other
+    generators at x0).  Every tuple of x0 and one candidate per list
+    satisfies the relations.  An equality relation g_0^a = g_1^b takes
+    generator 1 from the bucket of x0^a among generator 1's solutions,
+    keyed by y^b; generator 0 has no bucket.  At d = 1 every class is a
+    single point."""
+    sets = [power_solutions(q, d, k) for k in p.power_orders]
+    bucket = None
+    if p.equality is not None:
+        i, a, j, b = p.equality
+        if (i, j, p.generators) != (0, 1, 2):
+            raise ValueError("equality relations are handled for two generators only")
+        bucket = {}
+        for y in sets[1]:
+            bucket.setdefault(_power_value(q, d, y, b), []).append(y)
     classes = {}
     for x, key in zip(sets[0], sets[0] if d == 1 else class_keys(field(q), sets[0])):
         classes.setdefault(key, []).append(x)
     for members in classes.values():
         x0 = members[0]
-        if eq is None:
-            rest = product(*sets[1:])
-        else:
-            rest = ((y,) for y in eq[3].get(_power_value(q, d, x0, p.equality[1]), ()))
-        yield len(members), ((x0,) + r for r in rest)
+        rest = sets[1:] if bucket is None else [bucket.get(_power_value(q, d, x0, a), ())]
+        yield len(members), x0, rest
+
+
+def count_hom(p: PresentationData, d: int, q: int) -> int:
+    """Number of generator tuples in GL_d(F_q) satisfying all relations:
+    over the conjugacy classes of generator 0, the class size times the
+    number of completions of its first member."""
+    _check_supported(p, d, q)
+    return sum(w * prod(map(len, rest)) for w, _, rest in _classes(p, d, q))
+
+
+def _class_points(p: PresentationData, d: int, q: int):
+    """Per conjugacy class of generator 0's power solutions: (class size,
+    the relation-satisfying tuples whose generator 0 is the class's first
+    member x0)."""
+    for w, x0, rest in _classes(p, d, q):
+        yield w, ((x0,) + r for r in product(*rest))
 
 
 def _absolutely_simple(q: int, mats) -> bool:

@@ -4,8 +4,10 @@ import re
 import pytest
 
 from vfreps import cli
-from vfreps.dimmonoid import enumerate_dimvectors, format_dimvector, scale
+from vfreps.dimmonoid import enumerate_dimvectors, format_dimvector, parse_dimvector, scale
+from vfreps.exactalg import Poly
 from vfreps.groupgraph import preset, save
+from vfreps.series import CountingTable
 
 
 def run(capsys, *argv):
@@ -147,29 +149,140 @@ def test_epoly_gl2z_euler(capsys):
 
 
 # ---------------------------------------------------------------------------
-# the JSON writer
+# the JSON writer and the count tables
 # ---------------------------------------------------------------------------
 
 JSON_GROUPS = ["psl2z", "sl2z", "gl2z", "pgl2z", "dinf", "gc(2)"]
+# besides the amalgam presets: a free group, a one-vertex twisted HNN loop
+# and a three-vertex graph with a loop between distinct vertices
+TABLE_GROUPS = JSON_GROUPS + ["free(2)", "hnn_loop", "three_vertex"]
+JSON_DEPTHS = {"sl2z": (4, 5)}  # sl2z D=5 is the benchmark's table
 ODD_LABEL = 'q"b\\é中'  # reaches the output through the file name
+BRACE_LABEL = "{0}{x}%s%%}{"  # str.format and % syntax in the file name
 
 
-def _json_requests(group):
-    for kind in ("all", "absim", "ss", "sim"):
-        for by in ("dimvector", "total"):
-            yield ("count", "--group", group, "--max-dim", "4", "--kind", kind, "--by", by)
+def _file_graph(name):
+    from vfreps.groupgraph import Edge, GraphOfGroups, RestrictionMap, cyclic_group, cyclic_restriction
+
+    c2, c4 = cyclic_group(2), cyclic_group(4)
+    if name == "hnn_loop":
+        iota = cyclic_restriction(4, 2)
+        return GraphOfGroups("c4_loop", [c4], [Edge(c2, 0, 0, iota, RestrictionMap(iota.matrix[::-1]), "hnn")])
+    return GraphOfGroups("c4_c2_c8", [c4, c2, cyclic_group(8)], [
+        Edge(c2, 0, 1, cyclic_restriction(4, 2), cyclic_restriction(2, 2), "amalgam"),
+        Edge(c4, 0, 2, cyclic_restriction(4, 4), cyclic_restriction(8, 4), "amalgam"),
+        Edge(c2, 1, 2, cyclic_restriction(2, 2),
+             RestrictionMap(cyclic_restriction(8, 2).matrix[::-1]), "hnn"),
+    ])
+
+
+@pytest.fixture
+def table_group(tmp_path, request):
+    """(--group argument, graph) of a TABLE_GROUPS name: presets by name,
+    hnn_loop and three_vertex through a group file named after the graph."""
+    name = request.param
+    if name not in ("hnn_loop", "three_vertex"):
+        return name, preset(name)
+    g = _file_graph(name)
+    path = tmp_path / f"{g.label}.json"
+    path.write_bytes(save(g))
+    return str(path), g
+
+
+def _count_requests(group, g):
+    for D in JSON_DEPTHS.get(group, (4,)):
+        for kind in ("all", "absim", "ss", "sim"):
+            for by in ("dimvector", "total"):
+                yield ("count", "--group", group, "--max-dim", str(D), "--kind", kind, "--by", by)
     # no entries at all
     yield ("count", "--group", group, "--max-dim", "0", "--kind", "all", "--by", "dimvector")
-    # twice a one-dimensional vector: every vertex group acts by scalars,
-    # so on these amalgams no module of it is simple, and the absim and sim
-    # tables hold an empty coefficient list for it
-    g = preset(group)
-    doubled = format_dimvector(scale(enumerate_dimvectors(g, 1)[0], 2))
-    yield ("count", "--group", group, "--max-dim", "2", "--kind", "all", "--by", "dimvector",
-           "--vector", doubled)
+    # twice a vector of the least total: on the amalgam presets every vertex
+    # group acts by scalars, so no module of it is simple, and the absim and
+    # sim tables hold an empty coefficient list for it
+    doubled = scale((enumerate_dimvectors(g, 1) or enumerate_dimvectors(g, 2))[0], 2)
+    yield ("count", "--group", group, "--max-dim", str(doubled.total), "--kind", "all",
+           "--by", "dimvector", "--vector", format_dimvector(doubled))
+
+
+def _other_requests(group):
     for d in range(4):
         yield ("monoid", "--group", group, "--dim", str(d))
     yield ("epoly", "--group", group, "--max-dim", "4")
+
+
+def _options(argv):
+    opts = dict(zip(argv[1::2], argv[2::2]))
+    return int(opts["--max-dim"]), opts["--kind"], opts["--by"], opts.get("--vector")
+
+
+def _reference_entries(g, D, kind, by, vector):
+    """(key, value) per entry in output order: the table's entries of
+    total >= 1 sorted by total and then by per-vertex entries."""
+    table = CountingTable(g, D)
+    if by == "total":
+        return [(d, p) for d, p in table.aggregate(kind).items() if d >= 1]
+    found = table.per_vector(kind)
+    if vector is not None:
+        m = parse_dimvector(g, vector)
+        return [(m, found.get(m, Poly(())))]
+    entries = [(m, p) for m, p in found.items() if m.total >= 1]
+    return sorted(entries, key=lambda kv: (kv[0].total, kv[0].per_vertex))
+
+
+def _reference_tables(g, argv):
+    D, kind, by, vector = _options(argv)
+    kinds = ["absim", "ss", "sim"] if kind == "all" else [kind]
+    return {k: _reference_entries(g, D, k, by, vector) for k in kinds}
+
+
+def _reference_json(g, label, argv):
+    """The count document with one dict per entry."""
+    D, kind, by, _ = _options(argv)
+
+    def coefficients(p):
+        return [int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+                for c in p.coefficients()]
+
+    def entry(k, p):
+        if by == "total":
+            return {"d": k, "coefficients": coefficients(p)}
+        return {"dimvector": [list(v) for v in k.per_vertex], "total_dim": k.total,
+                "coefficients": coefficients(p)}
+
+    tables = {k: [entry(*kv) for kv in entries] for k, entries in _reference_tables(g, argv).items()}
+    doc = {"group": label, "D": D, "kind": kind, "by": by}
+    if len(tables) == 1:
+        doc["entries"] = tables[kind]
+    else:
+        doc["tables"] = tables
+    return doc
+
+
+def _reference_text(g, argv, fmt):
+    """A text, csv or latex count table, one row per entry."""
+    _, _, by, _ = _options(argv)
+    tables = _reference_tables(g, argv)
+    sections = []
+    for kind, entries in tables.items():
+        if len(tables) > 1:
+            sections.append(f"[{kind}]")
+        rows = [
+            (format_dimvector(k) if by == "dimvector" else f"d={k}" if fmt == "text" else str(k),
+             p.latex() if fmt == "latex" else p.text())
+            for k, p in entries
+        ]
+        header = ["dimvector" if by == "dimvector" else "d", kind]
+        if fmt == "text":
+            lines = [f"{a}: {b}" for a, b in rows]
+        elif fmt == "csv":
+            quote = lambda c: f'"{c}"' if "," in c else c
+            lines = [",".join(header)] + [f"{quote(a)},{quote(b)}" for a, b in rows]
+        else:
+            lines = [r"\begin{tabular}{|c|c|}", r"\hline", " & ".join(header) + r" \\\hline"]
+            lines += [f"${a}$ & ${b}$ " + r"\\\hline" for a, b in rows]
+            lines.append(r"\end{tabular}")
+        sections.append("\n".join(lines))
+    return "\n".join(sections) + "\n"
 
 
 def _lines_of(text):
@@ -188,15 +301,32 @@ def _json_out(capsys, *argv):
     return doc
 
 
-@pytest.fixture
-def odd_psl2z(tmp_path):
-    path = tmp_path / f"{ODD_LABEL}.json"
+def _group_file(tmp_path, label):
+    path = tmp_path / f"{label}.json"
     path.write_bytes(save(preset("psl2z")))
     return str(path)
 
 
-@pytest.mark.parametrize("group", JSON_GROUPS)
-def test_json_writer_matches_json_dumps_on_every_document(capsys, monkeypatch, group):
+@pytest.fixture
+def odd_psl2z(tmp_path):
+    return _group_file(tmp_path, ODD_LABEL)
+
+
+@pytest.mark.parametrize("table_group", TABLE_GROUPS, indirect=True, ids=TABLE_GROUPS)
+def test_json_writer_matches_json_dumps_on_every_document(capsys, monkeypatch, table_group):
+    # count documents against json.dumps of a reference built with one dict
+    # per entry; monoid and epoly documents against json.dumps of the
+    # document handed to the writer
+    group, g = table_group
+    with_empty_list = 0
+    for argv in _count_requests(group, g):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        ref = _reference_json(g, g.label, argv)
+        assert _lines_of(out) == _lines_of(json.dumps(ref, indent=2) + "\n")
+        with_empty_list += "[]" in out
+    assert with_empty_list
+
     docs = []
     writer = cli.render_json
 
@@ -206,17 +336,24 @@ def test_json_writer_matches_json_dumps_on_every_document(capsys, monkeypatch, g
         return writer(obj, pad)
 
     monkeypatch.setattr(cli, "render_json", recording)
-    with_empty_list = 0
-    for argv in _json_requests(group):
+    for argv in _other_requests(group):
         docs.clear()
         code, out, _ = run(capsys, *argv, "--format", "json")
         assert code == 0 and len(docs) == 1
         assert _lines_of(out) == _lines_of(json.dumps(docs[0], indent=2) + "\n")
-        with_empty_list += "[]" in out
-    assert with_empty_list
 
 
-def test_json_stdout_is_canonical_for_an_odd_group_file_name(capsys, odd_psl2z):
+@pytest.mark.parametrize("fmt", ["text", "csv", "latex"])
+@pytest.mark.parametrize("table_group", TABLE_GROUPS, indirect=True, ids=TABLE_GROUPS)
+def test_count_tables_match_a_per_entry_reference(capsys, table_group, fmt):
+    group, g = table_group
+    for argv in _count_requests(group, g):
+        code, out, _ = run(capsys, *argv, "--format", fmt)
+        assert code == 0
+        assert _lines_of(out) == _lines_of(_reference_text(g, argv, fmt))
+
+
+def test_json_stdout_is_canonical_for_an_odd_group_file_name(capsys, odd_psl2z, tmp_path):
     vector = "((2,0),(2,0,0))"  # absent from absim and sim
     doc = _json_out(
         capsys, "count", "--group", odd_psl2z, "--max-dim", "2", "--kind", "all",
@@ -229,6 +366,15 @@ def test_json_stdout_is_canonical_for_an_odd_group_file_name(capsys, odd_psl2z):
     code, out, _ = run(capsys, "monoid", "--group", odd_psl2z, "--dim", "1", "--format", "json")
     assert out.isascii() and '"group": "q\\"b\\\\\\u00e9\\u4e2d"' in out
     assert _json_out(capsys, "epoly", "--group", odd_psl2z, "--max-dim", "2")["group"] == ODD_LABEL
+    # the label is data: it never reaches a str.format template
+    braces = _group_file(tmp_path, BRACE_LABEL)
+    g = preset("psl2z")
+    for kind in ("all", "ss"):
+        for by in ("dimvector", "total"):
+            argv = ("count", "--group", braces, "--max-dim", "3", "--kind", kind, "--by", by)
+            assert _json_out(capsys, *argv) == _reference_json(g, BRACE_LABEL, argv)
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and out == _reference_text(g, argv, "text")
 
 
 def test_json_coefficients_are_ints_or_fraction_strings(capsys, odd_psl2z):
@@ -327,6 +473,31 @@ def test_invalid_file_exits_1(tmp_path, capsys):
 def test_usage_error_exits_1(capsys):
     code, _, err = run(capsys, "count", "--group", "psl2z")  # missing --max-dim
     assert code == 1
+
+
+def test_main_calls_share_one_parser(capsys, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(build()) or built[-1])
+    cli._parser.cache_clear()
+    try:
+        args = ("count", "--group", "psl2z", "--max-dim", "1", "--by", "total")
+        assert run(capsys, *args)[0] == 0
+        assert run(capsys, "monoid", "--group", "psl2z", "--dim", "1")[0] == 0
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+
+
+def test_usage_error_after_a_good_call_exits_1(capsys):
+    args = ("count", "--group", "psl2z", "--max-dim", "2", "--kind", "ss", "--by", "total")
+    good = run(capsys, *args)
+    assert good[0] == 0
+    code, out, err = run(capsys, "count", "--group", "psl2z", "--kind", "ss")  # missing --max-dim
+    assert (code, out) == (1, "") and "--max-dim" in err
+    code, out, err = run(capsys, "count", "--group", "psl2z", "--max-dim", "2", "--by", "nope")
+    assert (code, out) == (1, "") and "--by" in err
+    assert run(capsys, *args) == good
 
 
 def test_pipeline_integrity_error_exits_2(capsys, monkeypatch):

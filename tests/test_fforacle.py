@@ -235,11 +235,13 @@ WEIGHTING_POINTS = [
 
 @pytest.mark.parametrize("name,q", WEIGHTING_POINTS)
 def test_class_weighting_matches_the_unweighted_loop(name, q):
-    # count_absim_orbits and dimvector_census weight one representative
-    # per conjugacy class of generator 0; the reference tries every tuple
+    # count_hom, count_absim_orbits and dimvector_census weight one
+    # representative per conjugacy class of generator 0; the reference
+    # tries every tuple
     p = presentation(name)
     for d in (1, 2):
         points = _all_points(p, d, q)
+        assert count_hom(p, d, q) == len(points)
         census = Counter(dimvector_of_point(p, mats, q) for mats in points)
         assert dimvector_census(p, d, q) == census
     assert count_absim_orbits(p, 2, q) == _unweighted_absim(q, points)
