@@ -45,7 +45,6 @@ from .series import (
     compute_absim,
     compute_sim,
     compute_ss,
-    epoly_and_euler,
     invert,
     mul,
     plethystic,

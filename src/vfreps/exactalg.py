@@ -21,6 +21,12 @@ general-linear counts and their Adams substitutes, so its residual is 1;
 products and sums are then exponent arithmetic plus exact division of the
 numerator by the Phi_n present.  Only a residual other than 1, which comes
 from outside data, brings in the primitive-PRS gcd.
+
+Every sum goes through one n-ary sum, rf_sum, over (value, int
+multiplicity) pairs: numerators that share a denominator are added, the
+groups are brought over one common denominator, their numerators are
+added once, and the result is cancelled once.  a + b is rf_sum of two
+terms.
 """
 
 from __future__ import annotations
@@ -559,11 +565,12 @@ class RatFunc:
     the sorted exponent tuple ((n, e), ...) with e > 0 and n = 0 standing
     for s; `residual` is a monic Poly coprime to s and to every Phi_n, and
     `den` expands the product on demand.  Every pipeline value has residual
-    1: products add exponents, sums take their maximum, Adams substitution
-    maps Phi_n(s^beta) to cyclotomic factors, and cancellation is exact
-    division of the numerator by the Phi_n present.  Only RatFunc(num, den)
-    factors a polynomial, and only a residual other than 1 (a denominator
-    from outside data, such as s - 2) brings in the primitive-PRS gcd.
+    1: products add exponents, sums (rf_sum, also behind +) take their
+    maximum, Adams substitution maps Phi_n(s^beta) to cyclotomic factors,
+    and cancellation is exact division of the numerator by the Phi_n
+    present.  Only RatFunc(num, den) factors a polynomial, and only a
+    residual other than 1 (a denominator from outside data, such as s - 2)
+    brings in the primitive-PRS gcd.
 
     The canonical zero is 0/1.  Values are immutable and hashable, so they
     can be interned and memoized by the series layer.
@@ -598,18 +605,6 @@ class RatFunc:
         return object.__new__(cls)._set(num, factors, residual)
 
     @classmethod
-    def _reduced(cls, num: Poly, exps: dict, residual: Poly = POLY_ONE, trial=None) -> "RatFunc":
-        """num / (s^a * prod Phi_n^e * residual) over exps = {n: e}, put in
-        canonical form on the premise that num can share with it only the
-        residual and the factors whose n is in trial (all when None)."""
-        if num.is_zero():
-            return RF_ZERO
-        num = _cancel(num, exps, list(exps) if trial is None else trial)
-        if not residual.is_one():
-            num, residual = _cancel_gcd(num, residual)
-        return cls._make(num, tuple(sorted(exps.items())), residual)
-
-    @classmethod
     def from_poly(cls, p: Poly) -> "RatFunc":
         return cls._make(p, ())
 
@@ -632,30 +627,7 @@ class RatFunc:
         return self.num.is_one() and not self.factors and self.residual.is_one()
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
-        if self.num.is_zero():
-            return other
-        if other.num.is_zero():
-            return self
-        r1, r2 = self.residual, other.residual
-        if self.factors == other.factors and r1 == r2:
-            return RatFunc._reduced(self.num + other.num, dict(self.factors), r1)
-        e1, e2 = dict(self.factors), dict(other.factors)
-        exps = dict(e1)
-        for n, e in e2.items():
-            if e > exps.get(n, 0):
-                exps[n] = e
-        n1 = _times(self.num, {n: e - e1.get(n, 0) for n, e in exps.items()})
-        n2 = _times(other.num, {n: e - e2.get(n, 0) for n, e in exps.items()})
-        residual = r1
-        if r1 != r2:
-            g = r1.gcd(r2)
-            c1, c2 = r2.exact_div(g), r1.exact_div(g)
-            n1, n2, residual = n1 * c1, n2 * c2, r1 * c1
-        # a factor with a higher exponent in one operand divides that
-        # operand's share of the sum and not the other's, so only factors
-        # with equal exponents can cancel
-        trial = [n for n, e in exps.items() if e1.get(n) == e2.get(n)]
-        return RatFunc._reduced(n1 + n2, exps, residual, trial)
+        return rf_sum(((self, 1), (other, 1)))
 
     def __neg__(self) -> "RatFunc":
         return RatFunc._make(-self.num, self.factors, self.residual)
@@ -754,6 +726,42 @@ class RatFunc:
 
 RF_ZERO = RatFunc._make(POLY_ZERO, ())
 RF_ONE = RatFunc._make(POLY_ONE, ())
+
+
+def rf_sum(terms) -> RatFunc:
+    """The canonical sum of value * k over (RatFunc, int k) pairs.
+
+    The numerators that share a denominator are added first.  Each group
+    is then brought over the common denominator (the exponent-wise maximum
+    of the s and Phi_n exponents, times the lcm of the residuals), the
+    numerators are added once, and the sum is cancelled once against every
+    factor, with the gcd run on the residual only when it is not 1.
+    """
+    groups = {}
+    for v, k in terms:
+        if k and v.num.ints:
+            num = v.num if k == 1 else Poly([x * k for x in v.num.ints], v.num.den)
+            key = (v.factors, v.residual)
+            prev = groups.get(key)
+            groups[key] = num if prev is None else prev + num
+    exps, residual = {}, POLY_ONE
+    for factors, r in groups:
+        for n, e in factors:
+            if e > exps.get(n, 0):
+                exps[n] = e
+        if r != residual:
+            residual = residual * r.exact_div(residual.gcd(r))
+    total = POLY_ZERO
+    for (factors, r), num in groups.items():
+        own = dict(factors)
+        num = _times(num, {n: e - own.get(n, 0) for n, e in exps.items()})
+        total = total + (num if r == residual else num * residual.exact_div(r))
+    if total.is_zero():
+        return RF_ZERO
+    total = _cancel(total, exps, list(exps))
+    if not residual.is_one():
+        total, residual = _cancel_gcd(total, residual)
+    return RatFunc._make(total, tuple(sorted(exps.items())), residual)
 
 
 # ---------------------------------------------------------------------------

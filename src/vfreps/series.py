@@ -61,7 +61,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from . import dimmonoid
 from .dimmonoid import DimVector, enumerate_dimvectors, shift_exponent, zero_vector
@@ -73,6 +72,7 @@ from .exactalg import (
     RF_ZERO,
     gl_product,
     mobius,
+    rf_sum,
 )
 from .groupgraph import GraphOfGroups
 
@@ -148,9 +148,11 @@ class _Values:
     Every coefficient flowing through the pipeline is named by an int
     handle, its index in `value`; products, scalings, Adams substitutions
     and whole reduction sums take and return handles and are memoized on
-    them.  Symmetric dimension vectors share values, so each distinct
-    polynomial operation happens once no matter how many keys need it.
-    Handle 0 is zero and handle 1 is one.
+    them.  A reduction sum is one exactalg.rf_sum over the counter's
+    (value, multiplicity) pairs, so its terms are neither scaled nor
+    interned one by one.  Symmetric dimension vectors share values, so
+    each distinct polynomial operation happens once no matter how many
+    keys need it.  Handle 0 is zero and handle 1 is one.
     """
 
     def __init__(self):
@@ -196,23 +198,12 @@ class _Values:
         return r
 
     def reduce(self, counter: dict) -> int:
-        """Sum of value*multiplicity over a {handle: multiplicity} dict."""
+        """Sum of value*multiplicity over a {handle: int multiplicity} dict,
+        one rf_sum per distinct counter."""
         key = tuple(sorted(counter.items()))
         r = self.sum_memo.get(key)
-        if r is not None:
-            return r
-        by_den = {}
-        for h, mult in key:
-            v = self.value[self.scale(h, mult)]
-            if v.is_zero():
-                continue
-            den = (v.factors, v.residual)
-            prev = by_den.get(den)
-            by_den[den] = v.num if prev is None else prev + v.num
-        acc = RF_ZERO
-        for (factors, residual), num in by_den.items():
-            acc = acc + RatFunc._reduced(num, dict(factors), residual)
-        r = self.sum_memo[key] = self.intern(acc)
+        if r is None:
+            r = self.sum_memo[key] = self.intern(rf_sum((self.value[h], k) for h, k in key))
         return r
 
 
@@ -646,6 +637,10 @@ def compute_sim(g: GraphOfGroups, trunc: int):
     Both are computed at orbit representatives and copied to the other
     keys; m/c is the vector with code m.code // c.
     """
+    cache_key = ("sim", trunc)
+    cached = g._pipeline_cache.get(cache_key)
+    if cached is not None:
+        return cached
     absim = compute_absim(g, trunc)
     G = _symmetry_for(g, trunc, None)
     vectors = _vectors(g, trunc)
@@ -659,7 +654,9 @@ def compute_sim(g: GraphOfGroups, trunc: int):
                     per_pair[(m, c)] = val
                 if not total.is_zero():
                     per_vector[m] = total
-    return per_pair, per_vector
+    out = (per_pair, per_vector)
+    g._pipeline_cache[cache_key] = out
+    return out
 
 
 def _sim_at(absim: dict, vectors: dict, m: DimVector) -> tuple:
@@ -689,10 +686,10 @@ def _sim_at(absim: dict, vectors: dict, m: DimVector) -> tuple:
 class CountingTable:
     """All counting polynomials of one group up to a truncation.
 
-    Each kind is computed on first use, so a request for one kind pays for
-    no other: absim and ss map DimVector -> Poly with zero entries absent
-    (ss includes the zero vector); sim_pairs and sim are as returned by
-    compute_sim.
+    Each kind is computed on first use and cached on the graph, so a
+    request for one kind pays for no other: absim, ss and sim map
+    DimVector -> Poly with zero entries absent (ss includes the zero
+    vector; sim is the per-vector half of compute_sim).
     """
 
     graph: GraphOfGroups
@@ -706,17 +703,9 @@ class CountingTable:
     def ss(self) -> dict:
         return compute_ss(self.graph, self.trunc)
 
-    @cached_property
-    def _sim(self) -> tuple:
-        return compute_sim(self.graph, self.trunc)
-
-    @property
-    def sim_pairs(self) -> dict:
-        return self._sim[0]
-
     @property
     def sim(self) -> dict:
-        return self._sim[1]
+        return compute_sim(self.graph, self.trunc)[1]
 
     def per_vector(self, kind: str) -> dict:
         if kind not in ("absim", "ss", "sim"):
@@ -744,16 +733,3 @@ def epoly_text(p: Poly) -> str:
 
 def epoly_latex(p: Poly) -> str:
     return p.latex("xy")
-
-
-def epoly_and_euler(table: CountingTable, kind: str = "ss", by: str = "total"):
-    """E-polynomial text (substitution s -> xy) and Euler characteristic
-    (evaluation at 1) for every table entry."""
-    if by == "total":
-        entries = table.aggregate(kind)
-    else:
-        entries = table.per_vector(kind)
-    out = {}
-    for key, p in entries.items():
-        out[key] = (epoly_text(p), int(p.eval(1)))
-    return out

@@ -22,6 +22,7 @@ from vfreps.exactalg import (
     gl_product,
     is_prime_power,
     mobius,
+    rf_sum,
 )
 
 
@@ -409,12 +410,21 @@ def _check_canonical(r, expected, extra):
     st.integers(1, 4),
     st.integers(1, 12),
     st.sampled_from([-3, 2, 5]),
+    ratfunc_parts(),
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)),
 )
-def test_ratfunc_arithmetic_matches_evaluation(pa, pb, c, beta, n, k):
+def test_ratfunc_arithmetic_matches_evaluation(pa, pb, c, beta, n, k, pw, mults):
     a, va = _build(pa)
     b, vb = _build(pb)
+    w, vw = _build(pw)
     extra = _factor(n) * (S - Poly.const(k))
     _check_canonical(a + b, {x: va[x] + vb[x] for x in POINTS}, extra)
+    ka, kb, kw = mults
+    _check_canonical(
+        rf_sum([(a, ka), (b, kb), (w, kw)]),
+        {x: ka * va[x] + kb * vb[x] + kw * vw[x] for x in POINTS},
+        extra,
+    )
     _check_canonical(a - b, {x: va[x] - vb[x] for x in POINTS}, extra)
     _check_canonical(a * b, {x: va[x] * vb[x] for x in POINTS}, extra)
     _check_canonical(a.scale(c), {x: va[x] * c for x in POINTS}, extra)
@@ -430,3 +440,31 @@ def test_ratfunc_arithmetic_matches_evaluation(pa, pb, c, beta, n, k):
     if not b.is_zero():
         assert (a * b) / b == a
     assert a + b == b + a and hash(a * b) == hash(b * a)
+
+
+def test_rf_sum_pinned_cases():
+    s_minus = {k: S - Poly.const(k) for k in (1, 2, 3)}
+    # numerators that share the denominator s - 1 cancel it only once they
+    # are added, before the other group joins
+    grouped = [(RatFunc(S, s_minus[1]), 1), (RatFunc(Poly((-1,)), s_minus[1]), 1)]
+    assert rf_sum(grouped) == RatFunc(POLY_ONE)
+    with_s = rf_sum(grouped + [(RatFunc(POLY_ONE, S), 2)])
+    assert with_s == RatFunc(S + Poly.const(2), S) and with_s.factors == ((0, 1),)
+    # residuals s - 2 and s - 3: their lcm, and a gcd that cancels one of them
+    mixed = rf_sum([(RatFunc(POLY_ONE, s_minus[2]), 1), (RatFunc(POLY_ONE, s_minus[3]), 1)])
+    assert mixed.num == S.scale(2) - Poly.const(5)
+    assert mixed.residual == s_minus[2] * s_minus[3] and mixed.factors == ()
+    assert rf_sum([(mixed, 1), (RatFunc(POLY_ONE, s_minus[3]), -1)]) == RatFunc(POLY_ONE, s_minus[2])
+    # residuals beside cyclotomic factors
+    both = rf_sum([(RatFunc(POLY_ONE, S * s_minus[2]), 3), (RatFunc(S, s_minus[1] ** 2 * s_minus[3]), -1)])
+    for x in POINTS:
+        assert both.eval(x) == 3 / (x * (x - 2)) - x / ((x - 1) ** 2 * (x - 3))
+    assert both.factors == ((0, 1), (1, 2)) and both.residual == s_minus[2] * s_minus[3]
+    # terms that cancel to exactly zero give the canonical zero
+    a = RatFunc(S + POLY_ONE, S * s_minus[1] * s_minus[2])
+    b = RatFunc(POLY_ONE, s_minus[1] ** 3)
+    across = [(RatFunc(POLY_ONE, S * s_minus[1]), 1), (RatFunc(POLY_ONE, s_minus[1]), -1), (RatFunc(POLY_ONE, S), 1)]
+    for terms in ([(a, 2), (b, 1), (a, -2), (b, -1)], across, [(a, 0), (b, 0)], []):
+        zero = rf_sum(terms)
+        assert zero.is_zero() and zero.factors == () and zero.residual.is_one()
+    assert a - a == rf_sum([]) and hash(a - a) == hash(RatFunc(Poly(())))
