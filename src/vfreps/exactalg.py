@@ -71,6 +71,14 @@ def _add_lists(a, b):
     return _trim(out)
 
 
+def _horner(ints, x):
+    """Value of the coefficient list ints (low degree first) at x."""
+    acc = 0
+    for c in reversed(ints):
+        acc = acc * x + c
+    return acc
+
+
 def _mul_lists(a, b):
     if not a or not b:
         return []
@@ -293,11 +301,8 @@ class Poly:
         return Poly(out, self.den)
 
     def eval(self, x) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.ints):
-            acc = acc * x + c
-        return acc / self.den
+        """Value at x; at an int x, Horner runs on ints and divides by den once."""
+        return Fraction(_horner(self.ints, x if isinstance(x, int) else Fraction(x)), self.den)
 
     def monic(self) -> "Poly":
         if not self.ints:
@@ -693,10 +698,15 @@ class RatFunc:
         )
 
     def eval(self, x) -> Fraction:
-        d = self.den.eval(x)
+        """Value at x, with the denominator evaluated factor by factor:
+        x^a * prod Phi_n(x)^e * residual(x), never expanded."""
+        y = x if isinstance(x, int) else Fraction(x)
+        d = math.prod((_horner(_cyclotomic(n), y) if n else y) ** e for n, e in self.factors)
+        if not self.residual.is_one():
+            d *= self.residual.eval(y)
         if d == 0:
             raise PoleError(f"pole at {x}")
-        return self.num.eval(x) / d
+        return self.num.eval(y) / d
 
     def as_integer_poly(self) -> Optional[Poly]:
         """The underlying polynomial when the value lies in Z[s], else None."""

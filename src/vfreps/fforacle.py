@@ -12,6 +12,11 @@ over one representative per conjugacy class (`class_keys`: the scalar, or
 else trace and det), weighted by the class size counted in the enumerated
 set, never by a centralizer or pipeline formula.
 
+Nothing sweeps M_2(F_q): X^k = 1 is tested once per class, whose members
+are generated from (trace, det); powers are alpha*X + beta*I (`ch_power`,
+Cayley-Hamilton), invariant lines are eigenlines, and absolute simplicity
+is a commutation test (`commutant_dimension` is the tests' reference).
+
 Supported: d <= 2, q <= 13 with q = 4, 9 realized through fixed
 irreducible polynomials.  Character indexing over F_q fixes the canonical
 primitive element g0 (the smallest generator of the multiplicative
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product, tee
+from itertools import product
 from math import prod
 
 from .dimmonoid import dimvector
@@ -156,46 +161,77 @@ def class_keys(F, mats):
         yield ("s", a) if b == c == 0 and a == d else (P[a][d], P[M[a][d]][n[M[b][c]]])
 
 
+def _char_roots(F, A):
+    """Roots t of the characteristic polynomial t^2 - tr*t + det of A."""
+    tr, det = F.add[A[0]][A[3]], mat_det(F, A)
+    return [t for t in range(F.q) if not F.add[F.mul[t][F.add[t][F.neg[tr]]]][det]]
+
+
+def ch_power(F, tr, det, k):
+    """(alpha, beta) with X^k = alpha*X + beta*I for every 2x2 matrix X of
+    trace tr and determinant det, by the Cayley-Hamilton recurrence
+    X^(n+1) = (alpha*tr + beta)*X - alpha*det*I from X^2 = tr*X - det*I."""
+    M, P, n = F.mul, F.add, F.neg
+    alpha, beta = 0, 1
+    for _ in range(k):
+        alpha, beta = P[M[alpha][tr]][beta], n[M[alpha][det]]
+    return alpha, beta
+
+
+def _class_members(F, tr, det):
+    """The non-scalar matrices (a, b, c, tr - a) of trace tr and determinant
+    det: for each a, bc = a(tr - a) - det fixes c by b when bc != 0; when
+    bc = 0, one of b, c is 0 and the other is free (not both, if a = d)."""
+    M, P, n, inv = F.mul, F.add, F.neg, F.inv
+    out = []
+    for a in range(F.q):
+        d = P[tr][n[a]]
+        bc = P[M[a][d]][n[det]]
+        if bc:
+            out += [(a, b, M[bc][inv[b]], d) for b in range(1, F.q)]
+        else:
+            out += [(a, 0, c, d) for c in range(a == d, F.q)]
+            out += [(a, b, 0, d) for b in range(1, F.q)]
+    return out
+
+
 @lru_cache(maxsize=None)
 def power_solutions(q: int, d: int, k):
     """All X in GL_d(F_q) with X^k = 1 (all of GL_d when k is None), in
-    sweep order; at d = 2, X^k = 1 is tested once per conjugacy class."""
+    sweep order.  At d = 2, X^k = 1 is tested once per conjugacy class,
+    and the members of each class that passes are generated from its
+    (trace, det), not found by a sweep of M_2(F_q)."""
     F = field(q)
+    scalars = tuple(x for x in range(1, q) if k is None or _field_pow(F, x, k) == 1)
     if d == 1:
-        return tuple(x for x in range(1, q) if k is None or _power_value(q, 1, x, k) == 1)
+        return scalars
     if d == 2:
-        mats, keyed = tee(product(range(q), repeat=4))
-        solves, out = {}, []
-        for A, key in zip(mats, class_keys(F, keyed)):
-            ok = solves.get(key)
-            if ok is None:
-                # key[1] is det, or a for a*I: zero exactly when A is singular
-                ok = solves[key] = key[1] != 0 and (k is None or mat_pow(F, A, k) == (1, 0, 0, 1))
-            if ok:
-                out.append(A)
-        return tuple(out)
+        out = [(a, 0, 0, a) for a in scalars]
+        for tr, det in product(range(q), range(1, q)):
+            # a non-scalar X is cyclic, so X^k = I exactly when alpha = 0, beta = 1
+            if k is None or ch_power(F, tr, det, k) == (0, 1):
+                out += _class_members(F, tr, det)
+        return tuple(sorted(out))
     raise ValueError("oracle supports d <= 2 only")
 
 
 @lru_cache(maxsize=None)
 def invariant_lines(q: int, A):
-    """Indices of the projective lines of F_q^2 mapped to themselves by A."""
+    """Indices of the projective lines of F_q^2 mapped to themselves by A
+    (index x for the line through (1, x), q for the line through (0, 1)):
+    every line for a scalar A, else the kernel line of A - t*I for each
+    root t of the characteristic polynomial."""
     F = field(q)
-    lines = _lines(q)
+    M, P, n = F.mul, F.add, F.neg
+    a, b, c, d = A
+    if b == c == 0 and a == d:
+        return frozenset(range(q + 1))
     out = []
-    for idx, (v0, v1) in enumerate(lines):
-        a, b, c, d = A
-        w0 = F.add[F.mul[a][v0]][F.mul[b][v1]]
-        w1 = F.add[F.mul[c][v0]][F.mul[d][v1]]
-        # w colinear with v: w0*v1 == w1*v0
-        if F.mul[w0][v1] == F.mul[w1][v0]:
-            out.append(idx)
+    for t in _char_roots(F, A):
+        # A - tI has rank 1; its kernel is spanned by (b, t - a) or (t - d, c)
+        v0, v1 = (b, P[t][n[a]]) if b or a != t else (P[t][n[d]], c)
+        out.append(M[v1][F.inv[v0]] if v0 else q)
     return frozenset(out)
-
-
-@lru_cache(maxsize=None)
-def _lines(q: int):
-    return tuple([(1, x) for x in range(q)] + [(0, 1)])
 
 
 def commutant_dimension(q: int, mats) -> int:
@@ -292,13 +328,29 @@ def _check_supported(p: PresentationData, d: int, q: int):
     return g
 
 
-def _power_value(q, d, x, k):
-    if d == 2:
-        return mat_pow(field(q), x, k)
+def _field_pow(F, x, k):
     y = 1
     for _ in range(k):
-        y = field(q).mul[y][x]
+        y = F.mul[y][x]
     return y
+
+
+def _powers(F, d, xs, k):
+    """x^k for each x of xs.  At d = 2 it is alpha*x + beta*I, with
+    (alpha, beta) = ch_power computed once per (trace, det)."""
+    if d == 1:
+        return [_field_pow(F, x, k) for x in xs]
+    M, P = F.mul, F.add
+    coeffs, out = {}, []
+    for x in xs:
+        a, b, c, e = x
+        key = (P[a][e], mat_det(F, x))
+        ab = coeffs.get(key)
+        if ab is None:
+            ab = coeffs[key] = ch_power(F, *key, k)
+        m, beta = M[ab[0]], ab[1]
+        out.append((P[m[a]][beta], m[b], m[c], P[m[e]][beta]))
+    return out
 
 
 def _classes(p: PresentationData, d: int, q: int):
@@ -309,6 +361,7 @@ def _classes(p: PresentationData, d: int, q: int):
     generator 1 from the bucket of x0^a among generator 1's solutions,
     keyed by y^b; generator 0 has no bucket.  At d = 1 every class is a
     single point."""
+    F = field(q)
     sets = [power_solutions(q, d, k) for k in p.power_orders]
     bucket = None
     if p.equality is not None:
@@ -316,14 +369,15 @@ def _classes(p: PresentationData, d: int, q: int):
         if (i, j, p.generators) != (0, 1, 2):
             raise ValueError("equality relations are handled for two generators only")
         bucket = {}
-        for y in sets[1]:
-            bucket.setdefault(_power_value(q, d, y, b), []).append(y)
+        for y, yb in zip(sets[1], _powers(F, d, sets[1], b)):
+            bucket.setdefault(yb, []).append(y)
     classes = {}
-    for x, key in zip(sets[0], sets[0] if d == 1 else class_keys(field(q), sets[0])):
+    for x, key in zip(sets[0], sets[0] if d == 1 else class_keys(F, sets[0])):
         classes.setdefault(key, []).append(x)
-    for members in classes.values():
-        x0 = members[0]
-        rest = sets[1:] if bucket is None else [bucket.get(_power_value(q, d, x0, a), ())]
+    x0s = [members[0] for members in classes.values()]
+    x0a = x0s if bucket is None else _powers(F, d, x0s, a)
+    for members, x0, xa in zip(classes.values(), x0s, x0a):
+        rest = sets[1:] if bucket is None else [bucket.get(xa, ())]
         yield len(members), x0, rest
 
 
@@ -344,13 +398,20 @@ def _class_points(p: PresentationData, d: int, q: int):
 
 
 def _absolutely_simple(q: int, mats) -> bool:
-    """No common invariant line and a one-dimensional commutant."""
+    """No common invariant line, and two generators that do not commute.
+    Without a common line the commutant is a finite division algebra, so a
+    field K (Wedderburn).  Commuting generators span a field F_{q^2} inside
+    K; if K = F_{q^2}, every generator lies in End_K(F_q^2) = K, so all
+    commute.  Hence K = F_q exactly when two generators do not commute."""
     common = invariant_lines(q, mats[0])
     for A in mats[1:]:
         if not common:
             break
         common = common & invariant_lines(q, A)
-    return not common and commutant_dimension(q, mats) == 1
+    if common:
+        return False
+    F = field(q)
+    return any(mat_mul(F, A, B) != mat_mul(F, B, A) for i, A in enumerate(mats) for B in mats[i + 1:])
 
 
 def count_absim_orbits(p: PresentationData, d: int, q: int) -> int:
@@ -418,15 +479,7 @@ def _eigenvalues(F, x):
     a, b, c, d = x
     if b == 0 and c == 0 and a == d:
         return [(a, 2)]
-    # roots of t^2 - (a+d) t + det
-    tr = F.add[a][d]
-    det = mat_det(F, x)
-    roots = []
-    for t in range(F.q):
-        t2 = F.mul[t][t]
-        val = F.add[F.add[t2][F.neg[F.mul[tr][t]]]][det]
-        if val == 0:
-            roots.append(t)
+    roots = _char_roots(F, x)
     if len(roots) != 2:
         raise ArithmeticError("characteristic polynomial does not split simply")
     return [(roots[0], 1), (roots[1], 1)]
@@ -443,8 +496,3 @@ def dimvector_census(p: PresentationData, d: int, q: int):
             m = dimvector_of_point(p, mats, q)
             out[m] = out.get(m, 0) + weight
     return out
-
-
-def count_gl1_orbits(p: PresentationData, q: int) -> int:
-    """d = 1: conjugation is trivial, orbits are points."""
-    return count_hom(p, 1, q)

@@ -442,6 +442,55 @@ def test_ratfunc_arithmetic_matches_evaluation(pa, pb, c, beta, n, k, pw, mults)
     assert a + b == b + a and hash(a * b) == hash(b * a)
 
 
+def _fraction_horner(coeffs, x):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+# integers through every drawn pole (0, +-1, roots of unity, the linear
+# roots +-2..+-5) and two non-integers
+EVAL_POINTS = tuple(range(-6, 7)) + (Fraction(1, 3), Fraction(-7, 2))
+
+
+def _check_eval(r):
+    """r.eval, r.num.eval and r.den.eval against Horner on the Fraction
+    coefficients of the expanded numerator and denominator; a zero
+    denominator must raise PoleError.  Returns the number of poles met."""
+    num, den = r.num.coefficients(), r.den.coefficients()
+    poles = 0
+    for x in EVAL_POINTS:
+        n, d = _fraction_horner(num, Fraction(x)), _fraction_horner(den, Fraction(x))
+        assert r.num.eval(x) == n and r.den.eval(x) == d
+        if d == 0:
+            poles += 1
+            with pytest.raises(PoleError):
+                r.eval(x)
+        else:
+            value = r.eval(x)
+            assert type(value) is Fraction and value == n / d
+    return poles
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(ratfunc_parts())
+def test_eval_matches_a_fraction_horner(parts):
+    # eval runs on ints at an int point and reads the denominator factor by
+    # factor; test_ratfunc_arithmetic_matches_evaluation takes eval as its
+    # reference, so eval itself is pinned here against plain Fraction Horner
+    _check_eval(_build(parts)[0])
+
+
+def test_eval_pinned_poles():
+    den = S * (S - POLY_ONE) * Poly(_cyclotomic(3)) * (S - Poly.const(2))
+    r = RatFunc(S + Poly.const(7), den.scale(3))
+    assert r.factors == ((0, 1), (1, 1), (3, 1)) and not r.residual.is_one()
+    assert _check_eval(r) == 3  # at 0, 1 and 2
+    assert r.eval(-1) == Fraction(6, -1 * -2 * 1 * -3) / 3
+    assert Poly((3, 0, 1), 2).eval(5) == 14 and Poly(()).eval(4) == 0
+
+
 def test_rf_sum_pinned_cases():
     s_minus = {k: S - Poly.const(k) for k in (1, 2, 3)}
     # numerators that share the denominator s - 1 cancel it only once they

@@ -9,9 +9,9 @@ from vfreps.groupgraph import is_suitable_prime_power, preset
 from vfreps.series import compute_absim, compute_ss, rep_space_count
 from vfreps.fforacle import (
     SmallField,
+    ch_power,
     commutant_dimension,
     count_absim_orbits,
-    count_gl1_orbits,
     count_hom,
     dimvector_census,
     dimvector_of_point,
@@ -120,6 +120,37 @@ def test_invariant_lines():
     # t^2 - 4: eigenvalues 2 and 3; t^2 - 3 is irreducible mod 5
     assert len(invariant_lines(q, (0, 1, 4, 0))) == 2
     assert len(invariant_lines(q, (0, 1, 3, 0))) == 0
+
+
+def _gl2(q):
+    F = field(q)
+    return [A for A in product(range(q), repeat=4) if mat_det(F, A)]
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 9])
+def test_cayley_hamilton_power_matches_mat_pow(q):
+    F = field(q)
+    for A in _gl2(q):
+        a, b, c, d = A
+        for k in (1, 2, 3, 4, 6, 12):
+            alpha, beta = ch_power(F, F.add[a][d], mat_det(F, A), k)
+            m = F.mul[alpha]
+            assert (F.add[m[a]][beta], m[b], m[c], F.add[m[d]][beta]) == mat_pow(F, A, k)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 9])
+def test_invariant_lines_match_the_line_scan(q):
+    # invariant_lines takes one kernel line per eigenvalue; the reference
+    # tries every line (1, x), x in F_q (index x), and (0, 1) (index q)
+    F = field(q)
+    lines = [(1, x) for x in range(q)] + [(0, 1)]
+    for A in _gl2(q):
+        a, b, c, d = A
+        scan = frozenset(
+            i for i, (v0, v1) in enumerate(lines)
+            if F.mul[F.add[F.mul[a][v0]][F.mul[b][v1]]][v1] == F.mul[F.add[F.mul[c][v0]][F.mul[d][v1]]][v0]
+        )
+        assert invariant_lines(q, A) == scan
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +278,35 @@ def test_class_weighting_matches_the_unweighted_loop(name, q):
     assert count_absim_orbits(p, 2, q) == _unweighted_absim(q, points)
 
 
+@pytest.mark.parametrize(
+    "name,q",
+    [
+        ("dinf", 5), ("psl2z", 7), ("gc(2)", 5), ("gc(3)", 7), ("free(1)", 3),
+        ("free(2)", 3), ("free(3)", 2), ("cyclic_free_product(3,3)", 4),
+    ],
+)
+def test_commutation_criterion_matches_the_commutant(name, q):
+    # _absolutely_simple accepts a tuple without a common invariant line
+    # when some pair of generators does not commute; the reference is the
+    # dimension of the commutant, by rank over F_q
+    F = field(q)
+    seen = Counter()
+    for mats in _all_points(presentation(name), 2, q):
+        common = frozenset.intersection(*(invariant_lines(q, A) for A in mats))
+        if common:
+            continue
+        noncommuting = any(
+            mat_mul(F, A, B) != mat_mul(F, B, A) for A in mats for B in mats
+        )
+        assert (commutant_dimension(q, mats) == 1) == noncommuting
+        seen[noncommuting] += 1
+    # commuting tuples without a common line need a generator with an
+    # irreducible characteristic polynomial: only the free groups have one
+    # here, since every other generator's order divides q - 1
+    assert (seen[True] > 0) == (name != "free(1)")
+    assert (seen[False] > 0) == name.startswith("free")
+
+
 def test_per_class_check_rejects_a_wrong_class_weight(monkeypatch):
     from vfreps import fforacle
 
@@ -320,7 +380,7 @@ def test_gl1_orbits_match_semisimple_counts():
         g = preset(name)
         ss = compute_ss(g, 1)
         total = sum(int(p.eval(q)) for m, p in ss.items() if m.total == 1)
-        assert count_gl1_orbits(presentation(name), q) == total
+        assert count_hom(presentation(name), 1, q) == total
 
 
 def test_census_rejects_unsuitable_field():

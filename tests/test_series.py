@@ -810,7 +810,7 @@ def test_ss_dimension_one_matches_oracle_counts():
     ss = compute_ss(g, 1)
     for q in (7, 13):
         total = sum(int(p.eval(q)) for m, p in ss.items() if m.total == 1)
-        assert total == fforacle.count_gl1_orbits(fforacle.presentation("psl2z"), q)
+        assert total == fforacle.count_hom(fforacle.presentation("psl2z"), 1, q)
 
 
 def _conjugacy_key(q, A):
