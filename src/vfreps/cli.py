@@ -305,11 +305,11 @@ def cmd_oracle(args) -> tuple:
     d = args.dim
     lines = []
     ok = True
+    # pipeline values stay exact Fractions: a non-integral one prints as
+    # p/q and can never equal the oracle's int
     if args.check == "hom":
         oracle = fforacle.count_hom(p, d, q)
-        pipeline = sum(
-            int(series.rep_space_count(g, m).eval(q)) for m in enumerate_dimvectors(g, d)
-        )
+        pipeline = sum(series.rep_space_count(g, m).eval(q) for m in enumerate_dimvectors(g, d))
         ok = oracle == pipeline
         lines.append(
             f"check=hom group={args.group} d={d} q={q}: "
@@ -318,7 +318,7 @@ def cmd_oracle(args) -> tuple:
     elif args.check == "absim":
         oracle = fforacle.count_absim_orbits(p, d, q)
         absim = series.compute_absim(g, d)
-        pipeline = sum(int(pp.eval(q)) for m, pp in absim.items() if m.total == d)
+        pipeline = sum(pp.eval(q) for m, pp in absim.items() if m.total == d)
         ok = oracle == pipeline
         lines.append(
             f"check=absim group={args.group} d={d} q={q}: "
@@ -328,7 +328,7 @@ def cmd_oracle(args) -> tuple:
         census = fforacle.dimvector_census(p, d, q)
         for m in enumerate_dimvectors(g, d):
             oracle = census.get(m, 0)
-            pipeline = int(series.rep_space_count(g, m).eval(q))
+            pipeline = series.rep_space_count(g, m).eval(q)
             good = oracle == pipeline
             ok = ok and good
             lines.append(

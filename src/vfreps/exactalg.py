@@ -23,10 +23,16 @@ numerator by the Phi_n present.  Only a residual other than 1, which comes
 from outside data, brings in the primitive-PRS gcd.
 
 Every sum goes through one n-ary sum, rf_sum, over (value, int
-multiplicity) pairs: numerators that share a denominator are added, the
-groups are brought over one common denominator, their numerators are
-added once, and the result is cancelled once.  a + b is rf_sum of two
-terms.
+multiplicity) pairs, on plain int lists: the numerators that share a
+denominator are added over the lcm of their Poly.den, each group is
+multiplied once by its cofactor up to the common denominator, the groups
+are added into one list, and only that total becomes a Poly, cancelled
+once.  a + b is rf_sum of two terms.
+
+The cofactor s^a * prod Phi_n^e of a sorted exponent tuple is expanded
+once and cached by that tuple (_cofactor), like Phi_n itself, so no
+numerator is multiplied by one Phi_n at a time; RatFunc.den and
+gl_product read the same table.
 """
 
 from __future__ import annotations
@@ -511,19 +517,21 @@ def _divides(n: int, ints) -> bool:
     return not r or _exact_div_lists(r, _cyclotomic(n)) is not None
 
 
-def _times(p: Poly, exps: dict) -> Poly:
-    """p * s^exps[0] * prod_n Phi_n^exps[n], exponents >= 0."""
-    ints = p.ints
-    for n, e in exps.items():
-        if not e:
-            continue
+@lru_cache(maxsize=None)
+def _cofactor(factors: tuple) -> tuple:
+    """Integer coefficients of s^a * prod Phi_n^e, expanded, for the sorted
+    exponent tuple factors = ((n, e), ...) with n = 0 standing for s.  Like
+    _cyclotomic a pure function of its key, so one expansion serves every
+    numerator brought over the same factors."""
+    ints = [1]
+    a = 0
+    for n, e in factors:
         if n == 0:
-            ints = [0] * e + list(ints)
+            a = e
         else:
-            phi = _cyclotomic(n)
             for _ in range(e):
-                ints = _mul_lists(phi, ints)
-    return p if ints is p.ints else Poly(ints, p.den)
+                ints = _mul_lists(ints, _cyclotomic(n))
+    return (0,) * a + tuple(ints)
 
 
 def _cancel(num: Poly, exps: dict, trial) -> Poly:
@@ -623,7 +631,8 @@ class RatFunc:
     @property
     def den(self) -> Poly:
         """The monic denominator s^a * prod Phi_n^e * residual, expanded."""
-        return _times(self.residual, dict(self.factors))
+        r = self.residual
+        return Poly(_mul_lists(_cofactor(self.factors), r.ints), r.den)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -738,22 +747,33 @@ RF_ZERO = RatFunc._make(POLY_ZERO, ())
 RF_ONE = RatFunc._make(POLY_ONE, ())
 
 
+def _add_into(acc: list, ints, c: int) -> None:
+    """acc += c * ints in place, acc growing as needed."""
+    if len(ints) > len(acc):
+        acc.extend([0] * (len(ints) - len(acc)))
+    for i, x in enumerate(ints):
+        acc[i] += c * x
+
+
 def rf_sum(terms) -> RatFunc:
     """The canonical sum of value * k over (RatFunc, int k) pairs.
 
-    The numerators that share a denominator are added first.  Each group
-    is then brought over the common denominator (the exponent-wise maximum
-    of the s and Phi_n exponents, times the lcm of the residuals), the
-    numerators are added once, and the sum is cancelled once against every
-    factor, with the gcd run on the residual only when it is not 1.
+    One pass groups the terms by denominator and finds the lcm L of the
+    numerators' Poly.den.  The common denominator is the exponent-wise
+    maximum of the s and Phi_n exponents times the lcm of the residuals.
+    Each group adds k * (L / den) * ints into a plain int list, multiplies
+    it once by its cyclotomic cofactor (and by its residual's quotient
+    when that is not 1), and adds it into one total list; the total
+    becomes one Poly, cancelled once against every factor, with the gcd
+    run on the residual only when it is not 1.
     """
     groups = {}
+    lcm = 1
     for v, k in terms:
-        if k and v.num.ints:
-            num = v.num if k == 1 else Poly([x * k for x in v.num.ints], v.num.den)
-            key = (v.factors, v.residual)
-            prev = groups.get(key)
-            groups[key] = num if prev is None else prev + num
+        num = v.num
+        if k and num.ints:
+            lcm = math.lcm(lcm, num.den)
+            groups.setdefault((v.factors, v.residual), []).append((num, k))
     exps, residual = {}, POLY_ONE
     for factors, r in groups:
         for n, e in factors:
@@ -761,14 +781,36 @@ def rf_sum(terms) -> RatFunc:
                 exps[n] = e
         if r != residual:
             residual = residual * r.exact_div(residual.gcd(r))
-    total = POLY_ZERO
-    for (factors, r), num in groups.items():
-        own = dict(factors)
-        num = _times(num, {n: e - own.get(n, 0) for n, e in exps.items()})
-        total = total + (num if r == residual else num * residual.exact_div(r))
-    if total.is_zero():
+    # residual / r has rational coefficients: quotients[r] = (ints, den),
+    # and every group is brought to the common scale lcm * scale
+    quotients, scale = {}, 1
+    if not residual.is_one():
+        for _, r in groups:
+            if r not in quotients:
+                q = residual.exact_div(r)
+                quotients[r] = (q.ints, q.den)
+                scale = math.lcm(scale, q.den)
+    common = tuple(sorted(exps.items()))
+    total = []
+    for (factors, r), members in groups.items():
+        acc = []
+        for num, k in members:
+            _add_into(acc, num.ints, k * (lcm // num.den))
+        if not _trim(acc):
+            continue
+        if factors != common:
+            own = dict(factors)
+            up = tuple((n, e - own.get(n, 0)) for n, e in common if e > own.get(n, 0))
+            acc = _mul_lists(_cofactor(up), acc)
+        c = 1
+        if quotients:
+            q_ints, q_den = quotients[r]
+            acc = _mul_lists(q_ints, acc)
+            c = scale // q_den
+        _add_into(total, acc, c)
+    if not _trim(total):
         return RF_ZERO
-    total = _cancel(total, exps, list(exps))
+    total = _cancel(Poly(total, lcm * scale), exps, list(exps))
     if not residual.is_one():
         total, residual = _cancel_gcd(total, residual)
     return RatFunc._make(total, tuple(sorted(exps.items())), residual)
@@ -799,7 +841,7 @@ def gl_product(exps: dict, s_exponent: int = 0) -> RatFunc:
         net[0] += e * (k * (k - 1) // 2)
         for n in range(1, k + 1):
             net[n] = net.get(n, 0) + e * (k // n)
-    num = _times(POLY_ONE, {n: e for n, e in net.items() if e > 0})
+    num = Poly(_cofactor(tuple(sorted((n, e) for n, e in net.items() if e > 0))))
     return RatFunc._make(num, tuple(sorted((n, -e) for n, e in net.items() if e < 0)))
 
 

@@ -439,37 +439,53 @@ def count_absim_orbits(p: PresentationData, d: int, q: int) -> int:
     return points // orbit_size
 
 
-def dimvector_of_point(p: PresentationData, mats, q: int):
-    """Dimension vector of a relation-satisfying tuple, by reading each
-    vertex generator's eigenvalue multiplicities against the canonical
-    root-of-unity indexing."""
+def _point_reader(p: PresentationData, q: int):
+    """The map from a relation-satisfying tuple to its dimension vector,
+    which reads each vertex generator's eigenvalue multiplicities against
+    the canonical root-of-unity indexing.  The preset, the suitability
+    check and each vertex's index of roots of unity are set up once here,
+    not once per point; every result is still validated by dimvector()."""
     g = preset(p.preset_name)
     if not is_suitable_prime_power(g, q):
         raise ValueError(f"q={q} is not suitable for {p.preset_name}")
     F = field(q)
-    per_vertex = []
-    for i, v in enumerate(g.vertices):
+    positions = []  # per vertex: None if trivial, else {root of unity: index}
+    for v in g.vertices:
         if v.order == 1:
-            d = 2 if mats and not isinstance(mats[0], int) else 1
-            per_vertex.append((d,))
+            positions.append(None)
             continue
         n = v.order  # cyclic vertex groups only
         if v.simple_dims != (1,) * n:
             raise ValueError("eigenvalue readout implemented for cyclic vertex groups")
-        x = mats[i]
         omega = F.root_of_unity(n)
         roots = [1]
         for _ in range(n - 1):
             roots.append(F.mul[roots[-1]][omega])
-        mult = [0] * n
-        for ev, count in _eigenvalues(F, x):
-            if ev not in roots:
-                raise ArithmeticError(
-                    f"eigenvalue outside the expected roots of unity at q={q}"
-                )
-            mult[roots.index(ev)] += count
-        per_vertex.append(tuple(mult))
-    return dimvector(g, per_vertex)
+        positions.append({r: k for k, r in enumerate(roots)})
+
+    def read(mats):
+        per_vertex = []
+        for i, pos in enumerate(positions):
+            if pos is None:
+                per_vertex.append((2 if mats and not isinstance(mats[0], int) else 1,))
+                continue
+            mult = [0] * len(pos)
+            for ev, count in _eigenvalues(F, mats[i]):
+                k = pos.get(ev)
+                if k is None:
+                    raise ArithmeticError(
+                        f"eigenvalue outside the expected roots of unity at q={q}"
+                    )
+                mult[k] += count
+            per_vertex.append(tuple(mult))
+        return dimvector(g, per_vertex)
+
+    return read
+
+
+def dimvector_of_point(p: PresentationData, mats, q: int):
+    """Dimension vector of one relation-satisfying tuple (see _point_reader)."""
+    return _point_reader(p, q)(mats)
 
 
 def _eigenvalues(F, x):
@@ -490,9 +506,10 @@ def dimvector_census(p: PresentationData, d: int, q: int):
     dimension vector of a point is a conjugation invariant, so each point
     at a class representative of generator 0 counts once per class member."""
     _check_supported(p, d, q)
+    read = _point_reader(p, q)
     out = {}
     for weight, tuples in _class_points(p, d, q):
         for mats in tuples:
-            m = dimvector_of_point(p, mats, q)
+            m = read(mats)
             out[m] = out.get(m, 0) + weight
     return out

@@ -15,6 +15,7 @@ from vfreps.exactalg import (
     RatFunc,
     S,
     _adams_factors,
+    _cofactor,
     _cyclotomic,
     _exact_div_lists,
     _totient,
@@ -107,6 +108,20 @@ def _mul_int(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.integers(0, 3),
+    st.dictionaries(st.integers(1, 30), st.integers(1, 3), max_size=4),
+)
+def test_cofactor_matches_one_factor_at_a_time(a, cyclo):
+    factors = (((0, a),) if a else ()) + tuple(sorted(cyclo.items()))
+    ints = [1]
+    for n, e in factors:
+        for _ in range(e if n else 0):
+            ints = _mul_int(ints, list(_cyclotomic(n)))
+    assert _cofactor(factors) == (0,) * a + tuple(ints)
 
 
 def _exact_div_cases():
@@ -517,3 +532,47 @@ def test_rf_sum_pinned_cases():
         zero = rf_sum(terms)
         assert zero.is_zero() and zero.factors == () and zero.residual.is_one()
     assert a - a == rf_sum([]) and hash(a - a) == hash(RatFunc(Poly(())))
+
+
+# shared denominators, so several terms fall into one group; the last two
+# carry residuals s - 2 and s - 3
+_SUM_DENOMINATORS = (
+    ((0, 2), (1, 2), (3, 1)),
+    ((1, 1), (2, 2), (6, 1)),
+    ((0, 1), (5, 1), (12, 1)),
+    ((1, 3), (7, 1)),
+    ((0, 1), (1, 1), (9, 1)),
+)
+_SUM_RESIDUALS = (1, 1, 1, 2, 3)
+
+
+@st.composite
+def long_sum_terms(draw):
+    """(value, multiplicity) pairs whose numerators run up to 30
+    coefficients, with Poly.den in 1, 2, 3, 6, over shared denominators."""
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        ints = draw(st.lists(st.integers(-50, 50), min_size=1, max_size=30))
+        num = Poly(ints, draw(st.sampled_from([1, 2, 3, 6])))
+        i = draw(st.integers(0, len(_SUM_DENOMINATORS) - 1))
+        den = _expand(_SUM_DENOMINATORS[i])
+        if _SUM_RESIDUALS[i] != 1:
+            den = den * (S - Poly.const(_SUM_RESIDUALS[i]))
+        terms.append((RatFunc(num, den), num, den, draw(st.integers(-3, 3))))
+    return terms
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(long_sum_terms())
+def test_rf_sum_of_long_numerators_matches_evaluation(terms):
+    total = rf_sum((v, k) for v, _, _, k in terms)
+    for x in POINTS:
+        assert total.eval(x) == sum(k * num.eval(x) / den.eval(x) for _, num, den, k in terms)
+    # canonical: the general constructor on the expanded parts agrees
+    assert total.den.is_monic()
+    again = RatFunc(total.num, total.den)
+    assert again == total and hash(again) == hash(total)
+    pairwise = RatFunc(Poly(()))
+    for v, _, _, k in terms:
+        pairwise = pairwise + v.scale(k)
+    assert pairwise == total

@@ -365,6 +365,14 @@ def test_dimvector_of_identity_point_d1():
     assert m == dimvector(g, ((1, 0), (1, 0, 0)))
 
 
+def test_dimvector_of_point_rejects_foreign_eigenvalues():
+    # 2 is not a square root of unity in F_7, nor 3 a cube root
+    p = presentation("psl2z")
+    for mats in ((2, 1), (1, 3), ((1, 0, 0, 2), (1, 0, 0, 1))):
+        with pytest.raises(ArithmeticError, match="outside the expected roots"):
+            dimvector_of_point(p, mats, 7)
+
+
 def test_census_matches_pipeline_entrywise():
     p = presentation("psl2z")
     g = preset("psl2z")
