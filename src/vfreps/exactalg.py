@@ -257,9 +257,6 @@ class Poly:
             return Fraction(0)
         return Fraction(self.ints[-1], self.den)
 
-    def is_monic(self) -> bool:
-        return bool(self.ints) and self.ints[-1] == self.den
-
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
@@ -351,10 +348,6 @@ class Poly:
         for c in self.coefficients():
             out.append(int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}")
         return out
-
-    @classmethod
-    def from_json_coeffs(cls, coeffs) -> "Poly":
-        return cls.from_coeffs([Fraction(c) for c in coeffs])
 
     def __eq__(self, other):
         return (

@@ -33,7 +33,7 @@ from math import prod
 
 from .dimmonoid import dimvector
 from .exactalg import QPower
-from .groupgraph import is_suitable_prime_power, preset
+from .groupgraph import _parse_preset_name, is_suitable_prime_power, preset
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +298,7 @@ class PresentationData:
 
 def presentation(name: str) -> PresentationData:
     """Presentation paired with the preset's graph-of-groups data."""
-    base = name.split("(")[0]
+    base, args = _parse_preset_name(name)
     if base == "dinf":
         return PresentationData(name, 2, (2, 2))
     if base == "psl2z":
@@ -306,13 +306,12 @@ def presentation(name: str) -> PresentationData:
     if base == "sl2z":
         return PresentationData(name, 2, (4, 6), (0, 2, 1, 3))
     if base == "gc":
-        c = int(name[name.index("(") + 1:-1])
+        (c,) = args
         return PresentationData(name, 2, (2 * c, 2 * c), (0, 2, 1, 2))
     if base == "cyclic_free_product":
-        a, b = (int(x) for x in name[name.index("(") + 1:-1].split(","))
-        return PresentationData(name, 2, (a, b))
+        return PresentationData(name, 2, args)
     if base == "free":
-        a = int(name[name.index("(") + 1:-1])
+        (a,) = args
         return PresentationData(name, a, (None,) * a)
     raise ValueError(f"no oracle presentation for preset {name!r}")
 

@@ -12,28 +12,29 @@ vector up to a total-dimension truncation D.  The pipeline is
     Moebius/Adams combination                     ->  simple counts
 
 All reductions iterate keys in the deterministic monoid order, so repeated
-runs are bit-identical.  Coefficient values are interned per graph and all
-scalar operations are memoized on interned values; dimension vectors with
-symmetric data therefore cost one polynomial operation per distinct value,
-which is what makes desk-scale truncations (D around 12) fast in exact
-arithmetic.
+runs are bit-identical.  Coefficient values are interned per graph, and
+products, scalings and reduction sums are memoized on interned values;
+dimension vectors with symmetric data therefore cost one polynomial
+operation per distinct value, which is what makes desk-scale truncations
+(D around 12) fast in exact arithmetic.
 
-Inside the convolutions a term is a pair of ints: the dimension vector's
-code (DimVector.code, its per-vertex entries in 16-bit fields) and the
-coefficient's handle in the per-graph value table (_Values).  Adding two
-codes is one int addition without carries, and int order is the monoid
-order, so no DimVector is built per product; a code is looked up in the
-graph's intern table only when a coefficient is stored, and handles turn
-back into RatFunc values once, when a public operation returns.
+A series is stored in one form, its handle table {code: handle}: the
+dimension vector's code (DimVector.code, its per-vertex entries in 16-bit
+fields) and the coefficient's handle in the per-graph value table
+(_Values).  Adding two codes is one int addition without carries, and int
+order is the monoid order, so no DimVector is built per product, and each
+stage hands its table to the next unchanged.
 
-invert, plethystic Log and plethystic Exp are three instances of one
-graded triangular solve, out_d = alpha(d) * (rhs_d + sum_{k>=1} a_k *
-out_{d-k}), with D the degree derivation (the coefficient at m times |m|):
-the inverse of f has a = -f_0^-1 f_+ and out_0 = f_0^-1; h = D(log f)
-solves f h = D f, so a = -f_+ and rhs = D f_+; g = exp(psi) solves
-D g = (D psi) g, so a = D psi, out_0 = 1 and alpha(d) = 1/d.  These agree
-with the defining power sums truncated at total degree D; the test suite
-checks the two against each other on small truncations.
+mul, invert, plethystic Log and plethystic Exp are four instances of one
+graded triangular solve, out_d = alpha(d) * (rhs_d + sum_{k>=0} a_k *
+right_{d-k}), with D the degree derivation (the coefficient at m times
+|m|).  The product f g has a = f and right = g.  In the others right is
+out and a has no constant term: the inverse of f has a = -f_0^-1 f_+ and
+out_0 = f_0^-1; h = D(log f) solves f h = D f, so a = -f_+ and rhs =
+D f_+; g = exp(psi) solves D g = (D psi) g, so a = D psi, out_0 = 1 and
+alpha(d) = 1/d.  These agree with the defining power sums truncated at
+total degree D; the test suite checks the two against each other on
+small truncations.
 
 The orbit quotient.  Relabelling simples by an element of the graph's
 automorphism group G (dimmonoid.automorphisms) permutes the dimension
@@ -41,20 +42,20 @@ vectors and fixes every count, so the pipeline's series are constant on
 the orbits of G.  A series records this in its tag, `symmetry`: build_F
 sets it to G when G is nontrivial and y_func is None or constant on every
 orbit (it evaluates y_func on every key to check), and invert, shift,
-plethystic and mul keep it only when their inputs carry it; compute_ss
-tags the absim series it exponentiates with the tag of the Log it came
-from.  On a tagged series the work is done at orbit representatives
-only: _solve and mul sum, for each representative m, over its
-decompositions m = m1 + (m - m1), which a walk over the sub-vectors of m
-finds and which name a[rep(m1)] and out[rep(m - m1)]; build_F, shift,
-_psi and compute_sim evaluate at representatives; every other key copies
-its representative's value once, when the public series is built.
+plethystic and mul keep it only when their inputs carry it.  A tagged
+series holds handles at orbit representatives only and is computed there:
+_solve sums, for each representative m, over its decompositions m = m1 +
+(m - m1), which a walk over the sub-vectors of m finds and which name
+a[rep(m1)] and right[rep(m - m1)].  Other keys take their
+representative's value only where a caller reads every key:
+GradedSeries.coeffs, the Poly tables, and an operand whose tag mul or an
+orbit-breaking shift drops.
 
 The reference path.  An untagged series (built by hand, built with an
-orbit-breaking y_func, or over a graph whose G is trivial) multiplies
-whole degree buckets pairwise, as above.  Both paths feed the same
-counters to the same memoized reductions, so they give identical values,
-and the tests check every tagged result against the untagged run.
+orbit-breaking y_func, or over a graph whose G is trivial) holds every
+key and multiplies whole degree buckets pairwise.  Both paths feed the
+same counters to the same memoized reductions, so they give identical
+values, and the tests check every tagged result against the untagged run.
 """
 
 from __future__ import annotations
@@ -98,36 +99,52 @@ class GradedSeries:
 
     symmetry is the tag of the orbit quotient (module docstring): the
     graph's automorphism group when the series is known to be constant on
-    its orbits, else None.  A series built by hand is untagged.
+    its orbits, else None.  A series built by hand is untagged.  The one
+    stored form is `handles`, {code: handle} into the graph's value table
+    at the codes of the tag (_codes), zeros absent; `coeffs`, the
+    {DimVector: RatFunc} view at every key, is built on its first read.
     """
 
-    __slots__ = ("graph", "trunc", "coeffs", "symmetry")
+    __slots__ = ("graph", "trunc", "handles", "symmetry", "_coeffs")
 
     def __init__(self, graph: GraphOfGroups, trunc: int, coeffs=None):
         if trunc < 0:
             raise ValueError("truncation must be nonnegative")
-        self.graph = graph
-        self.trunc = trunc
-        clean = {}
+        vals = _values_for(graph)
+        handles = {}
         for m, v in (coeffs or {}).items():
             if m.graph is not graph:
                 raise ValueError("coefficient key belongs to a different graph")
             if m.total > trunc:
                 raise ValueError(f"key {m} exceeds truncation {trunc}")
             if not v.is_zero():
-                clean[m] = v
-        self.coeffs = clean
+                handles[m.code] = vals.intern(v)
+        self.graph = graph
+        self.trunc = trunc
+        self.handles = handles
         self.symmetry = None
+        self._coeffs = None
+
+    @property
+    def coeffs(self) -> dict:
+        if self._coeffs is None:
+            value = _values_for(self.graph).value
+            self._coeffs = {m: value[h] for m, h in _every_key(self)}
+        return self._coeffs
 
     def coefficient(self, m: DimVector) -> RatFunc:
-        return self.coeffs.get(m, RF_ZERO)
+        c = m.code
+        if self.symmetry is not None:
+            c = self.symmetry.representatives(self.trunc).get(c, c)
+        return _values_for(self.graph).value[self.handles.get(c, 0)]
 
     def __eq__(self, other):
         return (
             isinstance(other, GradedSeries)
             and self.graph is other.graph
             and self.trunc == other.trunc
-            and self.coeffs == other.coeffs
+            and (self.handles == other.handles if self.symmetry is other.symmetry
+                 else self.coeffs == other.coeffs)
         )
 
     def __repr__(self):
@@ -147,12 +164,13 @@ class _Values:
 
     Every coefficient flowing through the pipeline is named by an int
     handle, its index in `value`; products, scalings, Adams substitutions
-    and whole reduction sums take and return handles and are memoized on
-    them.  A reduction sum is one exactalg.rf_sum over the counter's
-    (value, multiplicity) pairs, so its terms are neither scaled nor
-    interned one by one.  Symmetric dimension vectors share values, so
-    each distinct polynomial operation happens once no matter how many
-    keys need it.  Handle 0 is zero and handle 1 is one.
+    and whole reduction sums take and return handles, and all but Adams
+    substitutions are memoized on them.  A reduction sum is one
+    exactalg.rf_sum over the counter's (value, multiplicity) pairs, so its
+    terms are neither scaled nor interned one by one.  Symmetric dimension
+    vectors share values, so each distinct polynomial operation happens
+    once no matter how many keys need it.  Handle 0 is zero and handle 1
+    is one.
     """
 
     def __init__(self):
@@ -160,7 +178,6 @@ class _Values:
         self.value = []
         self.mul_memo = {}
         self.scale_memo = {}
-        self.adams_memo = {}
         self.sum_memo = {}
         self.zero = self.intern(RF_ZERO)
         self.one = self.intern(RF_ONE)
@@ -189,13 +206,7 @@ class _Values:
         return r
 
     def adams(self, a: int, beta: int) -> int:
-        if beta == 1:
-            return a
-        key = (a, beta)
-        r = self.adams_memo.get(key)
-        if r is None:
-            r = self.adams_memo[key] = self.intern(self.value[a].adams(beta))
-        return r
+        return a if beta == 1 else self.intern(self.value[a].adams(beta))
 
     def reduce(self, counter: dict) -> int:
         """Sum of value*multiplicity over a {handle: int multiplicity} dict,
@@ -251,35 +262,28 @@ def _codes(g: GraphOfGroups, trunc: int, G):
             yield from G.reps(d)
 
 
-def _handles(f: GradedSeries, vals: _Values, G) -> dict:
-    """{code: handle} of f at the codes of G (see _codes)."""
-    if G is None:
-        return {m.code: vals.intern(v) for m, v in f.coeffs.items()}
-    vectors, coeffs = f.graph._dv_cache, f.coeffs
-    out = {}
-    for c in _codes(f.graph, f.trunc, G):
-        v = coeffs.get(vectors[c])
-        if v is not None:
-            out[c] = vals.intern(v)
-    return out
+def _every_key(f: GradedSeries):
+    """(DimVector, handle) at every key of f, zeros absent: under a tag,
+    every key of an orbit takes its representative's handle."""
+    vectors, G = f.graph._dv_cache, f.symmetry
+    for c, h in f.handles.items():
+        for m in (vectors[c],) if G is None else G.orbits[c]:
+            yield m, h
 
 
-def _series(g: GraphOfGroups, trunc: int, handles: dict, vals: _Values, G) -> GradedSeries:
-    """The public series of {code: handle}, tagged with G; under a tag
-    every key copies its representative's value."""
-    value, zero, vectors = vals.value, vals.zero, g._dv_cache
-    if G is None:
-        coeffs = {vectors[c]: value[h] for c, h in handles.items() if h != zero}
-    else:
-        coeffs = {}
-        for c, h in handles.items():
-            if h != zero:
-                v = value[h]
-                for m in G.orbits[c]:
-                    coeffs[m] = v
-    f = GradedSeries(g, trunc)
-    f.coeffs = coeffs
-    f.symmetry = G
+def _handles(f: GradedSeries, G) -> dict:
+    """{code: handle} of f at the codes of G (see _codes): f.handles when
+    G is its tag, and every key when an operation drops the tag."""
+    if G is f.symmetry:
+        return f.handles
+    return {m.code: h for m, h in _every_key(f)}
+
+
+def _series(g: GraphOfGroups, trunc: int, handles: dict, G) -> GradedSeries:
+    """The series whose table is handles ({code: handle} at the codes of
+    G, zeros absent), tagged with G; the table is not copied."""
+    f = GradedSeries.__new__(GradedSeries)
+    f.graph, f.trunc, f.handles, f.symmetry, f._coeffs = g, trunc, handles, G, None
     return f
 
 
@@ -312,8 +316,8 @@ def _accumulate(acc, items1, items2, vals):
 
 
 def _orbit_sum(acc, decompositions, left, right, vals):
-    """Add sum f[r1] * g[r2] over the decompositions (r1, r2, k) of one
-    representative into the counter acc."""
+    """Add sum left[r1] * right[r2] over the decompositions (r1, r2, k) of
+    one representative into the counter acc."""
     mul, zero = vals.mul, vals.zero
     for r1, r2, k in decompositions:
         h1 = left.get(r1)
@@ -328,26 +332,31 @@ def _orbit_sum(acc, decompositions, left, right, vals):
     return acc
 
 
-def _solve(g, trunc, G, a, rhs=None, out0=None, alpha=lambda d: 1):
-    """The graded triangular solve behind invert, Log and Exp.
+def _solve(g, trunc, G, a, rhs=None, out0=None, alpha=lambda d: 1, right=None):
+    """The graded triangular solve behind mul, invert, Log and Exp.
 
-    For d = 1..trunc, out_d = alpha(d) * (rhs_d + sum_{k>=1} a_k *
-    out_{d-k}), where a and rhs are {code: handle} without constant term
-    and the constant term of out is the handle out0 (absent when None).
-    Under a tag G the inputs and the result hold representatives only and
-    each representative sums over its decompositions; untagged, degree
-    buckets are multiplied pairwise.  Returns {code: handle}, zeros absent.
+    out_d = alpha(d) * (rhs_d + sum_{k>=0} a_k * right_{d-k}), where a,
+    rhs and right are {code: handle} and right defaults to out itself; a
+    then has no constant term, so each degree reads lower ones only.  The
+    constant term of out is the handle out0 when given, else solved like
+    every other degree.  Under a tag G the operands and the result hold
+    representatives only and each representative sums over its
+    decompositions; untagged, degree buckets are multiplied pairwise.
+    Returns {code: handle}, zeros absent.
     """
     vals = _values_for(g)
     rhs = rhs or {}
     out = {} if out0 is None else {0: out0}
+    if right is None:
+        right = out
+    first = 0 if out0 is None else 1
     if G is not None:
         G.representatives(trunc)
-        for d in range(1, trunc + 1):
+        for d in range(first, trunc + 1):
             factor = alpha(d)
             for c in G.reps(d):
                 h = rhs.get(c)
-                acc = _orbit_sum({} if h is None else {h: 1}, G.decompositions(c), a, out, vals)
+                acc = _orbit_sum({} if h is None else {h: 1}, G.decompositions(c), a, right, vals)
                 if acc:
                     h = vals.scale(vals.reduce(acc), factor)
                     if h != vals.zero:
@@ -357,11 +366,12 @@ def _solve(g, trunc, G, a, rhs=None, out0=None, alpha=lambda d: 1):
     ad = _by_degree(a, vectors)
     rd = _by_degree(rhs, vectors)
     out_by_deg = {} if out0 is None else {0: [(0, out0)]}
-    for d in range(1, trunc + 1):
+    right_by_deg = out_by_deg if right is out else _by_degree(right, vectors)
+    for d in range(first, trunc + 1):
         acc = {c: {h: 1} for c, h in rd.get(d, ())}
-        for k in range(1, d + 1):
+        for k in range(d + 1):
             items1 = ad.get(k)
-            items2 = out_by_deg.get(d - k)
+            items2 = right_by_deg.get(d - k)
             if items1 and items2:
                 _accumulate(acc, items1, items2, vals)
         bucket = []
@@ -391,40 +401,22 @@ def mul(f: GradedSeries, g: GradedSeries) -> GradedSeries:
     if f.trunc != g.trunc:
         raise ValueError("series with different truncations")
     G = f.symmetry if f.symmetry is g.symmetry else None
-    vals = _values_for(f.graph)
-    fh = _handles(f, vals, G)
-    gh = _handles(g, vals, G)
-    out = {}
-    if G is not None:
-        for c in _codes(f.graph, f.trunc, G):
-            acc = _orbit_sum({}, G.decompositions(c), fh, gh, vals)
-            if acc:
-                out[c] = vals.reduce(acc)
-    else:
-        vectors = _vectors(f.graph, f.trunc)
-        fd = _by_degree(fh, vectors)
-        gd = _by_degree(gh, vectors)
-        acc = {}
-        for d1, items1 in fd.items():
-            for d2, items2 in gd.items():
-                if d1 + d2 <= f.trunc:
-                    _accumulate(acc, items1, items2, vals)
-        out = {c: vals.reduce(acc[c]) for c in sorted(acc)}
-    return _series(f.graph, f.trunc, out, vals, G)
+    out = _solve(f.graph, f.trunc, G, _handles(f, G), right=_handles(g, G))
+    return _series(f.graph, f.trunc, out, G)
 
 
 def invert(f: GradedSeries) -> GradedSeries:
     """Multiplicative inverse up to truncation; needs a unit constant term.
     Keeps the tag of f."""
     vals = _values_for(f.graph)
-    f0 = f.coefficient(zero_vector(f.graph))
-    if f0.is_zero():
+    f0 = f.handles.get(0)
+    if f0 is None:
         raise ValueError("series with zero constant term has no inverse")
     G = f.symmetry
-    inv0 = vals.intern(RF_ONE / f0)
+    inv0 = vals.intern(RF_ONE / vals.value[f0])
     neg_inv0 = vals.scale(inv0, -1)
-    a = {c: vals.mul(neg_inv0, h) for c, h in _handles(f, vals, G).items() if c}
-    return _series(f.graph, f.trunc, _solve(f.graph, f.trunc, G, a, out0=inv0), vals, G)
+    a = {c: vals.mul(neg_inv0, h) for c, h in f.handles.items() if c}
+    return _series(f.graph, f.trunc, _solve(f.graph, f.trunc, G, a, out0=inv0), G)
 
 
 def shift(f: GradedSeries, direction: str, y_func=None) -> GradedSeries:
@@ -445,13 +437,13 @@ def shift(f: GradedSeries, direction: str, y_func=None) -> GradedSeries:
     vectors = g._dv_cache
     powers = {}
     out = {}
-    for c, h in _handles(f, vals, G).items():
+    for c, h in _handles(f, G).items():
         e = sign * shift_exponent(g, vectors[c], y_func)
         p = powers.get(e)
         if p is None:
             p = powers[e] = vals.intern(RatFunc.s_power(e))
         out[c] = vals.mul(h, p)
-    return _series(g, f.trunc, out, vals, G)
+    return _series(g, f.trunc, out, G)
 
 
 def _gl_exponents(g: GraphOfGroups, m: DimVector) -> dict:
@@ -498,7 +490,7 @@ def build_F(g: GraphOfGroups, trunc: int, y_func=None) -> GradedSeries:
         if m.total:
             exps[m.total] = exps.get(m.total, 0) - 1  # divide by gl_d
         out[c] = vals.intern(gl_product(exps, shift_exponent(g, m, y_func)))
-    return _series(g, trunc, out, vals, G)
+    return _series(g, trunc, out, G)
 
 
 def rep_space_count(g: GraphOfGroups, m: DimVector) -> RatFunc:
@@ -528,7 +520,12 @@ def _psi(handles, trunc, vals, vectors, inverse: bool):
                     c = acc.setdefault(beta * c0, {})
                     c[w] = c.get(w, 0) + 1
             beta += 1
-    return {c: vals.reduce(acc[c]) for c in sorted(acc)}
+    out = {}
+    for c in sorted(acc):
+        h = vals.reduce(acc[c])
+        if h != vals.zero:
+            out[c] = h
+    return out
 
 
 def plethystic(f: GradedSeries, direction: str) -> GradedSeries:
@@ -538,61 +535,61 @@ def plethystic(f: GradedSeries, direction: str) -> GradedSeries:
     g, G = f.graph, f.symmetry
     vals = _values_for(g)
     vectors = _vectors(g, f.trunc)
-    zero = zero_vector(g)
     d = direction.lower()
     if d == "exp":
-        if not f.coefficient(zero).is_zero():
+        if 0 in f.handles:
             raise ValueError("plethystic Exp needs constant term 0")
-        psi = _psi(_handles(f, vals, G), f.trunc, vals, vectors, inverse=False)
+        psi = _psi(f.handles, f.trunc, vals, vectors, inverse=False)
         out = _solve(
             g, f.trunc, G, _derive(psi, vals, vectors), out0=vals.one,
             alpha=lambda k: Fraction(1, k),
         )
     elif d == "log":
-        if not f.coefficient(zero).is_one():
+        if f.handles.get(0) != vals.one:
             raise ValueError("plethystic Log needs constant term 1")
-        rest = {c: h for c, h in _handles(f, vals, G).items() if c}
+        rest = {c: h for c, h in f.handles.items() if c}
         neg = {c: vals.scale(h, -1) for c, h in rest.items()}
         h = _solve(g, f.trunc, G, neg, rhs=_derive(rest, vals, vectors))
         ell = {c: vals.scale(v, Fraction(1, vectors[c].total)) for c, v in h.items()}
         out = _psi(ell, f.trunc, vals, vectors, inverse=True)
     else:
         raise ValueError(f"unknown plethystic direction {direction!r}")
-    return _series(g, f.trunc, out, vals, G)
+    return _series(g, f.trunc, out, G)
 
 
 # ---------------------------------------------------------------------------
 # the counting pipeline
 # ---------------------------------------------------------------------------
 
-def _integer_polys(f: GradedSeries, vals: _Values, factor=None) -> dict:
-    """{DimVector: Poly} of the coefficients of f, each times the handle
-    factor when given, converted once per distinct value; zeros absent.
-    Raises NonPolynomialCoefficient at the first key that fails."""
+def _integer_polys(f: GradedSeries) -> dict:
+    """{DimVector: Poly} of the coefficients of f at every key, converted
+    once per distinct value; zeros absent.  Raises
+    NonPolynomialCoefficient at the first key that fails."""
+    value = _values_for(f.graph).value
     polys = {}
     out = {}
-    for m, v in f.coeffs.items():
-        p = polys.get(v)
+    for m, h in _every_key(f):
+        p = polys.get(h)
         if p is None:
-            w = v if factor is None else vals.value[vals.mul(factor, vals.intern(v))]
-            p = polys[v] = w.as_integer_poly()
+            p = polys[h] = value[h].as_integer_poly()
             if p is None:
-                raise NonPolynomialCoefficient(m, w)
-        if not p.is_zero():
-            out[m] = p
+                raise NonPolynomialCoefficient(m, value[h])
+        out[m] = p
     return out
 
 
 def _absim(g: GraphOfGroups, trunc: int, y_func) -> tuple:
-    """(compute_absim's table, the tag of the series it came from)."""
+    """(compute_absim's table, the absim series (1-s) * Log(unshift(F^-1))
+    it came from, kept at the codes of its tag)."""
     cache_key = ("absim", trunc, y_func)
     cached = g._pipeline_cache.get(cache_key)
     if cached is None:
         vals = _values_for(g)
-        series = plethystic(shift(invert(build_F(g, trunc, y_func)), "inverse", y_func), "log")
+        log = plethystic(shift(invert(build_F(g, trunc, y_func)), "inverse", y_func), "log")
         one_minus_s = vals.intern(RatFunc.from_poly(Poly((1, -1))))
-        cached = (_integer_polys(series, vals, one_minus_s), series.symmetry)
-        g._pipeline_cache[cache_key] = cached
+        handles = {c: vals.mul(one_minus_s, h) for c, h in log.handles.items()}
+        series = _series(g, trunc, handles, log.symmetry)
+        cached = g._pipeline_cache[cache_key] = (_integer_polys(series), series)
     return cached
 
 
@@ -609,23 +606,14 @@ def compute_absim(g: GraphOfGroups, trunc: int, y_func=None) -> dict:
 def compute_ss(g: GraphOfGroups, trunc: int, y_func=None) -> dict:
     """Counting polynomials of semisimple modules per dimension vector:
     plethystic Exp of the absolutely simple series, which carries the tag
-    of the absim series.  The zero vector maps to the constant 1 (the
+    of the Log it came from.  The zero vector maps to the constant 1 (the
     zero module)."""
     cache_key = ("ss", trunc, y_func)
     cached = g._pipeline_cache.get(cache_key)
-    if cached is not None:
-        return cached
-    absim, G = _absim(g, trunc, y_func)
-    vals = _values_for(g)
-    vectors = g._dv_cache
-    handles = {}
-    for c in _codes(g, trunc, G):
-        p = absim.get(vectors[c])
-        if p is not None:
-            handles[c] = vals.intern(RatFunc.from_poly(p))
-    out = _integer_polys(plethystic(_series(g, trunc, handles, vals, G), "exp"), vals)
-    g._pipeline_cache[cache_key] = out
-    return out
+    if cached is None:
+        absim = _absim(g, trunc, y_func)[1]
+        cached = g._pipeline_cache[cache_key] = _integer_polys(plethystic(absim, "exp"))
+    return cached
 
 
 def compute_sim(g: GraphOfGroups, trunc: int):
@@ -641,8 +629,8 @@ def compute_sim(g: GraphOfGroups, trunc: int):
     cached = g._pipeline_cache.get(cache_key)
     if cached is not None:
         return cached
-    absim = compute_absim(g, trunc)
-    G = _symmetry_for(g, trunc, None)
+    absim, series = _absim(g, trunc, None)
+    G = series.symmetry
     vectors = _vectors(g, trunc)
     per_pair = {}
     per_vector = {}

@@ -443,6 +443,22 @@ def test_oracle_per_vector(capsys):
 
 
 @pytest.mark.parametrize(
+    "name, message",
+    [
+        ("free", "preset free takes 1 parameter(s)"),
+        ("gc", "preset gc takes 1 parameter(s)"),
+        ("cyclic_free_product(2)", "preset cyclic_free_product takes 2 parameter(s)"),
+        ("free(x)", "non-integer parameter in preset 'free(x)'"),
+    ],
+)
+def test_oracle_names_a_malformed_preset_like_count(capsys, name, message):
+    code, out, err = run(capsys, "oracle", "--group", name, "--dim", "1", "--q", "3")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    # count names the same problem before it adds that no file has the name
+    assert run(capsys, "count", "--group", name, "--max-dim", "1")[2].startswith(err.rstrip())
+
+
+@pytest.mark.parametrize(
     "check, dim, shown", [("hom", 1, "48/7"), ("per-vector", 1, "8/7"), ("absim", 2, "106/7")]
 )
 def test_oracle_fails_on_a_non_integral_pipeline_value(capsys, monkeypatch, check, dim, shown):

@@ -143,18 +143,29 @@ def test_mul_difference_of_powers():
 
 def test_mul_support_matches_pair_enumeration():
     g = preset("psl2z")
-    f = build_F(g, 4)
-    target = parse_dimvector(g, "((2,1),(1,1,1))")
-    expected = RatFunc(Poly(()))
-    pairs = 0
-    for d1 in range(target.total + 1):
-        for m1 in enumerate_dimvectors(g, d1):
-            m2 = try_sub(target, m1)
-            if m2 is not None:
-                expected = expected + f.coefficient(m1) * f.coefficient(m2)
-                pairs += 1
-    assert pairs > 1
-    assert mul(f, f).coefficient(target) == expected
+    F = build_F(g, 4)
+    zero = zero_vector(g)
+    # F squared (tagged), and an untagged pair built by hand whose constant
+    # terms are not 1, so the degree-0 terms of the product reach every key
+    hand_built = (
+        GradedSeries(g, 4, {**F.coeffs, zero: RatFunc(poly([1, 1]), poly([-2, 1]))}),
+        GradedSeries(g, 4, {**invert(F).coeffs, zero: RatFunc(poly([3]))}),
+    )
+    for f, h in ((F, F), hand_built):
+        prod = mul(f, h)
+        for target in (zero, parse_dimvector(g, "((2,1),(1,1,1))")):
+            expected = RatFunc(Poly(()))
+            pairs = 0
+            for d1 in range(target.total + 1):
+                for m1 in enumerate_dimvectors(g, d1):
+                    m2 = try_sub(target, m1)
+                    if m2 is not None:
+                        expected = expected + f.coefficient(m1) * h.coefficient(m2)
+                        pairs += 1
+            assert pairs > 1 or target == zero
+            assert prod.coefficient(target) == expected
+    assert prod.symmetry is None
+    assert prod.coefficient(zero) == RatFunc(poly([3, 3]), poly([-2, 1]))
 
 
 CODEC_PRESETS = [
@@ -707,6 +718,12 @@ def test_tagged_pipeline_equals_untagged_reference(name, D):
     assert sq_t.symmetry is F.symmetry and sq_u.symmetry is None
     assert sq_t == sq_u
     assert mul(F, untagged).symmetry is None and mul(F, untagged) == sq_u
+    # a tagged series stores its values at orbit representatives only, and
+    # reads at every key as the untagged run
+    reps = F.symmetry.representatives(D)
+    for t, u in ((F, untagged), (inv_t, inv_u), (un_t, un_u), (log_t, log_u), (sq_t, sq_u)):
+        assert all(reps[c] == c for c in t.handles)
+        assert t.coeffs == u.coeffs
 
     # the production tables against the untagged run
     absim = _times_one_minus_s(log_u)
