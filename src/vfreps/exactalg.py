@@ -33,6 +33,19 @@ The cofactor s^a * prod Phi_n^e of a sorted exponent tuple is expanded
 once and cached by that tuple (_cofactor), like Phi_n itself, so no
 numerator is multiplied by one Phi_n at a time; RatFunc.den and
 gl_product read the same table.
+
+Most trial divisions of a numerator f by a Phi_n fail, so _divides
+rejects them cheaply and exactly before any division runs.  A degree
+below phi(n) rules Phi_n out.  Otherwise f is evaluated, as one dot
+product, at omega, an element of multiplicative order n modulo the least
+prime p = 1 (mod n) above 2^20 (the modular method of von zur Gathen and
+Gerhard, Modern Computer Algebra, ch. 5-6).  Since p does not divide n,
+omega is a root of Phi_n mod p; Phi_n is monic, so if it divides f then
+f = Phi_n * g with g in Z[s] and f(omega) = 0 mod p.  A nonzero value is
+therefore a proof that Phi_n does not divide f, and only a zero value,
+which may be a coincidence mod p, runs the exact division.  Every
+cancellation, in products, in rf_sum and in RatFunc(num, den), stays
+exact.
 """
 
 from __future__ import annotations
@@ -40,9 +53,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Optional
 
 NEG_INF = float("-inf")
+INF = float("inf")
 
 
 class PoleError(ArithmeticError):
@@ -496,16 +511,56 @@ def _split_cyclotomic(ints) -> tuple:
     rest = list(ints[a:])
     n = 1
     while n <= _max_order(len(rest) - 1):
-        while _totient(n) < len(rest) and _divides(n, rest):
+        while _divides(n, rest):
             rest = _exact_div_lists(rest, _cyclotomic(n))[0]
             exps[n] = exps.get(n, 0) + 1
         n += 1
     return exps, rest
 
 
+# n -> (p, [omega^i mod p for i = 0, 1, ...]): p the least prime = 1 (mod n)
+# above 2^20 and omega of multiplicative order n mod p; the list is
+# n-periodic and grown to the longest polynomial met so far
+_ROOT_POWERS = {}
+
+
+def _root_powers(n: int, length: int) -> tuple:
+    """(p, powers) with at least length powers of a primitive n-th root of
+    unity mod p."""
+    entry = _ROOT_POWERS.get(n)
+    if entry is None:
+        p = -(-(1 << 20) // n) * n + 1
+        while factorize(p) != {p: 1}:
+            p += n
+        # g^((p-1)/n) has order dividing n, and exactly n when no
+        # (n/l)-th power is 1 for a prime l | n
+        g = 2
+        while True:
+            w = pow(g, (p - 1) // n, p)
+            if all(pow(w, n // l, p) != 1 for l in factorize(n)):
+                break
+            g += 1
+        entry = _ROOT_POWERS[n] = (p, [pow(w, i, p) for i in range(n)])
+    p, powers = entry
+    if len(powers) < length:
+        powers.extend(powers[:n] * -(-(length - len(powers)) // n))
+    return p, powers
+
+
 def _divides(n: int, ints) -> bool:
-    """Whether Phi_n divides ints, decided on ints mod s^n - 1, which
-    Phi_n divides and which has degree below n."""
+    """Whether Phi_n divides the nonzero integer polynomial ints.
+
+    A degree below phi(n) rules it out.  Otherwise the value of ints at a
+    primitive n-th root of unity omega mod p is one dot product; omega is
+    a root of Phi_n mod p, so if Phi_n (monic) divides ints, with an
+    integer quotient, that value is 0.  A nonzero value therefore proves
+    that Phi_n does not divide ints, and only a zero runs the exact test on
+    ints mod s^n - 1, which Phi_n divides and which has degree below n."""
+    if len(ints) <= _totient(n):
+        return False
+    p, powers = _root_powers(n, len(ints))
+    if sum(map(mul, ints, powers)) % p:
+        return False
     r = _trim([sum(ints[i::n]) for i in range(n)])
     return not r or _exact_div_lists(r, _cyclotomic(n)) is not None
 
@@ -527,27 +582,32 @@ def _cofactor(factors: tuple) -> tuple:
     return (0,) * a + tuple(ints)
 
 
+def _strip(ints, n: int, e: int) -> tuple:
+    """Divide the nonzero integer polynomial ints by s (n = 0) or by Phi_n
+    as often as it divides, at most e times; returns (quotient, e minus the
+    number of divisions)."""
+    if n == 0:
+        k = 0
+        while k < e and not ints[k]:
+            k += 1
+        return (ints[k:], e - k) if k else (ints, e)
+    while e and _divides(n, ints):
+        ints = _exact_div_lists(ints, _cyclotomic(n))[0]
+        e -= 1
+    return ints, e
+
+
 def _cancel(num: Poly, exps: dict, trial) -> Poly:
     """Divide the nonzero num by s (n = 0) and by Phi_n, for each n in
     trial, as often as it divides and exps[n] allows, lowering exps to
     match."""
     ints = num.ints
     for n in trial:
-        e = exps[n]
-        k = 0
-        if n == 0:
-            while k < e and not ints[k]:
-                k += 1
-            if k:
-                ints = ints[k:]
+        ints, e = _strip(ints, n, exps[n])
+        if e:
+            exps[n] = e
         else:
-            while k < e and _divides(n, ints):
-                ints = _exact_div_lists(ints, _cyclotomic(n))[0]
-                k += 1
-        if k == e:
             del exps[n]
-        elif k:
-            exps[n] = e - k
     return num if ints is num.ints else Poly(ints, num.den)
 
 
@@ -601,8 +661,10 @@ class RatFunc:
     def _set(self, num: Poly, factors: tuple, residual: Poly) -> "RatFunc":
         self.num = num
         self.factors = factors
-        self.residual = residual
-        self._hash = hash((num, factors, residual))
+        # a residual 1 is always POLY_ONE itself, so products and sums can
+        # test for it by identity
+        self.residual = POLY_ONE if residual.ints == (1,) else residual
+        self._hash = hash((num, factors, self.residual))
         return self
 
     @classmethod
@@ -644,23 +706,18 @@ class RatFunc:
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         n1, n2 = self.num, other.num
-        if n1.is_zero() or n2.is_zero():
+        if not n1.ints or not n2.ints:
             return RF_ZERO
-        e1, e2 = dict(self.factors), dict(other.factors)
-        # each numerator is coprime to its own denominator, so it can only
-        # cancel the factors of the other operand that its own lacks
-        t1 = [n for n in e2 if n not in e1]
-        t2 = [n for n in e1 if n not in e2]
-        n1 = _cancel(n1, e2, t1)
-        n2 = _cancel(n2, e1, t2)
-        for n, e in e2.items():
-            e1[n] = e1.get(n, 0) + e
+        ints1, ints2, factors = _merge_factors(n1.ints, self.factors, n2.ints, other.factors)
         r1, r2 = self.residual, other.residual
-        if not r2.is_one():
+        if r1 is POLY_ONE and r2 is POLY_ONE:
+            return RatFunc._make(Poly(_mul_lists(ints1, ints2), n1.den * n2.den), factors)
+        n1, n2 = Poly(ints1, n1.den), Poly(ints2, n2.den)
+        if r2 is not POLY_ONE:
             n1, r2 = _cancel_gcd(n1, r2)
-        if not r1.is_one():
+        if r1 is not POLY_ONE:
             n2, r1 = _cancel_gcd(n2, r1)
-        return RatFunc._make(n1 * n2, tuple(sorted(e1.items())), r1 * r2)
+        return RatFunc._make(n1 * n2, factors, r1 * r2)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         if other.is_zero():
@@ -740,6 +797,33 @@ RF_ZERO = RatFunc._make(POLY_ZERO, ())
 RF_ONE = RatFunc._make(POLY_ONE, ())
 
 
+def _merge_factors(ints1, f1: tuple, ints2, f2: tuple) -> tuple:
+    """The cyclotomic part of (ints1 / f1) * (ints2 / f2) for canonical
+    values: (ints1', ints2', factors).  One pass merges the sorted exponent
+    tuples; a factor that only one operand has is stripped from the other's
+    numerator, the only one it can divide, since each numerator is coprime
+    to its own denominator."""
+    out = []
+    i = j = 0
+    while i < len(f1) or j < len(f2):
+        m = f1[i][0] if i < len(f1) else INF
+        n = f2[j][0] if j < len(f2) else INF
+        if m < n:
+            ints2, e = _strip(ints2, m, f1[i][1])
+            i += 1
+        elif n < m:
+            ints1, e = _strip(ints1, n, f2[j][1])
+            m = n
+            j += 1
+        else:
+            e = f1[i][1] + f2[j][1]
+            i += 1
+            j += 1
+        if e:
+            out.append((m, e))
+    return ints1, ints2, tuple(out)
+
+
 def _add_into(acc: list, ints, c: int) -> None:
     """acc += c * ints in place, acc growing as needed."""
     if len(ints) > len(acc):
@@ -751,60 +835,76 @@ def _add_into(acc: list, ints, c: int) -> None:
 def rf_sum(terms) -> RatFunc:
     """The canonical sum of value * k over (RatFunc, int k) pairs.
 
-    One pass groups the terms by denominator and finds the lcm L of the
-    numerators' Poly.den.  The common denominator is the exponent-wise
-    maximum of the s and Phi_n exponents times the lcm of the residuals.
-    Each group adds k * (L / den) * ints into a plain int list, multiplies
-    it once by its cyclotomic cofactor (and by its residual's quotient
-    when that is not 1), and adds it into one total list; the total
-    becomes one Poly, cancelled once against every factor, with the gcd
-    run on the residual only when it is not 1.
+    One pass groups the terms by their exponent tuple alone, so no Poly is
+    hashed per term, and finds the lcm L of the numerators' Poly.den.  The
+    common denominator is the exponent-wise maximum of the s and Phi_n
+    exponents times the lcm of the residuals.  Each group adds k * (L /
+    den) * ints into a plain int list (a lone member is scaled in one
+    pass), multiplies it once by its cyclotomic cofactor, and adds it into
+    the total, which starts as the first group's list; the total becomes
+    one Poly, cancelled once against every factor.  Only when a residual
+    is not 1 (never in the pipeline) is each member first multiplied by
+    its residual's quotient, and the gcd run at the end.
     """
-    groups = {}
+    groups, residuals = {}, set()
     lcm = 1
     for v, k in terms:
         num = v.num
         if k and num.ints:
-            lcm = math.lcm(lcm, num.den)
-            groups.setdefault((v.factors, v.residual), []).append((num, k))
-    exps, residual = {}, POLY_ONE
-    for factors, r in groups:
+            if num.den != 1:
+                lcm = math.lcm(lcm, num.den)
+            r = v.residual
+            if r is not POLY_ONE:
+                residuals.add(r)
+            members = groups.get(v.factors)
+            if members is None:
+                groups[v.factors] = [(num, k, r)]
+            else:
+                members.append((num, k, r))
+    exps = {}
+    for factors in groups:
         for n, e in factors:
             if e > exps.get(n, 0):
                 exps[n] = e
-        if r != residual:
-            residual = residual * r.exact_div(residual.gcd(r))
-    # residual / r has rational coefficients: quotients[r] = (ints, den),
-    # and every group is brought to the common scale lcm * scale
-    quotients, scale = {}, 1
-    if not residual.is_one():
-        for _, r in groups:
-            if r not in quotients:
-                q = residual.exact_div(r)
-                quotients[r] = (q.ints, q.den)
-                scale = math.lcm(scale, q.den)
+    residual, quotients, scale = POLY_ONE, {}, 1
+    for r in residuals:
+        residual = residual * r.exact_div(residual.gcd(r))
+    if residuals:
+        # residual / r has rational coefficients; every term is brought to
+        # the common scale lcm * scale
+        rs = {r for members in groups.values() for _, _, r in members}
+        quotients = {r: residual.exact_div(r) for r in rs}
+        scale = math.lcm(*(q.den for q in quotients.values()))
     common = tuple(sorted(exps.items()))
-    total = []
-    for (factors, r), members in groups.items():
-        acc = []
-        for num, k in members:
-            _add_into(acc, num.ints, k * (lcm // num.den))
-        if not _trim(acc):
-            continue
+    total = None
+    for factors, members in groups.items():
+        if len(members) == 1 and not quotients:
+            num, k, _ = members[0]
+            c = k * (lcm // num.den)
+            acc = [c * x for x in num.ints]
+        else:
+            acc = []
+            for num, k, r in members:
+                c = k * (lcm // num.den)
+                if quotients:
+                    q = quotients[r]
+                    _add_into(acc, _mul_lists(q.ints, num.ints), c * (scale // q.den))
+                else:
+                    _add_into(acc, num.ints, c)
+            if not _trim(acc):
+                continue
         if factors != common:
             own = dict(factors)
             up = tuple((n, e - own.get(n, 0)) for n, e in common if e > own.get(n, 0))
             acc = _mul_lists(_cofactor(up), acc)
-        c = 1
-        if quotients:
-            q_ints, q_den = quotients[r]
-            acc = _mul_lists(q_ints, acc)
-            c = scale // q_den
-        _add_into(total, acc, c)
-    if not _trim(total):
+        if total is None:
+            total = acc
+        else:
+            _add_into(total, acc, 1)
+    if total is None or not _trim(total):
         return RF_ZERO
     total = _cancel(Poly(total, lcm * scale), exps, list(exps))
-    if not residual.is_one():
+    if residuals:
         total, residual = _cancel_gcd(total, residual)
     return RatFunc._make(total, tuple(sorted(exps.items())), residual)
 

@@ -321,6 +321,8 @@ def _check_supported(p: PresentationData, d: int, q: int):
         raise ValueError("oracle supports dimensions 1 and 2 only")
     if q > 13:
         raise ValueError("oracle supports q <= 13 only")
+    if not p.generators:
+        raise ValueError(f"oracle needs at least one generator, and {p.preset_name} has none")
     g = preset(p.preset_name)
     if not is_suitable_prime_power(g, q):
         raise ValueError(f"q={q} is not suitable for {p.preset_name}")

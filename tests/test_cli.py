@@ -458,6 +458,14 @@ def test_oracle_names_a_malformed_preset_like_count(capsys, name, message):
     assert run(capsys, "count", "--group", name, "--max-dim", "1")[2].startswith(err.rstrip())
 
 
+@pytest.mark.parametrize("check", ["hom", "absim", "per-vector"])
+def test_oracle_rejects_a_presentation_without_generators(capsys, check):
+    code, out, err = run(capsys, "oracle", "--group", "free(0)", "--dim", "1", "--q", "3", "--check", check)
+    assert (code, out) == (1, "")
+    assert err == "error: oracle needs at least one generator, and free(0) has none\n"
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "check, dim, shown", [("hom", 1, "48/7"), ("per-vector", 1, "8/7"), ("absim", 2, "106/7")]
 )

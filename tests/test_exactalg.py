@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vfreps import exactalg
 from vfreps.exactalg import (
     InexactDivision,
     POLY_ONE,
@@ -14,10 +15,13 @@ from vfreps.exactalg import (
     QPower,
     RatFunc,
     S,
+    _ROOT_POWERS,
     _adams_factors,
     _cofactor,
     _cyclotomic,
+    _divides,
     _exact_div_lists,
+    _root_powers,
     _totient,
     gl_count,
     gl_product,
@@ -576,3 +580,121 @@ def test_rf_sum_of_long_numerators_matches_evaluation(terms):
     for v, _, _, k in terms:
         pairwise = pairwise + v.scale(k)
     assert pairwise == total
+
+
+# ---------------------------------------------------------------------------
+# the modular zero test behind every cyclotomic cancellation
+# ---------------------------------------------------------------------------
+
+def _residue_divides(n, ints):
+    """The unfiltered reference: Phi_n divides ints exactly when it divides
+    ints mod s^n - 1."""
+    r = [sum(ints[i::n]) for i in range(n)]
+    while r and not r[-1]:
+        r.pop()
+    return not r or _exact_div_lists(r, _cyclotomic(n)) is not None
+
+
+def _int_poly(draw, max_size):
+    """A nonzero integer polynomial, with small or 80-bit coefficients."""
+    width = draw(st.sampled_from([5, 1 << 80]))
+    c = draw(st.lists(st.integers(-width, width), min_size=1, max_size=max_size))
+    c.append(draw(st.integers(1, width)) * draw(st.sampled_from([1, -1])))
+    return c
+
+
+@st.composite
+def divisibility_cases(draw):
+    """(n, ints) for n in 1..60, ints of one of five kinds: random; c *
+    Phi_n^k * g; Phi_n itself, of length phi(n) + 1, the degree bound's
+    edge; Phi_n * g +- s^j; Phi_n * g +- p * s^j, which is 0 at the root of
+    unity mod p but not divisible, so only the exact test rejects it."""
+    n = draw(st.integers(1, 60))
+    phi = list(_cyclotomic(n))
+    kind = draw(st.sampled_from(["random", "multiple", "phi", "near", "modular"]))
+    if kind == "random":
+        return n, _int_poly(draw, 2 * _totient(n) + 4)
+    if kind == "phi":
+        return n, phi
+    g = _int_poly(draw, 8)
+    if kind == "multiple":
+        c = draw(st.integers(1, 30)) * draw(st.sampled_from([1, -1]))
+        f = [c * x for x in g]
+        for _ in range(draw(st.integers(1, 3))):
+            f = _mul_int(f, phi)
+        return n, f
+    f = _mul_int(phi, g)
+    j = draw(st.integers(0, len(f) - 1))
+    f[j] += draw(st.sampled_from([1, -1])) * (_root_powers(n, 1)[0] if kind == "modular" else 1)
+    while not f[-1]:
+        f.pop()
+    return n, f
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(divisibility_cases())
+def test_divides_agrees_with_the_residue_test(case):
+    n, ints = case
+    calls = []
+
+    def counted(n, length):
+        calls.append(n)
+        return _root_powers(n, length)
+
+    # a degree below phi(n) is rejected without the modular evaluation
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactalg, "_root_powers", counted)
+        assert _divides(n, ints) == _residue_divides(n, ints)
+    assert bool(calls) == (len(ints) > _totient(n))
+    assert _divides(n, tuple(ints)) == _residue_divides(n, ints)
+
+
+def _is_prime(q):
+    return q > 1 and all(q % d for d in range(2, math.isqrt(q) + 1))
+
+
+def test_root_table_holds_primitive_roots_of_unity():
+    for n in range(1, 61):
+        _root_powers(n, 3 * n + 1)
+    for n, (p, powers) in _ROOT_POWERS.items():
+        assert _is_prime(p) and (p - 1) % n == 0 and p > 1 << 20
+        # the least such prime
+        assert not any(_is_prime(q) for q in range(p - n, 1 << 20, -n))
+        w = powers[1 % n]
+        assert pow(w, n, p) == 1
+        for ell in range(2, n + 1):
+            if n % ell == 0 and _is_prime(ell):
+                assert pow(w, n // ell, p) != 1
+        assert powers == [pow(w, i, p) for i in range(len(powers))]
+
+
+@st.composite
+def high_order_pairs(draw):
+    """Two values a, b and the order n <= 40: a's numerator carries
+    Phi_n^j, b's denominator Phi_n^e, beside other random factors."""
+    n = draw(st.integers(1, 40))
+    parts = []
+    for carrier in (0, 1):
+        num = _factor(n) ** draw(st.integers(1, 3)) if carrier == 0 else POLY_ONE
+        num = num * Poly(draw(st.lists(st.integers(-4, 4), min_size=1, max_size=4)) + [1])
+        factors = {m: draw(st.integers(1, 2)) for m in draw(st.lists(st.integers(0, 40), max_size=3))}
+        if carrier == 1:
+            factors[n] = draw(st.integers(1, 3))
+        den = _expand(sorted(factors.items()))
+        if draw(st.booleans()):
+            den = den * (S - Poly.const(draw(st.sampled_from([-3, 2, 5]))))
+        parts.append(RatFunc(num.scale(draw(st.sampled_from([1, Fraction(1, 2), -3]))), den))
+    if draw(st.booleans()):
+        parts.reverse()
+    return n, parts[0], parts[1]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(high_order_pairs())
+def test_product_strips_high_order_factors_like_the_constructor(case):
+    # the product of two canonical values cancels only the factors one
+    # operand brings against the other's numerator; the general constructor
+    # factors the expanded denominator from scratch
+    n, a, b = case
+    general = RatFunc(a.num * b.num, a.den * b.den)
+    assert a * b == general and hash(a * b) == hash(general)
