@@ -19,8 +19,10 @@ Phi_n, as an exponent tuple, times a monic residual coprime to all of
 them.  Every denominator of the counting pipeline is built from
 general-linear counts and their Adams substitutes, so its residual is 1;
 products and sums are then exponent arithmetic plus exact division of the
-numerator by the Phi_n present.  Only a residual other than 1, which comes
-from outside data, brings in the primitive-PRS gcd.
+numerator by the Phi_n present.  A residual other than 1 comes only from
+outside data, and only the constructor RatFunc(num, den) handles one, by
+the primitive-PRS gcd: a product or sum that meets one hands it the
+expanded numerator and denominator.
 
 Every sum goes through one n-ary sum, rf_sum, over (value, int
 multiplicity) pairs, on plain int lists: the numerators that share a
@@ -53,6 +55,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from operator import mul
 from typing import Iterable, Optional
 
@@ -172,18 +175,13 @@ def _prem(f, g):
 
 
 def _gcd_lists(a, b):
-    """Primitive gcd of integer polynomials via the primitive PRS."""
-    if not a:
-        return _primitive(b)
-    if not b:
-        return _primitive(a)
-    a = _primitive(a)
-    b = _primitive(b)
-    if len(a) < len(b):
-        a, b = b, a
+    """Primitive gcd of integer polynomials via the primitive PRS, with a
+    positive leading coefficient.  A pseudo-remainder by a longer divisor
+    is the dividend, so the loop itself swaps a shorter a behind b, and a
+    zero operand leaves the other."""
+    a, b = _primitive(a), _primitive(b)
     while b:
-        r = _prem(a, b)
-        a, b = b, _primitive(r)
+        a, b = b, _primitive(_prem(a, b))
     if a and a[-1] < 0:
         a = [-x for x in a]
     return a
@@ -391,59 +389,50 @@ def _fmt_frac(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
-def _poly_text(coeffs, var: str) -> str:
-    """Descending powers with explicit signs; a variable longer than one
-    character, such as x*y, is parenthesised in powers: (x*y)^2."""
-    power = var if len(var) == 1 else f"({var})"
-    terms = []
+def _poly_join(coeffs, term, sep: str) -> str:
+    """Descending powers with explicit signs, with sep on both sides of a
+    sign between terms and no leading +; term(mag, k) renders a nonzero
+    coefficient's magnitude mag times var^k."""
+    out = ""
     for k in range(len(coeffs) - 1, -1, -1):
         c = coeffs[k]
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else "+"
-        mag = -c if c < 0 else c
+        if c:
+            if out:
+                out += sep + ("-" if c < 0 else "+") + sep
+            elif c < 0:
+                out = "-"
+            out += term(abs(c), k)
+    return out or "0"
+
+
+def _poly_text(coeffs, var: str) -> str:
+    """A variable longer than one character, such as x*y, is parenthesised
+    in powers: (x*y)^2."""
+    power = var if len(var) == 1 else f"({var})"
+
+    def term(mag, k):
         if k == 0:
-            body = _fmt_frac(mag)
-        else:
-            head = "" if mag == 1 else _fmt_frac(mag) + "*"
-            body = head + (var if k == 1 else f"{power}^{k}")
-        terms.append((sign, body))
-    if not terms:
-        return "0"
-    first_sign, first_body = terms[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in terms[1:]:
-        out += sign + body
-    return out
+            return _fmt_frac(mag)
+        x = var if k == 1 else f"{power}^{k}"
+        return x if mag == 1 else f"{_fmt_frac(mag)}*{x}"
+
+    return _poly_join(coeffs, term, "")
 
 
 def _poly_latex(coeffs, var: str) -> str:
     power = var if len(var) == 1 else f"({var})"
-    terms = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else "+"
-        mag = -c if c < 0 else c
+
+    def term(mag, k):
         if mag.denominator == 1:
-            head = "" if (mag == 1 and k > 0) else str(mag)
+            head = str(mag)
         else:
             head = rf"\frac{{{mag.numerator}}}{{{mag.denominator}}}"
         if k == 0:
-            body = head if head else "1"
-        elif k == 1:
-            body = (head + " " if head else "") + var
-        else:
-            body = (head + " " if head else "") + f"{power}^{{{k}}}"
-        terms.append((sign, body))
-    if not terms:
-        return "0"
-    first_sign, first_body = terms[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in terms[1:]:
-        out += f" {sign} {body}"
-    return out
+            return head
+        x = var if k == 1 else f"{power}^{{{k}}}"
+        return x if mag == 1 else f"{head} {x}"
+
+    return _poly_join(coeffs, term, " ")
 
 
 # ---------------------------------------------------------------------------
@@ -504,18 +493,15 @@ def _split_cyclotomic(ints) -> tuple:
     """Write the integer polynomial ints as s^a * prod Phi_n^e * rest with
     rest coprime to s and to every Phi_n; returns ({n: e}, rest) with n = 0
     for s.  Only the Phi_n with phi(n) <= deg(rest) are tried."""
-    a = 0
-    while not ints[a]:
-        a += 1
-    exps = {0: a} if a else {}
-    rest = list(ints[a:])
-    n = 1
-    while n <= _max_order(len(rest) - 1):
-        while _divides(n, rest):
-            rest = _exact_div_lists(rest, _cyclotomic(n))[0]
-            exps[n] = exps.get(n, 0) + 1
+    exps = {}
+    n = 0
+    while n <= _max_order(len(ints) - 1):
+        cap = len(ints)
+        ints, e = _strip(ints, n, cap)
+        if e < cap:
+            exps[n] = cap - e
         n += 1
-    return exps, rest
+    return exps, ints
 
 
 # n -> (p, [omega^i mod p for i = 0, 1, ...]): p the least prime = 1 (mod n)
@@ -611,14 +597,6 @@ def _cancel(num: Poly, exps: dict, trial) -> Poly:
     return num if ints is num.ints else Poly(ints, num.den)
 
 
-def _cancel_gcd(num: Poly, residual: Poly) -> tuple:
-    """Divide num and a residual by their monic gcd (primitive PRS)."""
-    g = num.gcd(residual)
-    if g.degree > 0:
-        return num.exact_div(g), residual.exact_div(g)
-    return num, residual
-
-
 # ---------------------------------------------------------------------------
 # rational functions
 # ---------------------------------------------------------------------------
@@ -634,9 +612,10 @@ class RatFunc:
     1: products add exponents, sums (rf_sum, also behind +) take their
     maximum, Adams substitution maps Phi_n(s^beta) to cyclotomic factors,
     and cancellation is exact division of the numerator by the Phi_n
-    present.  Only RatFunc(num, den) factors a polynomial, and only a
-    residual other than 1 (a denominator from outside data, such as s - 2)
-    brings in the primitive-PRS gcd.
+    present.  Only RatFunc(num, den) factors a polynomial, and only it
+    handles a residual other than 1 (a denominator from outside data, such
+    as s - 2), by the primitive-PRS gcd; a product or sum with such an
+    operand passes it the expanded numerator and denominator.
 
     The canonical zero is 0/1.  Values are immutable and hashable, so they
     can be interned and memoized by the series layer.
@@ -655,7 +634,8 @@ class RatFunc:
             num = _cancel(num.scale(Fraction(den.den, rest[-1])), exps, list(exps))
             residual = Poly(rest, rest[-1])
             if not residual.is_one():
-                num, residual = _cancel_gcd(num, residual)
+                g = num.gcd(residual)
+                num, residual = num.exact_div(g), residual.exact_div(g)
         self._set(num, tuple(sorted(exps.items())), residual)
 
     def _set(self, num: Poly, factors: tuple, residual: Poly) -> "RatFunc":
@@ -708,16 +688,10 @@ class RatFunc:
         n1, n2 = self.num, other.num
         if not n1.ints or not n2.ints:
             return RF_ZERO
+        if self.residual is not POLY_ONE or other.residual is not POLY_ONE:
+            return RatFunc(n1 * n2, self.den * other.den)
         ints1, ints2, factors = _merge_factors(n1.ints, self.factors, n2.ints, other.factors)
-        r1, r2 = self.residual, other.residual
-        if r1 is POLY_ONE and r2 is POLY_ONE:
-            return RatFunc._make(Poly(_mul_lists(ints1, ints2), n1.den * n2.den), factors)
-        n1, n2 = Poly(ints1, n1.den), Poly(ints2, n2.den)
-        if r2 is not POLY_ONE:
-            n1, r2 = _cancel_gcd(n1, r2)
-        if r1 is not POLY_ONE:
-            n2, r1 = _cancel_gcd(n2, r1)
-        return RatFunc._make(n1 * n2, factors, r1 * r2)
+        return RatFunc._make(Poly(_mul_lists(ints1, ints2), n1.den * n2.den), factors)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         if other.is_zero():
@@ -835,62 +809,54 @@ def _add_into(acc: list, ints, c: int) -> None:
 def rf_sum(terms) -> RatFunc:
     """The canonical sum of value * k over (RatFunc, int k) pairs.
 
-    One pass groups the terms by their exponent tuple alone, so no Poly is
-    hashed per term, and finds the lcm L of the numerators' Poly.den.  The
-    common denominator is the exponent-wise maximum of the s and Phi_n
-    exponents times the lcm of the residuals.  Each group adds k * (L /
-    den) * ints into a plain int list (a lone member is scaled in one
-    pass), multiplies it once by its cyclotomic cofactor, and adds it into
-    the total, which starts as the first group's list; the total becomes
-    one Poly, cancelled once against every factor.  Only when a residual
-    is not 1 (never in the pipeline) is each member first multiplied by
-    its residual's quotient, and the gcd run at the end.
+    One pass over the terms groups them by their exponent tuple alone, so
+    no Poly is hashed per term, and finds the lcm L of the numerators'
+    Poly.den.  The common denominator is the exponent-wise maximum of the
+    s and Phi_n exponents.  Each group adds k * (L / den) * ints into a
+    plain int list (a lone member is scaled in one pass), multiplies it
+    once by its cyclotomic cofactor, and adds it into the total, which
+    starts as the first group's list; the total becomes one Poly,
+    cancelled once against every factor.  A value whose residual is not 1
+    (never in the pipeline) hands the terms read so far and the rest over
+    to the constructor, on expanded denominators.
     """
-    groups, residuals = {}, set()
+    groups = {}
     lcm = 1
+    terms = iter(terms)
     for v, k in terms:
         num = v.num
         if k and num.ints:
+            if v.residual is not POLY_ONE:
+                num, den = POLY_ZERO, POLY_ONE
+                for v, k in chain(chain.from_iterable(groups.values()), ((v, k),), terms):
+                    d = v.den
+                    num, den = num * d + v.num.scale(k) * den, den * d
+                return RatFunc(num, den)
             if num.den != 1:
                 lcm = math.lcm(lcm, num.den)
-            r = v.residual
-            if r is not POLY_ONE:
-                residuals.add(r)
             members = groups.get(v.factors)
             if members is None:
-                groups[v.factors] = [(num, k, r)]
+                groups[v.factors] = [(v, k)]
             else:
-                members.append((num, k, r))
+                members.append((v, k))
     exps = {}
     for factors in groups:
         for n, e in factors:
             if e > exps.get(n, 0):
                 exps[n] = e
-    residual, quotients, scale = POLY_ONE, {}, 1
-    for r in residuals:
-        residual = residual * r.exact_div(residual.gcd(r))
-    if residuals:
-        # residual / r has rational coefficients; every term is brought to
-        # the common scale lcm * scale
-        rs = {r for members in groups.values() for _, _, r in members}
-        quotients = {r: residual.exact_div(r) for r in rs}
-        scale = math.lcm(*(q.den for q in quotients.values()))
     common = tuple(sorted(exps.items()))
     total = None
     for factors, members in groups.items():
-        if len(members) == 1 and not quotients:
-            num, k, _ = members[0]
+        if len(members) == 1:
+            v, k = members[0]
+            num = v.num
             c = k * (lcm // num.den)
             acc = [c * x for x in num.ints]
         else:
             acc = []
-            for num, k, r in members:
-                c = k * (lcm // num.den)
-                if quotients:
-                    q = quotients[r]
-                    _add_into(acc, _mul_lists(q.ints, num.ints), c * (scale // q.den))
-                else:
-                    _add_into(acc, num.ints, c)
+            for v, k in members:
+                num = v.num
+                _add_into(acc, num.ints, k * (lcm // num.den))
             if not _trim(acc):
                 continue
         if factors != common:
@@ -903,10 +869,8 @@ def rf_sum(terms) -> RatFunc:
             _add_into(total, acc, 1)
     if total is None or not _trim(total):
         return RF_ZERO
-    total = _cancel(Poly(total, lcm * scale), exps, list(exps))
-    if residuals:
-        total, residual = _cancel_gcd(total, residual)
-    return RatFunc._make(total, tuple(sorted(exps.items())), residual)
+    total = _cancel(Poly(total, lcm), exps, list(exps))
+    return RatFunc._make(total, tuple(sorted(exps.items())))
 
 
 # ---------------------------------------------------------------------------

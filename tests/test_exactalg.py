@@ -1,7 +1,9 @@
+import ast
 import math
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -185,6 +187,14 @@ def test_poly_gcd_monic():
     b = (S - POLY_ONE) * S * S
     assert a.gcd(b) == S - POLY_ONE
     assert a.gcd(Poly(())) == ((S - POLY_ONE) ** 3 * (S + POLY_ONE)).monic()
+    # the primitive PRS alone orders its operands and ends on a zero one
+    assert Poly(()).gcd(a) == a.monic() and Poly(()).gcd(Poly(())) == Poly(())
+    assert b.gcd(a) == S - POLY_ONE and (S - POLY_ONE).gcd(a) == S - POLY_ONE
+    # the gcd is monic whatever the operands' signs and contents
+    assert a.scale(-3).gcd(b) == a.gcd(b.scale(Fraction(-1, 2))) == S - POLY_ONE
+    assert (-b).gcd(-a) == S - POLY_ONE
+    assert a.gcd(Poly.const(5)) == Poly.const(-2).gcd(a) == POLY_ONE
+    assert a.gcd(a) == a.scale(-4).gcd(a) == a.monic() and b.gcd(b) == b
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +546,27 @@ def test_rf_sum_pinned_cases():
         zero = rf_sum(terms)
         assert zero.is_zero() and zero.factors == () and zero.residual.is_one()
     assert a - a == rf_sum([]) and hash(a - a) == hash(RatFunc(Poly(())))
+    # a one-shot generator: two cyclotomic groups are read before the value
+    # with residual s - 2, and a multiplicity-0 term and a zero value after it
+    handed = [
+        (RatFunc(S, s_minus[1]), 2),
+        (RatFunc(POLY_ONE, S), -1),
+        (RatFunc(POLY_ONE, s_minus[1]), 3),
+        (RatFunc(S, s_minus[2] * s_minus[1]), 1),
+        (RatFunc(POLY_ONE, s_minus[3]), 0),
+        (RatFunc(Poly(())), 4),
+    ]
+    total = rf_sum(v for v in handed)
+    den = S * s_minus[1] * s_minus[2] * s_minus[3]
+    num = Poly(())
+    for v, k in handed:
+        num = num + (v.num * den.exact_div(v.den)).scale(k)
+    general = RatFunc(num, den)
+    pairwise = RatFunc(Poly(()))
+    for v, k in handed:
+        pairwise = pairwise + v.scale(k)
+    assert total == general == pairwise and hash(total) == hash(general) == hash(pairwise)
+    assert total.residual == s_minus[2] and total.factors == ((0, 1), (1, 1))
 
 
 # shared denominators, so several terms fall into one group; the last two
@@ -698,3 +729,34 @@ def test_product_strips_high_order_factors_like_the_constructor(case):
     n, a, b = case
     general = RatFunc(a.num * b.num, a.den * b.den)
     assert a * b == general and hash(a * b) == hash(general)
+
+
+# ---------------------------------------------------------------------------
+# exactness of the source
+# ---------------------------------------------------------------------------
+
+def test_no_floating_point_in_the_package():
+    # no float literal anywhere in the package, and no float(...) call but
+    # the two that define exactalg's degree sentinels NEG_INF and INF
+    sentinels, found = set(), []
+    for path in sorted((Path(exactalg.__file__).parent).glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if (
+                path.name == "exactalg.py"
+                and isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)] in (["NEG_INF"], ["INF"])
+            ):
+                sentinels.add(node.value)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append((path.name, node.lineno, repr(node.value)))
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "float"
+                and node not in sentinels
+            ):
+                found.append((path.name, node.lineno, "float(...)"))
+    assert len(sentinels) == 2 and all(isinstance(v, ast.Call) for v in sentinels)
+    assert found == []
