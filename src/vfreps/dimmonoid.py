@@ -372,9 +372,9 @@ def automorphisms(g: GraphOfGroups):
     then too, so importing the package compiles none of it."""
     G = g._pipeline_cache.get("automorphisms")
     if G is None:
-        from .orbits import Automorphisms
+        from .orbits import Automorphisms, _automorphism_generators
 
-        G = g._pipeline_cache["automorphisms"] = Automorphisms(g)
+        G = g._pipeline_cache["automorphisms"] = Automorphisms(g, _automorphism_generators(g))
     return G
 
 

@@ -818,7 +818,8 @@ def rf_sum(terms) -> RatFunc:
     starts as the first group's list; the total becomes one Poly,
     cancelled once against every factor.  A value whose residual is not 1
     (never in the pipeline) hands the terms read so far and the rest over
-    to the constructor, on expanded denominators.
+    to the constructor, brought over the running lcm of their expanded
+    denominators.
     """
     groups = {}
     lcm = 1
@@ -830,7 +831,10 @@ def rf_sum(terms) -> RatFunc:
                 num, den = POLY_ZERO, POLY_ONE
                 for v, k in chain(chain.from_iterable(groups.values()), ((v, k),), terms):
                     d = v.den
-                    num, den = num * d + v.num.scale(k) * den, den * d
+                    common = den.gcd(d)
+                    up = d.exact_div(common)
+                    num = num * up + v.num.scale(k) * den.exact_div(common)
+                    den = den * up
                 return RatFunc(num, den)
             if num.den != 1:
                 lcm = math.lcm(lcm, num.den)

@@ -17,12 +17,14 @@ from __future__ import annotations
 from itertools import chain
 from operator import attrgetter, itemgetter
 
-from .dimmonoid import _EdgeJoin, enumerate_dimvectors
+from .dimmonoid import _EdgeJoin, automorphisms, enumerate_dimvectors
 from .groupgraph import GraphOfGroups
 
 
 class Automorphisms:
-    """The group G of relabellings of simples that keep the graph data.
+    """A group of relabellings of simples that keep the graph data: the
+    whole group G (dimmonoid.automorphisms), or the subgroup of G that its
+    given generators generate (respecting, trivial).
 
     An element is a tuple of permutations, sigma_v of the simples of every
     vertex and tau_e of the simples of every edge, that keep all simple
@@ -33,22 +35,25 @@ class Automorphisms:
     reads, so each count of the pipeline is constant on the orbits of G.
     Vertex swaps are not part of G.
 
-    G is kept as generators, never as a list of elements: one element per
-    (level, image point) of a stabiliser chain of the vertex simples in
-    code order, each found by a backtrack over the edge simples.
+    A group is kept as the elements (sigma, tau) it is built from, its
+    generators, never as a list of all its elements.  Those of G come from _automorphism_generators: one
+    element per (level, image point) of a stabiliser chain of the vertex
+    simples in code order, each found by a backtrack over the edge
+    simples.  A subgroup keeps some of them, so its orbits refine those of
+    G and it has orbits, representatives and decompositions of its own.
     `generators` holds their per-vertex permutations in the format of
     SymmetryGroupDescriptor (p[gamma] is the image of gamma) and
     `edge_perms` their tau_e.  The orbit walk applies the generators to flat
     tuples of per_vertex entries.
     The representative of an orbit is its least code, and since scaling
-    commutes with G and keeps code order, rep(beta*m) = beta*rep(m).
+    commutes with every relabelling and keeps code order, rep(beta*m) =
+    beta*rep(m).
     """
 
-    def __init__(self, g: GraphOfGroups):
+    def __init__(self, g: GraphOfGroups, elements):
         self.graph = g
-        found = _automorphism_generators(g)
-        self.generators = tuple(sigma for sigma, _ in found)
-        self.edge_perms = tuple(tau for _, tau in found)
+        self.generators = tuple(sigma for sigma, _ in elements)
+        self.edge_perms = tuple(tau for _, tau in elements)
         self._movers = []
         for sigma in self.generators:
             flat = [base + p[gamma] for base, p in zip(_offsets(g), sigma) for gamma in range(len(p))]
@@ -61,9 +66,48 @@ class Automorphisms:
         self.orbits = {}  # representative code -> its orbit's keys, in code order
         self._decompositions = {}
         self._join = None
+        self._respecting = {}
+        self._trivial = None
 
     def is_trivial(self) -> bool:
         return not self.generators
+
+    def trivial(self) -> "Automorphisms":
+        """The graph's trivial group: G itself when G has no generators,
+        else one group without any, cached on G."""
+        G = automorphisms(self.graph)
+        if G._trivial is None:
+            G._trivial = G if G.is_trivial() else Automorphisms(self.graph, ())
+        return G._trivial
+
+    def respecting(self, y_func, trunc: int) -> "Automorphisms":
+        """The subgroup H generated by the generators whose mover keeps
+        y_func on every key of total <= trunc, with y_func evaluated once
+        per key: self when y_func is None (correction_y, which G keeps) or
+        every generator is kept.  y_func is constant on the orbits of H,
+        and H is self exactly when y_func is constant on those of self.
+        Cached by (y_func, trunc) on this group and on H, whose generators
+        all keep y_func, so every stage that asks for the same correction
+        gets the same object and y_func is evaluated once."""
+        if y_func is None:
+            return self
+        H = self._respecting.get((y_func, trunc))
+        if H is None:
+            g = self.graph
+            y = {}
+            for d in range(trunc + 1):
+                for m in enumerate_dimvectors(g, d):
+                    y[tuple(chain.from_iterable(m.per_vertex))] = y_func(g, m)
+            kept = [i for i, mover in enumerate(self._movers)
+                    if all(y[mover(t)] == value for t, value in y.items())]
+            if len(kept) == len(self._movers):
+                H = self
+            elif not kept:
+                H = self.trivial()
+            else:
+                H = Automorphisms(g, [(self.generators[i], self.edge_perms[i]) for i in kept])
+            self._respecting[y_func, trunc] = H._respecting[y_func, trunc] = H
+        return H
 
     def representatives(self, trunc: int) -> dict:
         """{code: code of the orbit representative} for every key of total
@@ -102,9 +146,11 @@ class Automorphisms:
         return self._reps[d]
 
     def decompositions(self, code: int) -> tuple:
-        """(r1, r2, k) for the representative with this code: k of its
-        sub-vectors m1 (zero and m included) have rep(m1) = r1 and
-        rep(m - m1) = r2.  Needs the representatives of its total."""
+        """The flat tuple (r1, r2, k, r1, r2, k, ...) for the
+        representative with this code: k of its sub-vectors m1 (zero and m
+        included) have rep(m1) = r1 and rep(m - m1) = r2.  One tuple per
+        representative, whatever its number of pairs; read it with
+        zip(it, it, it).  Needs the representatives of its total."""
         out = self._decompositions.get(code)
         if out is None:
             if self._join is None:
@@ -115,9 +161,9 @@ class Automorphisms:
             for c1, _ in self._join([self._join.box(v, x) for v, x in enumerate(m.per_vertex)]):
                 key = (rep[c1], rep[code - c1])
                 count[key] = count.get(key, 0) + 1
-            out = self._decompositions[code] = tuple(
+            out = self._decompositions[code] = tuple(chain.from_iterable(
                 (r1, r2, k) for (r1, r2), k in count.items()
-            )
+            ))
         return out
 
 

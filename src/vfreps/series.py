@@ -39,23 +39,25 @@ small truncations.
 The orbit quotient.  Relabelling simples by an element of the graph's
 automorphism group G (dimmonoid.automorphisms) permutes the dimension
 vectors and fixes every count, so the pipeline's series are constant on
-the orbits of G.  A series records this in its tag, `symmetry`: build_F
-sets it to G when G is nontrivial and y_func is None or constant on every
-orbit (it evaluates y_func on every key to check), and invert, shift,
-plethystic and mul keep it only when their inputs carry it.  A tagged
-series holds handles at orbit representatives only and is computed there:
-_solve sums, for each representative m, over its decompositions m = m1 +
-(m - m1), which a walk over the sub-vectors of m finds and which name
-a[rep(m1)] and right[rep(m - m1)].  Other keys take their
-representative's value only where a caller reads every key:
-GradedSeries.coeffs, the Poly tables, and an operand whose tag mul or an
-orbit-breaking shift drops.
+the orbits of G.  Every series carries in its tag, `symmetry`, a subgroup
+of G on whose orbits it is constant.  build_F tags with the subgroup H
+generated by the generators of G that y_func respects
+(Automorphisms.respecting): G itself when y_func is None or constant on
+the orbits of G.  shift tags with the subgroup of its input's tag that
+its y_func respects, invert and plethystic keep the tag of their input,
+and mul keeps a tag that both factors share.  A series built by hand, and
+a product of differently tagged factors, carry the trivial group, whose
+orbits are single keys.  A series holds handles at the representatives
+of its tag only and is computed there: _solve sums, for each
+representative m, over its decompositions m = m1 + (m - m1), which a
+walk over the sub-vectors of m finds and which name a[rep(m1)] and
+right[rep(m - m1)].  Other keys take their representative's value only
+where a caller reads every key: GradedSeries.coeffs, the Poly tables, and
+an operand that mul or shift moves to a smaller tag.
 
-The reference path.  An untagged series (built by hand, built with an
-orbit-breaking y_func, or over a graph whose G is trivial) holds every
-key and multiplies whole degree buckets pairwise.  Both paths feed the
-same counters to the same memoized reductions, so they give identical
-values, and the tests check every tagged result against the untagged run.
+The tests keep the solve that multiplies whole degree buckets pairwise as
+the reference, and check mul, invert, Log and Exp under G, a proper
+subgroup and the trivial group against it.
 """
 
 from __future__ import annotations
@@ -97,12 +99,13 @@ class NonPolynomialCoefficient(ArithmeticError):
 class GradedSeries:
     """Truncated series: dimension vector -> rational function, zero absent.
 
-    symmetry is the tag of the orbit quotient (module docstring): the
-    graph's automorphism group when the series is known to be constant on
-    its orbits, else None.  A series built by hand is untagged.  The one
-    stored form is `handles`, {code: handle} into the graph's value table
-    at the codes of the tag (_codes), zeros absent; `coeffs`, the
-    {DimVector: RatFunc} view at every key, is built on its first read.
+    symmetry is the tag of the orbit quotient (module docstring): a
+    subgroup of the graph's automorphism group on whose orbits the series
+    is constant.  A series built by hand carries the trivial group.  The
+    one stored form is `handles`, {code: handle} into the graph's value
+    table at the representatives of the tag (_codes), zeros absent;
+    `coeffs`, the {DimVector: RatFunc} view at every key, is built on its
+    first read.
     """
 
     __slots__ = ("graph", "trunc", "handles", "symmetry", "_coeffs")
@@ -122,7 +125,7 @@ class GradedSeries:
         self.graph = graph
         self.trunc = trunc
         self.handles = handles
-        self.symmetry = None
+        self.symmetry = dimmonoid.automorphisms(graph).trivial()
         self._coeffs = None
 
     @property
@@ -133,9 +136,7 @@ class GradedSeries:
         return self._coeffs
 
     def coefficient(self, m: DimVector) -> RatFunc:
-        c = m.code
-        if self.symmetry is not None:
-            c = self.symmetry.representatives(self.trunc).get(c, c)
+        c = self.symmetry.representatives(self.trunc).get(m.code, m.code)
         return _values_for(self.graph).value[self.handles.get(c, 0)]
 
     def __eq__(self, other):
@@ -235,48 +236,39 @@ def _vectors(g: GraphOfGroups, trunc: int) -> dict:
 
 
 def _symmetry_for(g: GraphOfGroups, trunc: int, y_func):
-    """The tag for a series built with this correction: the graph's
-    automorphism group when it is nontrivial and y_func is None or
-    constant on every orbit (checked on every key), else None."""
-    G = dimmonoid.automorphisms(g)
-    if G.is_trivial():
-        return None
-    if y_func is not None:
-        for c in _codes(g, trunc, G):
-            orbit = G.orbits[c]
-            y = y_func(g, orbit[0])
-            if any(y_func(g, m) != y for m in orbit[1:]):
-                return None
-    return G
+    """The tag for a series built with this correction: the subgroup of
+    the graph's automorphism group whose generators keep y_func on every
+    key (Automorphisms.respecting), so the series is constant on its
+    orbits."""
+    return dimmonoid.automorphisms(g).respecting(y_func, trunc)
 
 
-def _codes(g: GraphOfGroups, trunc: int, G):
-    """The codes a series works at: the representatives of G, or every
-    key when G is None; by total, ascending within a total."""
-    if G is not None:
-        G.representatives(trunc)
+def _codes(G, trunc: int):
+    """The codes a series tagged G works at: its representatives, by
+    total, ascending within a total."""
+    G.representatives(trunc)
     for d in range(trunc + 1):
-        if G is None:
-            yield from (m.code for m in enumerate_dimvectors(g, d))
-        else:
-            yield from G.reps(d)
+        yield from G.reps(d)
 
 
 def _every_key(f: GradedSeries):
-    """(DimVector, handle) at every key of f, zeros absent: under a tag,
-    every key of an orbit takes its representative's handle."""
-    vectors, G = f.graph._dv_cache, f.symmetry
+    """(DimVector, handle) at every key of f, zeros absent: every key of
+    an orbit of the tag takes its representative's handle."""
+    G = f.symmetry
+    G.representatives(f.trunc)
     for c, h in f.handles.items():
-        for m in (vectors[c],) if G is None else G.orbits[c]:
+        for m in G.orbits[c]:
             yield m, h
 
 
 def _handles(f: GradedSeries, G) -> dict:
-    """{code: handle} of f at the codes of G (see _codes): f.handles when
-    G is its tag, and every key when an operation drops the tag."""
+    """{code: handle} of f at the codes of G, a subgroup of its tag (see
+    _codes): f.handles when G is the tag, else f read at every
+    representative of G."""
     if G is f.symmetry:
         return f.handles
-    return {m.code: h for m, h in _every_key(f)}
+    rep = G.representatives(f.trunc)
+    return {m.code: h for m, h in _every_key(f) if rep[m.code] == m.code}
 
 
 def _series(g: GraphOfGroups, trunc: int, handles: dict, G) -> GradedSeries:
@@ -287,39 +279,12 @@ def _series(g: GraphOfGroups, trunc: int, handles: dict, G) -> GradedSeries:
     return f
 
 
-def _by_degree(handles: dict, vectors: dict):
-    """Split {code: handle} into degree buckets of sorted (code, handle)
-    lists."""
-    out = {}
-    for c, h in handles.items():
-        out.setdefault(vectors[c].total, []).append((c, h))
-    for bucket in out.values():
-        bucket.sort()
-    return out
-
-
-def _accumulate(acc, items1, items2, vals):
-    """Add the products of two degree buckets into per-code counters."""
-    mul, zero = vals.mul, vals.zero
-    for c1, v1 in items1:
-        for c2, v2 in items2:
-            p = mul(v1, v2)
-            if p == zero:
-                continue
-            key = c1 + c2
-            c = acc.get(key)
-            if c is None:
-                acc[key] = {p: 1}
-            else:
-                c[p] = c.get(p, 0) + 1
-    return acc
-
-
 def _orbit_sum(acc, decompositions, left, right, vals):
-    """Add sum left[r1] * right[r2] over the decompositions (r1, r2, k) of
-    one representative into the counter acc."""
+    """Add sum k * left[r1] * right[r2] over the flat decompositions (r1,
+    r2, k, ...) of one representative into the counter acc."""
     mul, zero = vals.mul, vals.zero
-    for r1, r2, k in decompositions:
+    it = iter(decompositions)
+    for r1, r2, k in zip(it, it, it):
         h1 = left.get(r1)
         if h1 is None:
             continue
@@ -339,48 +304,25 @@ def _solve(g, trunc, G, a, rhs=None, out0=None, alpha=lambda d: 1, right=None):
     rhs and right are {code: handle} and right defaults to out itself; a
     then has no constant term, so each degree reads lower ones only.  The
     constant term of out is the handle out0 when given, else solved like
-    every other degree.  Under a tag G the operands and the result hold
-    representatives only and each representative sums over its
-    decompositions; untagged, degree buckets are multiplied pairwise.
-    Returns {code: handle}, zeros absent.
+    every other degree.  The operands and the result hold the
+    representatives of the tag G only, and each representative sums over
+    its decompositions.  Returns {code: handle}, zeros absent.
     """
     vals = _values_for(g)
     rhs = rhs or {}
     out = {} if out0 is None else {0: out0}
     if right is None:
         right = out
-    first = 0 if out0 is None else 1
-    if G is not None:
-        G.representatives(trunc)
-        for d in range(first, trunc + 1):
-            factor = alpha(d)
-            for c in G.reps(d):
-                h = rhs.get(c)
-                acc = _orbit_sum({} if h is None else {h: 1}, G.decompositions(c), a, right, vals)
-                if acc:
-                    h = vals.scale(vals.reduce(acc), factor)
-                    if h != vals.zero:
-                        out[c] = h
-        return out
-    vectors = _vectors(g, trunc)
-    ad = _by_degree(a, vectors)
-    rd = _by_degree(rhs, vectors)
-    out_by_deg = {} if out0 is None else {0: [(0, out0)]}
-    right_by_deg = out_by_deg if right is out else _by_degree(right, vectors)
-    for d in range(first, trunc + 1):
-        acc = {c: {h: 1} for c, h in rd.get(d, ())}
-        for k in range(d + 1):
-            items1 = ad.get(k)
-            items2 = right_by_deg.get(d - k)
-            if items1 and items2:
-                _accumulate(acc, items1, items2, vals)
-        bucket = []
-        for c in sorted(acc):
-            h = vals.scale(vals.reduce(acc[c]), alpha(d))
-            if h != vals.zero:
-                out[c] = h
-                bucket.append((c, h))
-        out_by_deg[d] = bucket
+    G.representatives(trunc)
+    for d in range(0 if out0 is None else 1, trunc + 1):
+        factor = alpha(d)
+        for c in G.reps(d):
+            h = rhs.get(c)
+            acc = _orbit_sum({} if h is None else {h: 1}, G.decompositions(c), a, right, vals)
+            if acc:
+                h = vals.scale(vals.reduce(acc), factor)
+                if h != vals.zero:
+                    out[c] = h
     return out
 
 
@@ -395,12 +337,12 @@ def _derive(handles: dict, vals: _Values, vectors: dict) -> dict:
 
 def mul(f: GradedSeries, g: GradedSeries) -> GradedSeries:
     """Convolution product, truncated at the common truncation; tagged
-    when both factors carry the same tag."""
+    with the tag both factors share, else with the trivial group."""
     if f.graph is not g.graph:
         raise ValueError("series over different graphs")
     if f.trunc != g.trunc:
         raise ValueError("series with different truncations")
-    G = f.symmetry if f.symmetry is g.symmetry else None
+    G = f.symmetry if f.symmetry is g.symmetry else f.symmetry.trivial()
     out = _solve(f.graph, f.trunc, G, _handles(f, G), right=_handles(g, G))
     return _series(f.graph, f.trunc, out, G)
 
@@ -423,16 +365,15 @@ def shift(f: GradedSeries, direction: str, y_func=None) -> GradedSeries:
     """Multiply the coefficient at m by s^(+-shift_exponent(m)).
 
     "forward" turns the twisted product into the plain one; "inverse"
-    undoes it.  Keeps the tag of f when y_func is None or constant on its
-    orbits.
+    undoes it.  Tagged with the subgroup of the tag of f that y_func
+    respects (Automorphisms.respecting): the tag itself when y_func is
+    None or constant on its orbits.
     """
     if direction not in ("forward", "inverse"):
         raise ValueError(f"unknown shift direction {direction!r}")
     sign = 1 if direction == "forward" else -1
     g = f.graph
-    G = f.symmetry
-    if G is not None and y_func is not None:
-        G = _symmetry_for(g, f.trunc, y_func)
+    G = f.symmetry.respecting(y_func, f.trunc)
     vals = _values_for(g)
     vectors = g._dv_cache
     powers = {}
@@ -477,14 +418,14 @@ def build_F(g: GraphOfGroups, trunc: int, y_func=None) -> GradedSeries:
     representation space (_gl_exponents), divided by the general-linear
     count of the total dimension, with the forward shift applied; the
     value is built by exponent arithmetic on cyclotomic factors.  The
-    series is tagged (see _symmetry_for) and then evaluated at
-    representatives only.
+    series is tagged (see _symmetry_for) and then evaluated at the
+    representatives of its tag only.
     """
     G = _symmetry_for(g, trunc, y_func)
     vals = _values_for(g)
     vectors = _vectors(g, trunc)
     out = {}
-    for c in _codes(g, trunc, G):
+    for c in _codes(G, trunc):
         m = vectors[c]
         exps = _gl_exponents(g, m)
         if m.total:
@@ -634,10 +575,10 @@ def compute_sim(g: GraphOfGroups, trunc: int):
     vectors = _vectors(g, trunc)
     per_pair = {}
     per_vector = {}
-    for r in _codes(g, trunc, G):
+    for r in _codes(G, trunc):
         if r:
             pairs, total = _sim_at(absim, vectors, vectors[r])
-            for m in (vectors[r],) if G is None else G.orbits[r]:
+            for m in G.orbits[r]:
                 for c, val in pairs:
                     per_pair[(m, c)] = val
                 if not total.is_zero():

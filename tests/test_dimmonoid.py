@@ -468,7 +468,8 @@ def test_decompositions_list_every_sub_vector_once():
                     if m2 is not None:
                         key = (rep[m1.code], rep[m2.code])
                         want[key] = want.get(key, 0) + 1
-            got = {(r1, r2): k for r1, r2, k in G.decompositions(r)}
+            it = iter(G.decompositions(r))
+            got = {(r1, r2): k for r1, r2, k in zip(it, it, it)}
             assert got == want
 
 

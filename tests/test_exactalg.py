@@ -569,6 +569,18 @@ def test_rf_sum_pinned_cases():
     assert total.residual == s_minus[2] and total.factors == ((0, 1), (1, 1))
 
 
+def test_rf_sum_of_many_residual_terms_stays_over_their_lcm():
+    # the hand-off to the constructor brings each term over the running lcm
+    # of the denominators, so the common denominator stays (s - 1)(s - 2)
+    # instead of growing with the number of terms
+    s_minus = {k: S - Poly.const(k) for k in (1, 2)}
+    pair = [(RatFunc(POLY_ONE, s_minus[2]), 1), (RatFunc(S, s_minus[1] * s_minus[2]), 1)]
+    once = rf_sum(pair)
+    total = rf_sum(pair * 80)
+    assert total == once.scale(80) and hash(total) == hash(once.scale(80))
+    assert total == RatFunc((S.scale(2) - POLY_ONE).scale(80), s_minus[1] * s_minus[2])
+
+
 # shared denominators, so several terms fall into one group; the last two
 # carry residuals s - 2 and s - 3
 _SUM_DENOMINATORS = (

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vfreps import series as series_module
 from vfreps.dimmonoid import (
+    automorphisms,
     correction_y,
     dimvector,
     enumerate_dimvectors,
@@ -164,7 +166,8 @@ def test_mul_support_matches_pair_enumeration():
                         pairs += 1
             assert pairs > 1 or target == zero
             assert prod.coefficient(target) == expected
-    assert prod.symmetry is None
+    assert prod.symmetry is automorphisms(g).trivial()
+    assert not prod.symmetry.generators and automorphisms(g).generators
     assert prod.coefficient(zero) == RatFunc(poly([3, 3]), poly([-2, 1]))
 
 
@@ -614,8 +617,64 @@ def test_symmetry_law_for_unequal_block_sizes():
 
 
 # ---------------------------------------------------------------------------
-# the orbit quotient against the untagged reference path
+# the orbit quotient against the bucket reference solve
 # ---------------------------------------------------------------------------
+
+def _bucket_solve(g, trunc, G, a, rhs=None, out0=None, alpha=lambda d: 1, right=None):
+    """The reference for series._solve, with the same arguments: a, rhs
+    and right hold every key (G must be trivial), and out_d is summed by
+    multiplying whole degree buckets of a and right pairwise, with no
+    orbit representatives and no decompositions."""
+    assert G.is_trivial()
+    vals = series_module._values_for(g)
+    vectors = series_module._vectors(g, trunc)
+
+    def by_degree(handles):
+        out = {}
+        for c, h in sorted(handles.items()):
+            out.setdefault(vectors[c].total, []).append((c, h))
+        return out
+
+    rhs = rhs or {}
+    out = {} if out0 is None else {0: out0}
+    ad, rd = by_degree(a), by_degree(rhs)
+    out_by_deg = {} if out0 is None else {0: [(0, out0)]}
+    right_by_deg = out_by_deg if right is None else by_degree(right)
+    for d in range(0 if out0 is None else 1, trunc + 1):
+        acc = {c: {h: 1} for c, h in rd.get(d, ())}
+        for k in range(d + 1):
+            for c1, h1 in ad.get(k, ()):
+                for c2, h2 in right_by_deg.get(d - k, ()):
+                    p = vals.mul(h1, h2)
+                    if p != vals.zero:
+                        counter = acc.setdefault(c1 + c2, {})
+                        counter[p] = counter.get(p, 0) + 1
+        bucket = []
+        for c in sorted(acc):
+            h = vals.scale(vals.reduce(acc[c]), alpha(d))
+            if h != vals.zero:
+                out[c] = h
+                bucket.append((c, h))
+        out_by_deg[d] = bucket
+    return out
+
+
+def _reference(monkeypatch, op, *operands):
+    """op on copies of its operands built by hand, so tagged with the
+    trivial group, with _bucket_solve in place of the production solve."""
+    with monkeypatch.context() as patch:
+        patch.setattr(series_module, "_solve", _bucket_solve)
+        out = op(*(GradedSeries(f.graph, f.trunc, f.coeffs) for f in operands))
+    assert out.symmetry.is_trivial()
+    return out
+
+
+def _log(f):
+    return plethystic(f, "log")
+
+
+def _exp(f):
+    return plethystic(f, "exp")
 
 def _c4_hnn_loop():
     # a twisted loop: kappa exchanges the two C2 simples, so the loop
@@ -696,71 +755,173 @@ def _reference_sim(g, absim, trunc):
     return per_pair
 
 
-@pytest.mark.parametrize("name, D", QUOTIENT_CASES)
-def test_tagged_pipeline_equals_untagged_reference(name, D):
-    g = _quotient_graph(name)
-    F = build_F(g, D)
-    assert F.symmetry is not None
-    untagged = GradedSeries(g, D, F.coeffs)
-    assert untagged.symmetry is None and untagged == F
-
-    # every public operation, tagged against untagged
-    inv_t, inv_u = invert(F), invert(untagged)
-    assert inv_t.symmetry is F.symmetry and inv_u.symmetry is None
-    assert inv_t == inv_u
-    un_t, un_u = shift(inv_t, "inverse"), shift(inv_u, "inverse")
-    assert un_t.symmetry is F.symmetry and un_u.symmetry is None
-    assert un_t == un_u
-    log_t, log_u = plethystic(un_t, "log"), plethystic(un_u, "log")
-    assert log_t.symmetry is F.symmetry and log_u.symmetry is None
-    assert log_t == log_u
-    sq_t, sq_u = mul(F, F), mul(untagged, untagged)
-    assert sq_t.symmetry is F.symmetry and sq_u.symmetry is None
-    assert sq_t == sq_u
-    assert mul(F, untagged).symmetry is None and mul(F, untagged) == sq_u
-    # a tagged series stores its values at orbit representatives only, and
-    # reads at every key as the untagged run
-    reps = F.symmetry.representatives(D)
-    for t, u in ((F, untagged), (inv_t, inv_u), (un_t, un_u), (log_t, log_u), (sq_t, sq_u)):
-        assert all(reps[c] == c for c in t.handles)
-        assert t.coeffs == u.coeffs
-
-    # the production tables against the untagged run
-    absim = _times_one_minus_s(log_u)
-    assert compute_absim(g, D) == absim
-    exp_u = plethystic(GradedSeries(g, D, {m: RatFunc(p) for m, p in absim.items()}), "exp")
-    assert exp_u.symmetry is None
-    assert compute_ss(g, D) == {m: v.as_integer_poly() for m, v in exp_u.coeffs.items()}
-    per_pair, per_vector = compute_sim(g, D)
-    assert per_pair == _reference_sim(g, absim, D)
-    want = {}
-    for (m, c), p in per_pair.items():
-        want[m] = want.get(m, Poly(())) + p
-    assert per_vector == {m: p for m, p in want.items() if not p.is_zero()}
-
-
 def _alt_y(g, m):
     # the acceptance suite's _alt_correction: it reads simple 0 of every
     # vertex, so it is not constant on orbits
     return correction_y(g, m) + 2 * sum(v[0] for v in m.per_vertex)
 
 
-def test_alt_correction_leaves_the_series_untagged():
+@pytest.mark.parametrize("name, D", QUOTIENT_CASES)
+def test_tagged_pipeline_equals_untagged_reference(name, D, monkeypatch):
+    g = _quotient_graph(name)
+    G = automorphisms(g)
+    assert not G.is_trivial()
+    # y_func None tags with G; _alt_y with the subgroup H it respects, a
+    # proper subgroup (trivial for dinf and three_vertex_tree)
+    for y_func in (None, _alt_y):
+        F = build_F(g, D, y_func)
+        assert F.symmetry is G.respecting(y_func, D)
+        assert (F.symmetry is G) == (y_func is None)
+        hand = GradedSeries(g, D, F.coeffs)
+        assert hand.symmetry is G.trivial() and hand == F
+
+        # the reference: the bucket solve on every key
+        inv_r = _reference(monkeypatch, invert, F)
+        un_r = shift(inv_r, "inverse", y_func)
+        log_r = _reference(monkeypatch, _log, un_r)
+        sq_r = _reference(monkeypatch, mul, F, F)
+        absim = _times_one_minus_s(log_r)
+        absim_series = GradedSeries(g, D, {m: RatFunc(p) for m, p in absim.items()})
+        exp_r = _reference(monkeypatch, _exp, absim_series)
+
+        # every public operation under the tag of F and under the trivial
+        # group of a hand-built copy, against the reference
+        for f in (F, hand):
+            inv = invert(f)
+            un = shift(inv, "inverse", y_func)
+            log = _log(un)
+            sq = mul(f, f)
+            for t, r in ((inv, inv_r), (un, un_r), (log, log_r), (sq, sq_r)):
+                assert t.symmetry is f.symmetry
+                assert t == r and t.coeffs == r.coeffs
+                # values are stored at the representatives of the tag only
+                reps = t.symmetry.representatives(D)
+                assert all(reps[c] == c for c in t.handles)
+        mixed = mul(F, hand)
+        assert mixed.symmetry is G.trivial() and mixed == sq_r
+        exp_t = _exp(_series_like(absim_series, F.symmetry))
+        assert exp_t.symmetry is F.symmetry and exp_t == exp_r
+
+        # the production tables against the reference
+        assert compute_absim(g, D, y_func) == absim
+        assert compute_ss(g, D, y_func) == {m: v.as_integer_poly() for m, v in exp_r.coeffs.items()}
+        if y_func is None:
+            per_pair, per_vector = compute_sim(g, D)
+            assert per_pair == _reference_sim(g, absim, D)
+            want = {}
+            for (m, c), p in per_pair.items():
+                want[m] = want.get(m, Poly(())) + p
+            assert per_vector == {m: p for m, p in want.items() if not p.is_zero()}
+
+
+def _series_like(f, G):
+    """f tagged with G, on whose orbits it must be constant: its values at
+    the representatives of G."""
+    rep = G.representatives(f.trunc)
+    handles = {c: h for c, h in f.handles.items() if rep[c] == c}
+    assert all(f.coefficient(m) == f.coefficient(f.graph._dv_cache[rep[m.code]]) for m in f.coeffs)
+    return series_module._series(f.graph, f.trunc, handles, G)
+
+
+def test_alt_correction_tags_the_series_with_the_subgroup_it_respects():
     g = _quotient_graph("psl2z")
     D = 4
-    assert build_F(g, D).symmetry is not None
-    assert build_F(g, D, y_func=correction_y).symmetry is not None
-    assert build_F(g, D, y_func=_alt_y).symmetry is None
-    # a tagged series loses its tag under an orbit-breaking shift only
+    G = automorphisms(g)
+    assert build_F(g, D).symmetry is G
+    assert build_F(g, D, y_func=correction_y).symmetry is G
+    H = build_F(g, D, y_func=_alt_y).symmetry
+    assert H is G.respecting(_alt_y, D)
+    assert 0 < len(H.generators) < len(G.generators)
+    assert set(H.generators) < set(G.generators)
+    # a shift tags with the subgroup of its input's tag that y_func respects
     inv = invert(build_F(g, D))
-    assert shift(inv, "inverse", y_func=_alt_y).symmetry is None
+    assert shift(inv, "inverse", y_func=_alt_y).symmetry is H
     assert shift(inv, "inverse", y_func=correction_y).symmetry is inv.symmetry
+    assert H.respecting(_alt_y, D) is H
     assert compute_absim(g, D, y_func=_alt_y) == compute_absim(g, D)
     assert compute_ss(g, D, y_func=_alt_y) == compute_ss(g, D)
 
 
-def test_trivial_group_leaves_the_series_untagged():
-    assert build_F(preset("free(2)"), 3).symmetry is None
+def _weighted_y(weights):
+    """correction_y + 2 * sum w * x over the flat per-vertex entries x."""
+    def y(g, m):
+        flat = [x for v in m.per_vertex for x in v]
+        return correction_y(g, m) + 2 * sum(w * x for w, x in zip(weights, flat))
+    return y
+
+
+@pytest.mark.parametrize("name", ["psl2z", "gl2z", "pgl2z"])
+def test_respecting_keeps_the_generators_that_keep_y(name):
+    g = _quotient_graph(name)
+    D = 5
+    G = automorphisms(g)
+    G.representatives(D)
+    dims = [x for v in g.vertices for x in v.simple_dims]
+    n = len(dims)
+    offsets = [0]
+    for v in g.vertices[:-1]:
+        offsets.append(offsets[-1] + len(v.simple_dims))
+    first = [int(i in offsets) for i in range(n)]
+    weight_vectors = [
+        [1] * n,                              # G-invariant
+        dims,                                 # G-invariant: G keeps dimensions
+        first,                                # simple 0 of every vertex
+        [(3 * i + 1) % 5 for i in range(n)],  # fixed, uneven
+        [0] * (n - 1) + [1],                  # the last simple only
+    ]
+    default_absim, default_ss = compute_absim(g, D), compute_ss(g, D)
+    proper = 0
+    for weights in weight_vectors:
+        y_func = _weighted_y(weights)
+        H = G.respecting(y_func, D)
+        assert G.respecting(y_func, D) is H and H.respecting(y_func, D) is H
+        assert set(H.generators) <= set(G.generators)
+        assert H.trivial() is G.trivial()
+        # every orbit of H is y-constant
+        H.representatives(D)
+        for d in range(D + 1):
+            for r in H.reps(d):
+                assert len({y_func(g, m) for m in H.orbits[r]}) == 1
+        # H is G exactly when y is constant on the orbits of G
+        invariant = all(len({y_func(g, m) for m in G.orbits[r]}) == 1
+                        for d in range(D + 1) for r in G.reps(d))
+        assert (H is G) == invariant
+        proper += not invariant
+        assert build_F(g, D, y_func).symmetry is H
+        # the counts do not depend on the correction
+        assert compute_absim(g, D, y_func) == default_absim
+        assert compute_ss(g, D, y_func) == default_ss
+    assert proper >= 2
+
+
+def test_trivial_group_tags_the_series_of_a_graph_without_symmetry():
+    g = preset("free(2)")
+    G = automorphisms(g)
+    assert G.is_trivial() and G.trivial() is G
+    assert build_F(g, 3).symmetry is G
+    assert GradedSeries(g, 3, build_F(g, 3).coeffs).symmetry is G
+    assert G.respecting(_alt_y, 3) is G
+
+
+def test_shift_of_a_hand_built_series_keeps_the_trivial_tag(monkeypatch):
+    # H is cached on the group it came from: after build_F asks G for the
+    # subgroup that _alt_y respects, the trivial tag of a hand-built series
+    # still answers with itself, so shift keeps every key of the series
+    g = _quotient_graph("psl2z")
+    D = 4
+    G = automorphisms(g)
+    H = build_F(g, D, y_func=_alt_y).symmetry
+    assert H is not G and not H.is_trivial()
+    keys = [m for d in range(D + 1) for m in enumerate_dimvectors(g, d)]
+    # one value per key: constant on no orbit of H
+    hand = GradedSeries(g, D, {m: RatFunc(Poly((i + 1,))) for i, m in enumerate(keys)})
+    assert hand.symmetry is G.trivial()
+    out = shift(hand, "inverse", y_func=_alt_y)
+    assert out.symmetry is G.trivial()
+    assert len(out.handles) == len(keys)
+    for m in keys:
+        e = -shift_exponent(g, m, _alt_y)
+        assert out.coefficient(m) == hand.coefficient(m) * RatFunc.s_power(e)
 
 
 RELABEL_PRESETS = ["psl2z", "sl2z", "gl2z", "pgl2z", "dinf", "gc(2)", "hnn_loop", "three_vertex_tree"]
