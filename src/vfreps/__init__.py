@@ -5,6 +5,7 @@ The package is organized along the pipeline:
 
   groupgraph  graphs of finite groups (data model, presets, JSON files)
   dimmonoid   dimension-vector monoid, Euler form, symmetry orbits
+  orbits      the automorphism group of the graph data, orbit quotient
   exactalg    exact polynomials and rational functions over Q
   series      truncated graded series and the counting-polynomial pipeline
   fforacle    independent brute-force checks over small finite fields

@@ -15,9 +15,9 @@ convolutions add codes and look the interned vectors up by code.
 
 One edge-constraint join (_EdgeJoin) solves the edge constraints for
 every caller: enumeration feeds it each vertex's weighted compositions
-of d and returns the keys in code order, and the orbit quotient
-(vfreps.orbits) feeds it each vertex's sub-box x <= m_v to walk the
-sub-vectors of m.  No other module knows the code layout.
+of d and returns the keys in code order, and the orbit quotient feeds it
+each vertex's sub-box x <= m_v to walk the sub-vectors of m.  No other
+module knows the code layout.
 """
 
 from __future__ import annotations
@@ -359,23 +359,6 @@ def shift_exponent(g: GraphOfGroups, m: DimVector, y_func=None) -> int:
             f"euler form and correction differ mod 2"
         )
     return e // 2
-
-
-# ---------------------------------------------------------------------------
-# the automorphism group of the graph data
-# ---------------------------------------------------------------------------
-
-def automorphisms(g: GraphOfGroups):
-    """The graph's automorphism group G (vfreps.orbits.Automorphisms): the
-    relabellings of vertex and edge simples that keep the graph data, with
-    its orbit representatives.  Built on first use; its module is imported
-    then too, so importing the package compiles none of it."""
-    G = g._pipeline_cache.get("automorphisms")
-    if G is None:
-        from .orbits import Automorphisms, _automorphism_generators
-
-        G = g._pipeline_cache["automorphisms"] = Automorphisms(g, _automorphism_generators(g))
-    return G
 
 
 # ---------------------------------------------------------------------------

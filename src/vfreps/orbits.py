@@ -4,12 +4,13 @@ dimension-vector monoid.
 G (Automorphisms) relabels vertex and edge simples without changing the
 graph data, so it permutes dimension vectors and fixes every count of the
 counting pipeline.  The series layer uses it to compute at one
-representative per orbit (see the series module docstring).  Get G
-through dimmonoid.automorphisms(g), which builds it once per graph and
-imports this module on first use.  The sub-vectors of a representative,
-which its decompositions count, come from the edge-constraint join of
-dimmonoid; this module works on per_vertex tuples and never on the code
-layout.
+representative per orbit (see the series module docstring).  This module
+owns every group that tags a series: automorphisms(g) builds G once per
+graph, trivial(g) gives the graph's one generator-free group without
+building G, and Automorphisms.respecting gives the subgroups between
+them.  The sub-vectors of a representative, which its decompositions
+count, come from the edge-constraint join of dimmonoid; this module works
+on per_vertex tuples and never on the code layout.
 """
 
 from __future__ import annotations
@@ -17,14 +18,15 @@ from __future__ import annotations
 from itertools import chain
 from operator import attrgetter, itemgetter
 
-from .dimmonoid import _EdgeJoin, automorphisms, enumerate_dimvectors
+from .dimmonoid import _EdgeJoin, enumerate_dimvectors
 from .groupgraph import GraphOfGroups
 
 
 class Automorphisms:
     """A group of relabellings of simples that keep the graph data: the
-    whole group G (dimmonoid.automorphisms), or the subgroup of G that its
-    given generators generate (respecting, trivial).
+    whole group G (automorphisms), the subgroup of G that its given
+    generators generate (respecting), or the graph's one group without
+    generators (trivial).
 
     An element is a tuple of permutations, sigma_v of the simples of every
     vertex and tau_e of the simples of every edge, that keep all simple
@@ -36,15 +38,15 @@ class Automorphisms:
     Vertex swaps are not part of G.
 
     A group is kept as the elements (sigma, tau) it is built from, its
-    generators, never as a list of all its elements.  Those of G come from _automorphism_generators: one
-    element per (level, image point) of a stabiliser chain of the vertex
-    simples in code order, each found by a backtrack over the edge
-    simples.  A subgroup keeps some of them, so its orbits refine those of
-    G and it has orbits, representatives and decompositions of its own.
-    `generators` holds their per-vertex permutations in the format of
-    SymmetryGroupDescriptor (p[gamma] is the image of gamma) and
-    `edge_perms` their tau_e.  The orbit walk applies the generators to flat
-    tuples of per_vertex entries.
+    generators, never as a list of all its elements.  Those of G come from
+    _automorphism_generators: one element per (level, image point) of a
+    stabiliser chain of the vertex simples in code order, each found by a
+    backtrack over the edge simples.  A subgroup keeps some of them, so
+    its orbits refine those of G and it has orbits, representatives and
+    decompositions of its own.  `generators` holds their per-vertex
+    permutations in the format of SymmetryGroupDescriptor (p[gamma] is the
+    image of gamma) and `edge_perms` their tau_e.  The orbit walk applies
+    the generators to flat tuples of per_vertex entries.
     The representative of an orbit is its least code, and since scaling
     commutes with every relabelling and keeps code order, rep(beta*m) =
     beta*rep(m).
@@ -67,29 +69,21 @@ class Automorphisms:
         self._decompositions = {}
         self._join = None
         self._respecting = {}
-        self._trivial = None
 
     def is_trivial(self) -> bool:
         return not self.generators
 
-    def trivial(self) -> "Automorphisms":
-        """The graph's trivial group: G itself when G has no generators,
-        else one group without any, cached on G."""
-        G = automorphisms(self.graph)
-        if G._trivial is None:
-            G._trivial = G if G.is_trivial() else Automorphisms(self.graph, ())
-        return G._trivial
-
     def respecting(self, y_func, trunc: int) -> "Automorphisms":
         """The subgroup H generated by the generators whose mover keeps
         y_func on every key of total <= trunc, with y_func evaluated once
-        per key: self when y_func is None (correction_y, which G keeps) or
-        every generator is kept.  y_func is constant on the orbits of H,
-        and H is self exactly when y_func is constant on those of self.
-        Cached by (y_func, trunc) on this group and on H, whose generators
-        all keep y_func, so every stage that asks for the same correction
-        gets the same object and y_func is evaluated once."""
-        if y_func is None:
+        per key: self when y_func is None (correction_y, which G keeps),
+        when self has no generator, or when every generator is kept.
+        y_func is constant on the orbits of H, and H is self exactly when
+        y_func is constant on those of self.  Cached by (y_func, trunc) on
+        this group and on H, whose generators all keep y_func, so every
+        stage that asks for the same correction gets the same object and
+        y_func is evaluated once."""
+        if y_func is None or not self._movers:
             return self
         H = self._respecting.get((y_func, trunc))
         if H is None:
@@ -103,7 +97,7 @@ class Automorphisms:
             if len(kept) == len(self._movers):
                 H = self
             elif not kept:
-                H = self.trivial()
+                H = trivial(g)
             else:
                 H = Automorphisms(g, [(self.generators[i], self.edge_perms[i]) for i in kept])
             self._respecting[y_func, trunc] = H._respecting[y_func, trunc] = H
@@ -167,6 +161,27 @@ class Automorphisms:
         return out
 
 
+def automorphisms(g: GraphOfGroups) -> Automorphisms:
+    """The graph's automorphism group G, with its orbit representatives:
+    built once per graph, and the graph's trivial group when no generator
+    is found."""
+    G = g._pipeline_cache.get("automorphisms")
+    if G is None:
+        elements = _automorphism_generators(g)
+        G = Automorphisms(g, elements) if elements else trivial(g)
+        g._pipeline_cache["automorphisms"] = G
+    return G
+
+
+def trivial(g: GraphOfGroups) -> Automorphisms:
+    """The graph's one trivial group, whose orbits are single keys: the
+    tag of a series built by hand, built without the backtrack."""
+    T = g._pipeline_cache.get("trivial")
+    if T is None:
+        T = g._pipeline_cache["trivial"] = Automorphisms(g, ())
+    return T
+
+
 def _offsets(g: GraphOfGroups) -> list:
     """Flat index of every vertex's first simple."""
     out, base = [], 0
@@ -225,8 +240,10 @@ def _extend(g: GraphOfGroups, pinned: list):
     M[delta][gamma] for every pinned simple at either end, so the pinned
     simples always agree with their images; the edge simples with the
     fewest such images come first.  Agreement is an equivalence, so
-    sigma_v exists iff the other signatures agree as multisets; that test
-    prunes every branch."""
+    sigma_v exists iff the other signatures agree as multisets; sigma()
+    tests that at every node by matching each unpinned simple to the
+    first free image of its signature, and the match at the last node is
+    sigma."""
     ends = [[] for _ in g.vertices]  # per vertex: (edge index, matrix)
     for j, e in enumerate(g.edges):
         ends[e.s].append((j, e.iota.matrix))
@@ -247,52 +264,41 @@ def _extend(g: GraphOfGroups, pinned: list):
             domains[j, delta] = images.get(key, [])
     points = sorted(domains, key=lambda point: len(domains[point]))
 
-    def signatures(v):
-        dims = g.vertices[v].simple_dims
-        terms = [(m, delta, image) for j, m in ends[v]
-                 for delta, image in enumerate(tau[j]) if image is not None]
-        src = [(dims[x],) + tuple(m[delta][x] for m, delta, _ in terms) for x in range(len(dims))]
-        img = [(dims[x],) + tuple(m[image][x] for m, _, image in terms) for x in range(len(dims))]
-        return src, img
-
-    def feasible():
+    def sigma():
+        out = []
         for v, pins in enumerate(pinned):
-            src, img = signatures(v)
-            images = set(pins.values())
-            if sorted(src[x] for x in range(len(src)) if x not in pins) != sorted(
-                img[y] for y in range(len(img)) if y not in images
-            ):
-                return False
-        return True
+            dims = g.vertices[v].simple_dims
+            terms = [(m, delta, image) for j, m in ends[v]
+                     for delta, image in enumerate(tau[j]) if image is not None]
+            taken = set(pins.values())
+            free = {}  # signature -> free images, ascending
+            for y in range(len(dims)):
+                if y not in taken:
+                    key = (dims[y],) + tuple(m[image][y] for m, _, image in terms)
+                    free.setdefault(key, []).append(y)
+            p = dict(pins)
+            for x in range(len(dims)):
+                if x not in pins:
+                    images = free.get((dims[x],) + tuple(m[delta][x] for m, delta, _ in terms))
+                    if not images:
+                        return None
+                    p[x] = images.pop(0)
+            out.append(tuple(p[x] for x in range(len(dims))))
+        return tuple(out)
 
     def search(i):
-        if not feasible():
-            return False
-        if i == len(points):
-            return True
+        s = sigma()
+        if s is None or i == len(points):
+            return s
         j, delta = points[i]
         for image in domains[j, delta]:
             if image not in tau[j]:
                 tau[j][delta] = image
-                if search(i + 1):
-                    return True
+                s = search(i + 1)
+                if s is not None:
+                    return s
                 tau[j][delta] = None
-        return False
-
-    if not search(0):
         return None
-    sigma = []
-    for v, pins in enumerate(pinned):
-        src, img = signatures(v)
-        p = dict(pins)
-        free_images = {}
-        images = set(pins.values())
-        for y in range(len(img)):
-            if y not in images:
-                free_images.setdefault(img[y], []).append(y)
-        for x in range(len(src)):
-            if x not in pins:
-                p[x] = free_images[src[x]].pop(0)
-        sigma.append(tuple(p[x] for x in range(len(src))))
-    return tuple(sigma), tuple(tuple(t) for t in tau)
 
+    s = search(0)
+    return None if s is None else (s, tuple(tuple(t) for t in tau))

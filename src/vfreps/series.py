@@ -37,7 +37,7 @@ total degree D; the test suite checks the two against each other on
 small truncations.
 
 The orbit quotient.  Relabelling simples by an element of the graph's
-automorphism group G (dimmonoid.automorphisms) permutes the dimension
+automorphism group G (orbits.automorphisms) permutes the dimension
 vectors and fixes every count, so the pipeline's series are constant on
 the orbits of G.  Every series carries in its tag, `symmetry`, a subgroup
 of G on whose orbits it is constant.  build_F tags with the subgroup H
@@ -46,12 +46,12 @@ generated by the generators of G that y_func respects
 the orbits of G.  shift tags with the subgroup of its input's tag that
 its y_func respects, invert and plethystic keep the tag of their input,
 and mul keeps a tag that both factors share.  A series built by hand, and
-a product of differently tagged factors, carry the trivial group, whose
-orbits are single keys.  A series holds handles at the representatives
-of its tag only and is computed there: _solve sums, for each
-representative m, over its decompositions m = m1 + (m - m1), which a
-walk over the sub-vectors of m finds and which name a[rep(m1)] and
-right[rep(m - m1)].  Other keys take their representative's value only
+a product of differently tagged factors, carry the graph's trivial group
+(orbits.trivial), whose orbits are single keys.  A series holds handles
+at the representatives of its tag only and is computed there: _solve
+sums, for each representative m, over its decompositions m = m1 + (m -
+m1), which a walk over the sub-vectors of m finds and which name
+a[rep(m1)] and right[rep(m - m1)].  Other keys take their representative's value only
 where a caller reads every key: GradedSeries.coeffs, the Poly tables, and
 an operand that mul or shift moves to a smaller tag.
 
@@ -66,7 +66,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import dimmonoid
-from .dimmonoid import DimVector, enumerate_dimvectors, shift_exponent, zero_vector
+from .dimmonoid import DimVector, shift_exponent, zero_vector
 from .exactalg import (
     POLY_ONE,
     Poly,
@@ -78,6 +78,7 @@ from .exactalg import (
     rf_sum,
 )
 from .groupgraph import GraphOfGroups
+from .orbits import automorphisms, trivial
 
 
 class NonPolynomialCoefficient(ArithmeticError):
@@ -125,7 +126,7 @@ class GradedSeries:
         self.graph = graph
         self.trunc = trunc
         self.handles = handles
-        self.symmetry = dimmonoid.automorphisms(graph).trivial()
+        self.symmetry = trivial(graph)
         self._coeffs = None
 
     @property
@@ -227,22 +228,6 @@ def _values_for(g: GraphOfGroups) -> _Values:
     return vals
 
 
-def _vectors(g: GraphOfGroups, trunc: int) -> dict:
-    """The graph's {code: DimVector} intern table, holding every vector of
-    total <= trunc."""
-    for d in range(trunc + 1):
-        enumerate_dimvectors(g, d)
-    return g._dv_cache
-
-
-def _symmetry_for(g: GraphOfGroups, trunc: int, y_func):
-    """The tag for a series built with this correction: the subgroup of
-    the graph's automorphism group whose generators keep y_func on every
-    key (Automorphisms.respecting), so the series is constant on its
-    orbits."""
-    return dimmonoid.automorphisms(g).respecting(y_func, trunc)
-
-
 def _codes(G, trunc: int):
     """The codes a series tagged G works at: its representatives, by
     total, ascending within a total."""
@@ -342,7 +327,7 @@ def mul(f: GradedSeries, g: GradedSeries) -> GradedSeries:
         raise ValueError("series over different graphs")
     if f.trunc != g.trunc:
         raise ValueError("series with different truncations")
-    G = f.symmetry if f.symmetry is g.symmetry else f.symmetry.trivial()
+    G = f.symmetry if f.symmetry is g.symmetry else trivial(f.graph)
     out = _solve(f.graph, f.trunc, G, _handles(f, G), right=_handles(g, G))
     return _series(f.graph, f.trunc, out, G)
 
@@ -418,12 +403,14 @@ def build_F(g: GraphOfGroups, trunc: int, y_func=None) -> GradedSeries:
     representation space (_gl_exponents), divided by the general-linear
     count of the total dimension, with the forward shift applied; the
     value is built by exponent arithmetic on cyclotomic factors.  The
-    series is tagged (see _symmetry_for) and then evaluated at the
-    representatives of its tag only.
+    series is tagged with the subgroup of the graph's automorphism group
+    whose generators keep y_func on every key (Automorphisms.respecting),
+    so it is constant on the orbits of its tag, and is evaluated at their
+    representatives only.
     """
-    G = _symmetry_for(g, trunc, y_func)
+    G = automorphisms(g).respecting(y_func, trunc)
     vals = _values_for(g)
-    vectors = _vectors(g, trunc)
+    vectors = g._dv_cache
     out = {}
     for c in _codes(G, trunc):
         m = vectors[c]
@@ -474,8 +461,9 @@ def plethystic(f: GradedSeries, direction: str) -> GradedSeries:
     Log (Moebius-inverted Adams sum after log, needs constant term 1).
     Keeps the tag of f."""
     g, G = f.graph, f.symmetry
+    G.representatives(f.trunc)  # interns every key the Adams sums reach
     vals = _values_for(g)
-    vectors = _vectors(g, f.trunc)
+    vectors = g._dv_cache
     d = direction.lower()
     if d == "exp":
         if 0 in f.handles:
@@ -572,7 +560,7 @@ def compute_sim(g: GraphOfGroups, trunc: int):
         return cached
     absim, series = _absim(g, trunc, None)
     G = series.symmetry
-    vectors = _vectors(g, trunc)
+    vectors = g._dv_cache
     per_pair = {}
     per_vector = {}
     for r in _codes(G, trunc):

@@ -1,12 +1,11 @@
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
 from vfreps.dimmonoid import (
     SymmetryGroupDescriptor,
     apply_symmetry,
-    automorphisms,
     correction_y,
     dimvector,
     divide,
@@ -23,16 +22,22 @@ from vfreps.dimmonoid import (
     zero_vector,
 )
 from vfreps.groupgraph import (
+    D2_TO_C2,
+    D3_TO_C2,
+    TRIVIAL_GROUP,
     Edge,
+    FiniteGroupData,
     GraphOfGroups,
     RestrictionMap,
     cyclic_group,
     cyclic_restriction,
+    dihedral_group,
     load,
     preset,
     save,
     validate,
 )
+from vfreps.orbits import automorphisms
 
 
 def brute_force_enumerate(g, d):
@@ -418,17 +423,20 @@ def test_automorphism_quotient_sizes_without_a_descriptor():
         assert _brute_force_orbit_count(g, D) == reps
 
 
-def _brute_force_orbit_count(g, D):
-    from itertools import permutations
-
-    per_vertex = [
+def _vertex_permutations(g):
+    """Every tuple of dimension-preserving permutations of the vertex
+    simples."""
+    return product(*(
         [p for p in permutations(range(len(v.simple_dims)))
          if all(v.simple_dims[p[x]] == v.simple_dims[x] for x in range(len(p)))]
         for v in g.vertices
-    ]
+    ))
+
+
+def _brute_force_orbit_count(g, D):
     keys = {m.per_vertex for d in range(D + 1) for m in enumerate_dimvectors(g, d)}
     group = []
-    for sigma in product(*per_vertex):
+    for sigma in _vertex_permutations(g):
         images = {}
         for pv in keys:
             out = []
@@ -441,6 +449,99 @@ def _brute_force_orbit_count(g, D):
         if set(images.values()) == keys:
             group.append(images)
     return len({min(images[pv] for images in group) for pv in keys})
+
+
+def _random_graphs(rng):
+    """Sixteen graphs, with every vertex's and edge's simples relabelled at
+    random: five two-vertex amalgams of cyclic vertices of order <= 5 over
+    C1 to C4, five of D2 or D3 vertices over C1 or C2, and six one-vertex
+    HNN loops over C1, C2 and C4, plain and with kappa's rows rotated."""
+    out = []
+    for _ in range(5):
+        k = rng.randint(1, 4)
+        a, b = k * rng.randint(1, 5 // k), k * rng.randint(1, 5 // k)
+        edge = cyclic_group(k) if k > 1 else TRIVIAL_GROUP
+        out.append(([cyclic_group(a), cyclic_group(b)],
+                    [(edge, 0, 1, cyclic_restriction(a, k), cyclic_restriction(b, k), "amalgam")]))
+    for _ in range(5):
+        vertices = [dihedral_group(rng.choice((2, 3))) for _ in range(2)]
+        if rng.random() < 0.5:
+            maps = [RestrictionMap((v.simple_dims,)) for v in vertices]
+            edge = TRIVIAL_GROUP
+        else:
+            maps = [D2_TO_C2 if v.order == 4 else D3_TO_C2 for v in vertices]
+            edge = cyclic_group(2)
+        out.append((vertices, [(edge, 0, 1, maps[0], maps[1], "amalgam")]))
+    for twisted in (False, True):
+        for k in (1, 2, 4):
+            n = k * rng.randint(1, 6 // k)
+            iota = cyclic_restriction(n, k)
+            turn = rng.randint(1, k - 1) if twisted and k > 1 else 0
+            rows = iota.matrix[turn:] + iota.matrix[:turn]
+            edge = cyclic_group(k) if k > 1 else TRIVIAL_GROUP
+            out.append(([cyclic_group(n)], [(edge, 0, 0, iota, RestrictionMap(rows), "hnn")]))
+    graphs = []
+    for vertices, edges in out:
+        sigma = [rng.sample(range(len(v.simple_dims)), len(v.simple_dims)) for v in vertices]
+        new_edges = []
+        for group, s, t, iota, kappa, kind in edges:
+            rho = rng.sample(range(len(group.simple_dims)), len(group.simple_dims))
+            new_edges.append(Edge(_relabelled(group, rho), s, t, _moved_matrix(iota.matrix, rho, sigma[s]),
+                                  _moved_matrix(kappa.matrix, rho, sigma[t]), kind))
+        graphs.append(GraphOfGroups("random", [_relabelled(v, p) for v, p in zip(vertices, sigma)], new_edges))
+    return graphs
+
+
+def _relabelled(group, p):
+    """The group with simple gamma renamed p[gamma]."""
+    return FiniteGroupData(group.label, _moved(group.simple_dims, p), group.order, group.exponent)
+
+
+def _moved(x, p):
+    """x with entry gamma moved to place p[gamma]."""
+    out = [0] * len(x)
+    for gamma, k in enumerate(x):
+        out[p[gamma]] = k
+    return tuple(out)
+
+
+def _moved_matrix(matrix, rows, cols):
+    return RestrictionMap(_moved([_moved(row, cols) for row in matrix], rows))
+
+
+def _brute_force_orbits(g, D):
+    """The orbits, as sorted code tuples, on the keys of total <= D of the
+    group of every tuple sigma of dimension-preserving vertex permutations
+    that keeps each edge's multiset of rows (dimension, iota row moved by
+    sigma_s, kappa row moved by sigma_t)."""
+
+    def rows(e, sigma):
+        return sorted(zip(e.group.simple_dims, (_moved(r, sigma[e.s]) for r in e.iota.matrix),
+                          (_moved(r, sigma[e.t]) for r in e.kappa.matrix)))
+
+    identity = [tuple(range(len(v.simple_dims))) for v in g.vertices]
+    group = [sigma for sigma in _vertex_permutations(g)
+             if all(rows(e, sigma) == rows(e, identity) for e in g.edges)]
+    code = {m.per_vertex: m.code for d in range(D + 1) for m in enumerate_dimvectors(g, d)}
+    left, orbits = set(code), []
+    while left:
+        pv = min(left)
+        orbit = {tuple(_moved(x, p) for x, p in zip(pv, sigma)) for sigma in group}
+        left -= orbit
+        orbits.append(tuple(sorted(code[u] for u in orbit)))
+    return sorted(orbits)
+
+
+def test_automorphism_orbits_of_random_group_data_match_a_brute_force_group():
+    for g in _random_graphs(random.Random(18)):
+        assert validate(g) == []
+        G = automorphisms(g)
+        got = {}
+        for c, r in G.representatives(3).items():
+            got.setdefault(r, []).append(c)
+        assert sorted(tuple(sorted(o)) for o in got.values()) == _brute_force_orbits(g, 3)
+        if not G.is_trivial():
+            _generator_checks(g, G, 3)
 
 
 def test_representatives_commute_with_scaling():

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from vfreps import series as series_module
 from vfreps.dimmonoid import (
-    automorphisms,
     correction_y,
     dimvector,
     enumerate_dimvectors,
@@ -21,6 +20,7 @@ from vfreps.dimmonoid import (
 from vfreps import exactalg
 from vfreps.exactalg import POLY_ONE, Poly, RatFunc, S, gl_count, mobius
 from vfreps.groupgraph import is_suitable_prime_power, preset
+from vfreps.orbits import automorphisms, trivial
 from vfreps.series import (
     GradedSeries,
     build_F,
@@ -166,7 +166,7 @@ def test_mul_support_matches_pair_enumeration():
                         pairs += 1
             assert pairs > 1 or target == zero
             assert prod.coefficient(target) == expected
-    assert prod.symmetry is automorphisms(g).trivial()
+    assert prod.symmetry is trivial(g)
     assert not prod.symmetry.generators and automorphisms(g).generators
     assert prod.coefficient(zero) == RatFunc(poly([3, 3]), poly([-2, 1]))
 
@@ -627,7 +627,8 @@ def _bucket_solve(g, trunc, G, a, rhs=None, out0=None, alpha=lambda d: 1, right=
     orbit representatives and no decompositions."""
     assert G.is_trivial()
     vals = series_module._values_for(g)
-    vectors = series_module._vectors(g, trunc)
+    G.representatives(trunc)
+    vectors = g._dv_cache
 
     def by_degree(handles):
         out = {}
@@ -773,7 +774,7 @@ def test_tagged_pipeline_equals_untagged_reference(name, D, monkeypatch):
         assert F.symmetry is G.respecting(y_func, D)
         assert (F.symmetry is G) == (y_func is None)
         hand = GradedSeries(g, D, F.coeffs)
-        assert hand.symmetry is G.trivial() and hand == F
+        assert hand.symmetry is trivial(g) and hand == F
 
         # the reference: the bucket solve on every key
         inv_r = _reference(monkeypatch, invert, F)
@@ -798,7 +799,7 @@ def test_tagged_pipeline_equals_untagged_reference(name, D, monkeypatch):
                 reps = t.symmetry.representatives(D)
                 assert all(reps[c] == c for c in t.handles)
         mixed = mul(F, hand)
-        assert mixed.symmetry is G.trivial() and mixed == sq_r
+        assert mixed.symmetry is trivial(g) and mixed == sq_r
         exp_t = _exp(_series_like(absim_series, F.symmetry))
         assert exp_t.symmetry is F.symmetry and exp_t == exp_r
 
@@ -876,7 +877,7 @@ def test_respecting_keeps_the_generators_that_keep_y(name):
         H = G.respecting(y_func, D)
         assert G.respecting(y_func, D) is H and H.respecting(y_func, D) is H
         assert set(H.generators) <= set(G.generators)
-        assert H.trivial() is G.trivial()
+        assert trivial(g).respecting(y_func, D) is trivial(g)
         # every orbit of H is y-constant
         H.representatives(D)
         for d in range(D + 1):
@@ -897,7 +898,7 @@ def test_respecting_keeps_the_generators_that_keep_y(name):
 def test_trivial_group_tags_the_series_of_a_graph_without_symmetry():
     g = preset("free(2)")
     G = automorphisms(g)
-    assert G.is_trivial() and G.trivial() is G
+    assert G.is_trivial() and trivial(g) is G
     assert build_F(g, 3).symmetry is G
     assert GradedSeries(g, 3, build_F(g, 3).coeffs).symmetry is G
     assert G.respecting(_alt_y, 3) is G
@@ -915,13 +916,29 @@ def test_shift_of_a_hand_built_series_keeps_the_trivial_tag(monkeypatch):
     keys = [m for d in range(D + 1) for m in enumerate_dimvectors(g, d)]
     # one value per key: constant on no orbit of H
     hand = GradedSeries(g, D, {m: RatFunc(Poly((i + 1,))) for i, m in enumerate(keys)})
-    assert hand.symmetry is G.trivial()
+    assert hand.symmetry is trivial(g)
     out = shift(hand, "inverse", y_func=_alt_y)
-    assert out.symmetry is G.trivial()
+    assert out.symmetry is trivial(g)
     assert len(out.handles) == len(keys)
     for m in keys:
         e = -shift_exponent(g, m, _alt_y)
         assert out.coefficient(m) == hand.coefficient(m) * RatFunc.s_power(e)
+
+
+def test_a_hand_built_series_does_not_build_the_automorphism_group():
+    # the trivial tag is built without the generator backtrack, the slow
+    # part of building G on this graph
+    g = _quotient_graph("cyclic_amalgam(24,24,24)")
+    assert GradedSeries(g, 1, {}).symmetry is trivial(g)
+    assert "automorphisms" not in g._pipeline_cache
+
+
+def test_the_trivial_group_of_a_graph_without_symmetry_is_its_automorphism_group():
+    # whichever of the two is asked for first
+    g = _quotient_graph("free(2)")
+    assert automorphisms(g) is trivial(g)
+    g = _quotient_graph("free(2)")
+    assert trivial(g) is automorphisms(g)
 
 
 RELABEL_PRESETS = ["psl2z", "sl2z", "gl2z", "pgl2z", "dinf", "gc(2)", "hnn_loop", "three_vertex_tree"]
