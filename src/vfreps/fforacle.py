@@ -8,9 +8,10 @@ series pipeline: matrix enumeration, orbit counting and linear algebra
 over F_q only, so agreement with the pipeline is a real cross-check.
 
 Conjugation by GL_d preserves every count taken here, so generator 0 runs
-over one representative per conjugacy class (`class_keys`: the scalar, or
-else trace and det), weighted by the class size counted in the enumerated
-set, never by a centralizer or pipeline formula.
+over one representative per conjugacy class (`power_solutions` lists the
+solutions class by class, keyed by the scalar or else by trace and det),
+weighted by the class size counted in the enumerated set, never by a
+centralizer or pipeline formula.
 
 Nothing sweeps M_2(F_q): X^k = 1 is tested once per class, whose members
 are generated from (trace, det); powers are alpha*X + beta*I (`ch_power`,
@@ -33,7 +34,7 @@ from math import prod
 
 from .dimmonoid import dimvector
 from .exactalg import QPower
-from .groupgraph import _parse_preset_name, is_suitable_prime_power, preset
+from .groupgraph import _parse_preset_name, cyclic_amalgam_orders, is_suitable_prime_power, preset
 
 
 # ---------------------------------------------------------------------------
@@ -152,15 +153,6 @@ def mat_det(F, A):
     return F.add[F.mul[a][d]][F.neg[F.mul[b][c]]]
 
 
-def class_keys(F, mats):
-    """GL_2(F_q) conjugacy class of each matrix: ("s", a) for the scalar
-    a*I, else (trace, det); a non-scalar 2x2 matrix is cyclic, so its
-    characteristic polynomial decides its class."""
-    M, P, n = F.mul, F.add, F.neg
-    for a, b, c, d in mats:
-        yield ("s", a) if b == c == 0 and a == d else (P[a][d], P[M[a][d]][n[M[b][c]]])
-
-
 def _char_roots(F, A):
     """Roots t of the characteristic polynomial t^2 - tr*t + det of A."""
     tr, det = F.add[A[0]][A[3]], mat_det(F, A)
@@ -197,21 +189,23 @@ def _class_members(F, tr, det):
 
 @lru_cache(maxsize=None)
 def power_solutions(q: int, d: int, k):
-    """All X in GL_d(F_q) with X^k = 1 (all of GL_d when k is None), in
-    sweep order.  At d = 2, X^k = 1 is tested once per conjugacy class,
-    and the members of each class that passes are generated from its
-    (trace, det), not found by a sweep of M_2(F_q)."""
+    """The X in GL_d(F_q) with X^k = 1 (all of GL_d when k is None), by
+    GL_d conjugacy class: ((class key, members), ...).  A scalar a*I has
+    key ("s", a), as has every element at d = 1; a non-scalar 2x2 matrix
+    is cyclic, so its class is keyed by (trace, det).  At d = 2, X^k = 1
+    is tested once per class, and the members of each class that passes
+    are generated from its (trace, det), not found by a sweep of M_2(F_q)."""
     F = field(q)
-    scalars = tuple(x for x in range(1, q) if k is None or _field_pow(F, x, k) == 1)
+    scalars = [x for x in range(1, q) if k is None or _field_pow(F, x, k) == 1]
     if d == 1:
-        return scalars
+        return tuple((("s", a), (a,)) for a in scalars)
     if d == 2:
-        out = [(a, 0, 0, a) for a in scalars]
-        for tr, det in product(range(q), range(1, q)):
+        out = [(("s", a), ((a, 0, 0, a),)) for a in scalars]
+        for key in product(range(q), range(1, q)):
             # a non-scalar X is cyclic, so X^k = I exactly when alpha = 0, beta = 1
-            if k is None or ch_power(F, tr, det, k) == (0, 1):
-                out += _class_members(F, tr, det)
-        return tuple(sorted(out))
+            if k is None or ch_power(F, *key, k) == (0, 1):
+                out.append((key, tuple(_class_members(F, *key))))
+        return tuple(out)
     raise ValueError("oracle supports d <= 2 only")
 
 
@@ -297,22 +291,19 @@ class PresentationData:
 
 
 def presentation(name: str) -> PresentationData:
-    """Presentation paired with the preset's graph-of-groups data."""
-    base, args = _parse_preset_name(name)
-    if base == "dinf":
-        return PresentationData(name, 2, (2, 2))
-    if base == "psl2z":
-        return PresentationData(name, 2, (2, 3))
-    if base == "sl2z":
-        return PresentationData(name, 2, (4, 6), (0, 2, 1, 3))
-    if base == "gc":
-        (c,) = args
-        return PresentationData(name, 2, (2 * c, 2 * c), (0, 2, 1, 2))
-    if base == "cyclic_free_product":
-        return PresentationData(name, 2, args)
-    if base == "free":
-        (a,) = args
-        return PresentationData(name, a, (None,) * a)
+    """Presentation paired with the preset's graph-of-groups data: the
+    cyclic amalgam C_a *_{C_c} C_b is <x, y | x^a, y^b, x^(a/c) = y^(b/c)>,
+    with no equality relation when c = 1, cyclic(n) is <x | x^n> and
+    free(a) has a generators and no relation."""
+    orders = cyclic_amalgam_orders(name)
+    if orders is not None:
+        a, c, b = orders
+        return PresentationData(name, 2, (a, b), None if c == 1 else (0, a // c, 1, b // c))
+    key, args = _parse_preset_name(name)
+    if key == "cyclic(n)":
+        return PresentationData(name, 1, args)
+    if key == "free(a)":
+        return PresentationData(name, args[0], (None,) * args[0])
     raise ValueError(f"no oracle presentation for preset {name!r}")
 
 
@@ -336,22 +327,16 @@ def _field_pow(F, x, k):
     return y
 
 
-def _powers(F, d, xs, k):
-    """x^k for each x of xs.  At d = 2 it is alpha*x + beta*I, with
-    (alpha, beta) = ch_power computed once per (trace, det)."""
-    if d == 1:
-        return [_field_pow(F, x, k) for x in xs]
-    M, P = F.mul, F.add
-    coeffs, out = {}, []
-    for x in xs:
-        a, b, c, e = x
-        key = (P[a][e], mat_det(F, x))
-        ab = coeffs.get(key)
-        if ab is None:
-            ab = coeffs[key] = ch_power(F, *key, k)
-        m, beta = M[ab[0]], ab[1]
-        out.append((P[m[a]][beta], m[b], m[c], P[m[e]][beta]))
-    return out
+def _class_powers(F, d, key, members, k):
+    """x^k for each member x of the class with this power_solutions key:
+    the scalar's power, or alpha*x + beta*I with (alpha, beta) = ch_power
+    computed once for the class."""
+    if key[0] == "s":
+        c = _field_pow(F, key[1], k)
+        return [c if d == 1 else (c, 0, 0, c)] * len(members)
+    alpha, beta = ch_power(F, *key, k)
+    m, P = F.mul[alpha], F.add
+    return [(P[m[a]][beta], m[b], m[c], P[m[e]][beta]) for a, b, c, e in members]
 
 
 def _classes(p: PresentationData, d: int, q: int):
@@ -360,26 +345,24 @@ def _classes(p: PresentationData, d: int, q: int):
     generators at x0).  Every tuple of x0 and one candidate per list
     satisfies the relations.  An equality relation g_0^a = g_1^b takes
     generator 1 from the bucket of x0^a among generator 1's solutions,
-    keyed by y^b; generator 0 has no bucket.  At d = 1 every class is a
-    single point."""
-    F = field(q)
+    keyed by y^b; generator 0 has no bucket."""
     sets = [power_solutions(q, d, k) for k in p.power_orders]
-    bucket = None
-    if p.equality is not None:
-        i, a, j, b = p.equality
-        if (i, j, p.generators) != (0, 1, 2):
-            raise ValueError("equality relations are handled for two generators only")
-        bucket = {}
-        for y, yb in zip(sets[1], _powers(F, d, sets[1], b)):
+    if p.equality is None:
+        rest = [tuple(x for _, members in s for x in members) for s in sets[1:]]
+        for _, members in sets[0]:
+            yield len(members), members[0], rest
+        return
+    i, a, j, b = p.equality
+    if (i, j, p.generators) != (0, 1, 2):
+        raise ValueError("equality relations are handled for two generators only")
+    F = field(q)
+    bucket = {}
+    for key, members in sets[1]:
+        for y, yb in zip(members, _class_powers(F, d, key, members, b)):
             bucket.setdefault(yb, []).append(y)
-    classes = {}
-    for x, key in zip(sets[0], sets[0] if d == 1 else class_keys(F, sets[0])):
-        classes.setdefault(key, []).append(x)
-    x0s = [members[0] for members in classes.values()]
-    x0a = x0s if bucket is None else _powers(F, d, x0s, a)
-    for members, x0, xa in zip(classes.values(), x0s, x0a):
-        rest = sets[1:] if bucket is None else [bucket.get(xa, ())]
-        yield len(members), x0, rest
+    for key, members in sets[0]:
+        xa = _class_powers(F, d, key, members[:1], a)[0]
+        yield len(members), members[0], [bucket.get(xa, ())]
 
 
 def count_hom(p: PresentationData, d: int, q: int) -> int:

@@ -249,75 +249,85 @@ D2_TO_C2 = RestrictionMap(((1, 1, 0, 0), (0, 0, 1, 1)))
 D3_TO_C2 = RestrictionMap(((1, 0, 1), (0, 1, 1)))
 
 
-def _amalgam(label, v0, v1, edge, iota, kappa):
-    return GraphOfGroups(label, [v0, v1], [Edge(edge, 0, 1, iota, kappa, "amalgam")])
+def _amalgam(v0, v1, edge, iota, kappa):
+    """(vertices, edges) of the amalgam v0 *_edge v1."""
+    return [v0, v1], [Edge(edge, 0, 1, iota, kappa, "amalgam")]
+
+
+def _free(a):
+    if a < 0:
+        raise ValueError("free(a) needs a >= 0")
+    unit = RestrictionMap(((1,),))
+    return [TRIVIAL_GROUP], [Edge(TRIVIAL_GROUP, 0, 0, unit, unit, "hnn") for _ in range(a)]
+
+
+def _cyclic_amalgam(a, c, b):
+    """(vertices, edges) of C_a *_{C_c} C_b, C_c of index a/c and b/c."""
+    if a < 1 or b < 1 or c < 1:
+        raise ValueError("cyclic orders must be >= 1")
+    if a % c or b % c:
+        raise ValueError(f"edge order {c} must divide both {a} and {b}")
+    edge = cyclic_group(c) if c > 1 else TRIVIAL_GROUP
+    return _amalgam(cyclic_group(a), cyclic_group(b), edge, cyclic_restriction(a, c), cyclic_restriction(b, c))
 
 
 # ---------------------------------------------------------------------------
 # presets
 # ---------------------------------------------------------------------------
 
+# The preset catalogue, keyed by display name; a name's parameters are
+# those of its key.  Each entry maps the parameters to the orders
+# (a, c, b) of a cyclic amalgam C_a *_{C_c} C_b, or else to the graph's
+# (vertices, edges).
+_PRESETS = {
+    "free(a)": _free,
+    "cyclic(n)": lambda n: ([cyclic_group(n)], []),
+    "dihedral(c)": lambda c: ([dihedral_group(c)], []),
+    "cyclic_free_product(a,b)": lambda a, b: (a, 1, b),
+    "cyclic_amalgam(a,c,b)": lambda a, c, b: (a, c, b),
+    "dinf": lambda: (2, 1, 2),
+    "gc(c)": lambda c: (2 * c, c, 2 * c),
+    "psl2z": lambda: (2, 1, 3),
+    "sl2z": lambda: (4, 2, 6),
+    "gl2z": lambda: _amalgam(dihedral_group(4), dihedral_group(6), KLEIN_GROUP, D4_TO_KLEIN, D6_TO_KLEIN),
+    "pgl2z": lambda: _amalgam(dihedral_group(2), dihedral_group(3), cyclic_group(2), D2_TO_C2, D3_TO_C2),
+}
+
+PRESET_NAMES = tuple(_PRESETS)
+
+# base name -> (display name, number of parameters)
+_BASES = {key.partition("(")[0]: (key, len(key.split(",")) if "(" in key else 0) for key in _PRESETS}
+
+
 @lru_cache(maxsize=None)
 def preset(name: str) -> GraphOfGroups:
-    """Named example groups.
-
-    Accepted names: free(a), cyclic(n), dihedral(c), cyclic_free_product(a,b),
-    cyclic_amalgam(a,c,b), dinf, gc(c), psl2z, sl2z, gl2z, pgl2z.
-    """
-    base, args = _parse_preset_name(name)
-    if base == "free":
-        (a,) = args
-        if a < 0:
-            raise ValueError("free(a) needs a >= 0")
-        unit = RestrictionMap(((1,),))
-        edges = [Edge(TRIVIAL_GROUP, 0, 0, unit, unit, "hnn") for _ in range(a)]
-        g = GraphOfGroups(name, [TRIVIAL_GROUP], edges)
-    elif base == "cyclic":
-        (n,) = args
-        g = GraphOfGroups(name, [cyclic_group(n)], [])
-    elif base == "dihedral":
-        (c,) = args
-        g = GraphOfGroups(name, [dihedral_group(c)], [])
-    elif base == "cyclic_free_product":
-        a, b = args
-        g = _cyclic_amalgam(name, a, 1, b)
-    elif base == "cyclic_amalgam":
-        a, c, b = args
-        g = _cyclic_amalgam(name, a, c, b)
-    elif base == "dinf":
-        g = _cyclic_amalgam(name, 2, 1, 2)
-    elif base == "gc":
-        (c,) = args
-        g = _cyclic_amalgam(name, 2 * c, c, 2 * c)
-    elif base == "psl2z":
-        g = _cyclic_amalgam(name, 2, 1, 3)
-    elif base == "sl2z":
-        g = _cyclic_amalgam(name, 4, 2, 6)
-    elif base == "pgl2z":
-        g = _amalgam(name, dihedral_group(2), dihedral_group(3), cyclic_group(2), D2_TO_C2, D3_TO_C2)
-    elif base == "gl2z":
-        g = _amalgam(name, dihedral_group(4), dihedral_group(6), KLEIN_GROUP, D4_TO_KLEIN, D6_TO_KLEIN)
-    else:
-        raise ValueError(f"unknown preset {name!r}")
+    """The named example group; PRESET_NAMES lists the accepted names."""
+    made = _entry(name)
+    g = GraphOfGroups(name, *(_cyclic_amalgam(*made) if len(made) == 3 else made))
     violations = validate(g)
     if violations:
         raise ValidationError(violations)
     return g
 
 
-def _cyclic_amalgam(label, a, c, b):
-    if a < 1 or b < 1 or c < 1:
-        raise ValueError("cyclic orders must be >= 1")
-    if a % c or b % c:
-        raise ValueError(f"edge order {c} must divide both {a} and {b}")
-    edge = cyclic_group(c) if c > 1 else TRIVIAL_GROUP
-    return _amalgam(
-        label, cyclic_group(a), cyclic_group(b), edge,
-        cyclic_restriction(a, c), cyclic_restriction(b, c),
-    )
+def cyclic_amalgam_orders(name: str):
+    """(a, c, b) when the preset is the cyclic amalgam C_a *_{C_c} C_b,
+    else None; orders that make no amalgam raise as in preset()."""
+    made = _entry(name)
+    if len(made) == 3:
+        _cyclic_amalgam(*made)
+        return made
+    return None
+
+
+def _entry(name: str):
+    """The preset's catalogue entry applied to its parameters."""
+    key, args = _parse_preset_name(name)
+    return _PRESETS[key](*args)
 
 
 def _parse_preset_name(name: str):
+    """(catalogue key, integer parameters) of a preset name."""
     name = name.strip()
     if "(" in name:
         if not name.endswith(")"):
@@ -329,22 +339,12 @@ def _parse_preset_name(name: str):
             raise ValueError(f"non-integer parameter in preset {name!r}") from None
     else:
         base, args = name, ()
-    expected = {
-        "free": 1, "cyclic": 1, "dihedral": 1, "gc": 1,
-        "cyclic_free_product": 2, "cyclic_amalgam": 3,
-        "dinf": 0, "psl2z": 0, "sl2z": 0, "gl2z": 0, "pgl2z": 0,
-    }
-    if base not in expected:
+    if base not in _BASES:
         raise ValueError(f"unknown preset {name!r}")
-    if len(args) != expected[base]:
-        raise ValueError(f"preset {base} takes {expected[base]} parameter(s)")
-    return base, args
-
-
-PRESET_NAMES = (
-    "free(a)", "cyclic(n)", "dihedral(c)", "cyclic_free_product(a,b)",
-    "cyclic_amalgam(a,c,b)", "dinf", "gc(c)", "psl2z", "sl2z", "gl2z", "pgl2z",
-)
+    key, arity = _BASES[base]
+    if len(args) != arity:
+        raise ValueError(f"preset {base} takes {arity} parameter(s)")
+    return key, args
 
 
 # ---------------------------------------------------------------------------

@@ -443,6 +443,16 @@ def test_oracle_per_vector(capsys):
 
 
 @pytest.mark.parametrize(
+    "name, q", [("cyclic(4)", 5), ("cyclic_amalgam(6,3,6)", 7), ("cyclic_amalgam(3,1,3)", 7)]
+)
+def test_oracle_accepts_the_cyclic_family(capsys, name, q):
+    for dim, check in ((2, "hom"), (2, "absim"), (2, "per-vector")):
+        code, out, err = run(capsys, "oracle", "--group", name, "--dim", str(dim), "--q", str(q), "--check", check)
+        assert (code, err) == (0, "")
+        assert out.strip().endswith("PASS") and "FAIL" not in out
+
+
+@pytest.mark.parametrize(
     "name, message",
     [
         ("free", "preset free takes 1 parameter(s)"),
@@ -456,6 +466,20 @@ def test_oracle_names_a_malformed_preset_like_count(capsys, name, message):
     assert (code, out, err) == (1, "", f"error: {message}\n")
     # count names the same problem before it adds that no file has the name
     assert run(capsys, "count", "--group", name, "--max-dim", "1")[2].startswith(err.rstrip())
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("cyclic_amalgam(2,0,2)", "cyclic orders must be >= 1"),
+        ("cyclic_amalgam(4,3,6)", "edge order 3 must divide both 4 and 6"),
+        ("gc(0)", "cyclic orders must be >= 1"),
+        ("gl2z", "no oracle presentation for preset 'gl2z'"),
+    ],
+)
+def test_oracle_rejects_a_group_without_a_presentation(capsys, name, message):
+    code, out, err = run(capsys, "oracle", "--group", name, "--dim", "1", "--q", "5")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("check", ["hom", "absim", "per-vector"])

@@ -24,6 +24,9 @@ from vfreps.dimmonoid import (
 from vfreps.groupgraph import (
     D2_TO_C2,
     D3_TO_C2,
+    D4_TO_KLEIN,
+    D6_TO_KLEIN,
+    KLEIN_GROUP,
     TRIVIAL_GROUP,
     Edge,
     FiniteGroupData,
@@ -38,6 +41,7 @@ from vfreps.groupgraph import (
     validate,
 )
 from vfreps.orbits import automorphisms
+from vfreps.series import compute_absim, compute_ss
 
 
 def brute_force_enumerate(g, d):
@@ -480,6 +484,41 @@ def _random_graphs(rng):
             rows = iota.matrix[turn:] + iota.matrix[:turn]
             edge = cyclic_group(k) if k > 1 else TRIVIAL_GROUP
             out.append(([cyclic_group(n)], [(edge, 0, 0, iota, RestrictionMap(rows), "hnn")]))
+    return _relabelled_graphs(rng, out)
+
+
+def _random_klein_and_tree_graphs(rng):
+    """Nine graphs of the shapes _random_graphs leaves out, relabelled the
+    same way: two Klein-edge amalgams of D4 or D6 vertices, three D4 HNN
+    loops over the Klein group with kappa's rows permuted at random (both
+    by gl2z's restriction maps), and four three-vertex trees of cyclic
+    vertices of order <= 4 over C1 or C2 edges."""
+    to_klein = {4: D4_TO_KLEIN, 6: D6_TO_KLEIN}
+    out = []
+    for _ in range(2):
+        c = [rng.choice((4, 6)) for _ in range(2)]
+        out.append(([dihedral_group(x) for x in c],
+                    [(KLEIN_GROUP, 0, 1, to_klein[c[0]], to_klein[c[1]], "amalgam")]))
+    for _ in range(3):
+        rows = rng.sample(D4_TO_KLEIN.matrix, 4)
+        out.append(([dihedral_group(4)], [(KLEIN_GROUP, 0, 0, D4_TO_KLEIN, RestrictionMap(rows), "hnn")]))
+    for _ in range(4):
+        ks = [rng.choice((1, 2)) for _ in range(2)]
+        ends = [(0, 1), (rng.randint(0, 1), 2)]
+        # a vertex's order is a multiple of the orders of its edges
+        need = [max([1] + [k for e, k in zip(ends, ks) if x in e]) for x in range(3)]
+        orders = [k * rng.randint(1, 4 // k) for k in need]
+        edges = []
+        for (u, v), k in zip(ends, ks):
+            edge = cyclic_group(k) if k > 1 else TRIVIAL_GROUP
+            edges.append((edge, u, v, cyclic_restriction(orders[u], k), cyclic_restriction(orders[v], k), "amalgam"))
+        out.append(([cyclic_group(n) for n in orders], edges))
+    return _relabelled_graphs(rng, out)
+
+
+def _relabelled_graphs(rng, out):
+    """Graphs of (vertices, edge tuples) with every vertex's and edge's
+    simples renamed by a random permutation."""
     graphs = []
     for vertices, edges in out:
         sigma = [rng.sample(range(len(v.simple_dims)), len(v.simple_dims)) for v in vertices]
@@ -532,8 +571,8 @@ def _brute_force_orbits(g, D):
     return sorted(orbits)
 
 
-def test_automorphism_orbits_of_random_group_data_match_a_brute_force_group():
-    for g in _random_graphs(random.Random(18)):
+def _check_orbits_against_brute_force(graphs):
+    for g in graphs:
         assert validate(g) == []
         G = automorphisms(g)
         got = {}
@@ -542,6 +581,36 @@ def test_automorphism_orbits_of_random_group_data_match_a_brute_force_group():
         assert sorted(tuple(sorted(o)) for o in got.values()) == _brute_force_orbits(g, 3)
         if not G.is_trivial():
             _generator_checks(g, G, 3)
+
+
+def test_automorphism_orbits_of_random_group_data_match_a_brute_force_group():
+    _check_orbits_against_brute_force(_random_graphs(random.Random(18)))
+
+
+def test_automorphism_orbits_of_klein_and_tree_data_match_a_brute_force_group():
+    _check_orbits_against_brute_force(_random_klein_and_tree_graphs(random.Random(19)))
+
+
+def _alt_correction(g, m):
+    return correction_y(g, m) + 2 * sum(v[0] for v in m.per_vertex)
+
+
+def test_pipeline_invariants_on_random_group_data():
+    # at D = 4 on every random graph: integral coefficients (no
+    # NonPolynomialCoefficient), monic ss, absim and ss of degree
+    # 1 - <m,m> where absim is nonzero, and independence of the correction
+    D = 4
+    graphs = _random_graphs(random.Random(18)) + _random_klein_and_tree_graphs(random.Random(19))
+    for g in graphs:
+        absim, ss = compute_absim(g, D), compute_ss(g, D)
+        for d in range(1, D + 1):
+            for m in enumerate_dimvectors(g, d):
+                assert ss[m].leading() == 1, m
+                if m in absim:
+                    want = 1 - euler_form(g, m, m)
+                    assert (absim[m].degree, absim[m].leading(), ss[m].degree) == (want, 1, want), m
+        assert compute_absim(g, D, y_func=_alt_correction) == absim
+        assert compute_ss(g, D, y_func=_alt_correction) == ss
 
 
 def test_representatives_commute_with_scaling():

@@ -25,6 +25,11 @@ from vfreps.fforacle import (
 )
 
 
+def flat_solutions(q, d, k):
+    """power_solutions(q, d, k) as one sorted tuple of matrices."""
+    return tuple(sorted(x for _, members in power_solutions(q, d, k) for x in members))
+
+
 def pipeline_hom_count(name, d, q):
     g = preset(name)
     return sum(int(rep_space_count(g, m).eval(q)) for m in enumerate_dimvectors(g, d))
@@ -84,14 +89,19 @@ def test_extension_field_frobenius():
 # ---------------------------------------------------------------------------
 
 def test_power_solutions_d1():
-    assert power_solutions(5, 1, 2) == (1, 4)
-    assert power_solutions(7, 1, 3) == (1, 2, 4)
-    assert len(power_solutions(7, 1, None)) == 6
+    # every element is its own scalar class
+    assert power_solutions(5, 1, 2) == ((("s", 1), (1,)), (("s", 4), (4,)))
+    assert flat_solutions(7, 1, 3) == (1, 2, 4)
+    assert len(flat_solutions(7, 1, None)) == 6
 
 
 def test_power_solutions_d2_sizes():
     # X^2 = 1 over F_3: two scalars and one conjugacy class of reflections
-    sols = power_solutions(3, 2, 2)
+    classes = power_solutions(3, 2, 2)
+    assert [(key, len(members)) for key, members in classes] == [
+        (("s", 1), 1), (("s", 2), 1), ((0, 2), 12),
+    ]
+    sols = flat_solutions(3, 2, 2)
     assert len(sols) == 14
     F = field(3)
     for X in sols:
@@ -102,13 +112,20 @@ def test_power_solutions_d2_sizes():
 @pytest.mark.parametrize("k", [2, 3, 4, 6, None])
 def test_power_solutions_match_the_per_matrix_test(q, k):
     # power_solutions tests X^k = 1 once per conjugacy class; the reference
-    # tests every invertible matrix, in the same sweep order
+    # tests every invertible matrix, in sweep order.  Each class holds the
+    # matrices of its key, scalar or (trace, det), and no two share a key
     F = field(q)
     direct = tuple(
         A for A in product(range(q), repeat=4)
         if mat_det(F, A) and (k is None or mat_pow(F, A, k) == (1, 0, 0, 1))
     )
-    assert power_solutions(q, 2, k) == direct
+    assert flat_solutions(q, 2, k) == direct
+    classes = power_solutions(q, 2, k)
+    assert len({key for key, _ in classes}) == len(classes)
+    for key, members in classes:
+        for a, b, c, d in members:
+            scalar = b == c == 0 and a == d
+            assert key == (("s", a) if scalar else (F.add[a][d], mat_det(F, (a, b, c, d))))
 
 
 def test_invariant_lines():
@@ -182,6 +199,54 @@ def test_count_hom_free_group():
     assert count_hom(presentation("free(3)"), 1, 5) == 4 ** 3
 
 
+@pytest.mark.parametrize(
+    "name,want",
+    [
+        ("dinf", (2, (2, 2), None)),
+        ("psl2z", (2, (2, 3), None)),
+        ("sl2z", (2, (4, 6), (0, 2, 1, 3))),
+        ("gc(2)", (2, (4, 4), (0, 2, 1, 2))),
+        ("gc(3)", (2, (6, 6), (0, 2, 1, 2))),
+        ("cyclic_free_product(2,4)", (2, (2, 4), None)),
+        ("cyclic_free_product(3,3)", (2, (3, 3), None)),
+        ("free(0)", (0, (), None)),
+        ("free(1)", (1, (None,), None)),
+        ("free(2)", (2, (None, None), None)),
+    ],
+)
+def test_presentations_of_the_named_groups(name, want):
+    # the values the presentations were written out as by hand, before
+    # one relation x^(a/c) = y^(b/c) covered every cyclic amalgam
+    p = presentation(name)
+    assert (p.preset_name, p.generators, p.power_orders, p.equality) == (name, *want)
+
+
+@pytest.mark.parametrize("name", ["gl2z", "pgl2z", "dihedral(3)"])
+def test_no_presentation_for_dihedral_vertices(name):
+    with pytest.raises(ValueError, match="no oracle presentation"):
+        presentation(name)
+
+
+@pytest.mark.parametrize(
+    "name,q",
+    [
+        ("cyclic_amalgam(4,2,6)", 13), ("cyclic_amalgam(6,3,6)", 7),
+        ("cyclic_amalgam(6,2,4)", 13), ("cyclic_amalgam(3,1,3)", 7),
+        ("cyclic_amalgam(6,6,6)", 7), ("cyclic(3)", 7), ("cyclic(4)", 5),
+    ],
+)
+def test_cyclic_family_oracle_matches_pipeline(name, q):
+    # hom counts, the per-vector census and absim orbits at d <= 2
+    p = presentation(name)
+    g = preset(name)
+    for d in (1, 2):
+        assert count_hom(p, d, q) == pipeline_hom_count(name, d, q)
+        census = dimvector_census(p, d, q)
+        for m in enumerate_dimvectors(g, d):
+            assert census.get(m, 0) == int(rep_space_count(g, m).eval(q))
+    assert count_absim_orbits(p, 2, q) == pipeline_absim_count(name, 2, q)
+
+
 def test_unsupported_ranges():
     p = presentation("psl2z")
     with pytest.raises(ValueError):
@@ -229,7 +294,7 @@ def _all_points(p, d, q):
             y = F.mul[y][x]
         return y
 
-    sets = [power_solutions(q, d, k) for k in p.power_orders]
+    sets = [flat_solutions(q, d, k) for k in p.power_orders]
     if p.equality is None:
         return list(product(*sets))
     i, a, j, b = p.equality

@@ -8,7 +8,9 @@ from vfreps.groupgraph import (
     FiniteGroupData,
     GraphOfGroups,
     RestrictionMap,
+    PRESET_NAMES,
     ValidationError,
+    cyclic_amalgam_orders,
     cyclic_group,
     dihedral_group,
     is_suitable_prime_power,
@@ -91,6 +93,57 @@ def test_preset_errors():
         preset("cyclic_amalgam(4,3,6)")  # 3 does not divide 4
     with pytest.raises(ValueError):
         preset("gc(2,3)")
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("nosuchgroup", "unknown preset 'nosuchgroup'"),
+        ("cyclic_amalgam(4,3,6)", "edge order 3 must divide both 4 and 6"),
+        ("gc(2,3)", "preset gc takes 1 parameter(s)"),
+        ("free", "preset free takes 1 parameter(s)"),
+        ("cyclic_free_product(2)", "preset cyclic_free_product takes 2 parameter(s)"),
+        ("psl2z(1)", "preset psl2z takes 0 parameter(s)"),
+        ("free(x)", "non-integer parameter in preset 'free(x)'"),
+        ("free(2", "malformed preset name 'free(2'"),
+        ("free(-1)", "free(a) needs a >= 0"),
+        ("dihedral(1)", "dihedral groups need c >= 2"),
+    ],
+)
+def test_preset_error_messages(name, message):
+    with pytest.raises(ValueError) as err:
+        preset(name)
+    assert str(err.value) == message
+
+
+def test_preset_names_are_the_catalogue():
+    assert PRESET_NAMES == (
+        "free(a)", "cyclic(n)", "dihedral(c)", "cyclic_free_product(a,b)",
+        "cyclic_amalgam(a,c,b)", "dinf", "gc(c)", "psl2z", "sl2z", "gl2z", "pgl2z",
+    )
+    for key in PRESET_NAMES:
+        arity = 0 if "(" not in key else key.count(",") + 1
+        name = key.split("(")[0] + ("(" + ",".join(["2"] * arity) + ")" if arity else "")
+        assert preset(name).label == name
+
+
+@pytest.mark.parametrize(
+    "name, orders",
+    [
+        ("dinf", (2, 1, 2)), ("psl2z", (2, 1, 3)), ("sl2z", (4, 2, 6)),
+        ("gc(1)", (2, 1, 2)), ("gc(3)", (6, 3, 6)),
+        ("cyclic_free_product(2,5)", (2, 1, 5)), ("cyclic_amalgam(6,3,9)", (6, 3, 9)),
+        ("free(2)", None), ("cyclic(4)", None), ("dihedral(3)", None),
+        ("gl2z", None), ("pgl2z", None),
+    ],
+)
+def test_cyclic_amalgam_orders(name, orders):
+    assert cyclic_amalgam_orders(name) == orders
+    if orders is not None:
+        # the graph is C_a *_{C_c} C_b
+        g = preset(name)
+        (e,) = g.edges
+        assert (g.vertices[0].order, e.group.order, g.vertices[1].order) == orders
 
 
 # ---------------------------------------------------------------------------

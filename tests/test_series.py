@@ -1016,6 +1016,14 @@ def _conjugacy_key(q, A):
     return (a + d) % q, (a * d - b * c) % q, b == c == 0 and a == d
 
 
+def _solutions(q, k):
+    """The X in GL_2(F_q) with X^k = 1 (all of GL_2 when k is None), read
+    flat from the oracle's class-by-class power_solutions."""
+    from vfreps.fforacle import power_solutions
+
+    return [x for _, members in power_solutions(q, 2, k) for x in members]
+
+
 def _absim_orbits_by_enumeration(q, generator_sets, weighted=True):
     """Matrix brute force for arbitrary generator tuples (d = 2, prime q).
 
@@ -1050,9 +1058,7 @@ def _absim_orbits_by_enumeration(q, generator_sets, weighted=True):
 def test_weighted_brute_force_matches_the_full_product():
     # the weighted helper below, pinned against every tuple of the full
     # product at q = 3 on both generator lists it is used with
-    from vfreps.fforacle import power_solutions
-
-    invol, units = power_solutions(3, 2, 2), power_solutions(3, 2, None)
+    invol, units = _solutions(3, 2), _solutions(3, None)
     for sets in ([invol, invol, invol], [invol, invol, units]):
         full = _absim_orbits_by_enumeration(3, sets, weighted=False)
         assert _absim_orbits_by_enumeration(3, sets) == full
@@ -1062,7 +1068,6 @@ def test_three_vertex_tree_and_cross_vertex_loop():
     # topologies not covered by the presets: a three-vertex amalgam tree
     # (C2 * C2 * C2) and an extra HNN edge joining distinct vertices
     # (C2 * C2 * Z); both checked against matrix brute force at q = 5
-    from vfreps.fforacle import power_solutions
     from vfreps.groupgraph import (
         Edge,
         GraphOfGroups,
@@ -1085,8 +1090,8 @@ def test_three_vertex_tree_and_cross_vertex_loop():
     assert validate(chain) == [] and validate(mixed) == []
 
     q = 5
-    invol = power_solutions(q, 2, 2)
-    units = power_solutions(q, 2, None)
+    invol = _solutions(q, 2)
+    units = _solutions(q, None)
 
     absim = compute_absim(chain, 2)
     assert aggregate(absim)[1] == Poly.const(8)
