@@ -13,6 +13,12 @@ code(m1) + code(m2) and the code of beta*m is beta*code(m), both without
 carries, and within one graph int order is per_vertex order.  The series
 convolutions add codes and look the interned vectors up by code.
 
+A key stores its vertex entries only.  Its edge vectors, the common
+restrictions that the Euler form, the correction Y and the point counts
+read, are derived from the s-side vertex entries on first read
+(DimVector.per_edge), so the keys that only index a convolution never
+build them.
+
 One edge-constraint join (_EdgeJoin) solves the edge constraints for
 every caller: enumeration feeds it each vertex's weighted compositions
 of d and returns the keys in code order, and the orbit quotient feeds it
@@ -30,30 +36,41 @@ from .groupgraph import GraphOfGroups
 
 _BITS = 16
 TOTAL_LIMIT = 1 << _BITS  # every total dimension is below this
-_FIELD = TOTAL_LIMIT - 1
 _VECTOR = itemgetter(2)  # of an item made by _EdgeJoin.items
 
 
 class DimVector:
     """An element of the dimension-vector monoid.
 
-    per_vertex holds one multiplicity vector per vertex group; per_edge
-    caches the common restriction to each edge group; total is the weighted
-    total dimension; code packs per_vertex into one int (module docstring)
-    and is the key the graph interns the vector under.  Instances are
-    immutable, hashable and interned per graph (use GraphOfGroups-bound
-    helpers or dimvector() to create them).
+    per_vertex holds one multiplicity vector per vertex group; total is
+    the weighted total dimension; code packs per_vertex into one int
+    (module docstring) and is the key the graph interns the vector under.
+    per_edge, the common restriction to each edge group, is derived on
+    first read and kept.  Instances are immutable, hashable and interned
+    per graph (use GraphOfGroups-bound helpers or dimvector() to create
+    them).
     """
 
-    __slots__ = ("graph", "per_vertex", "per_edge", "total", "code", "_hash")
+    __slots__ = ("graph", "per_vertex", "total", "code", "_hash", "_per_edge")
 
-    def __init__(self, graph, per_vertex, per_edge, total, code):
+    def __init__(self, graph, per_vertex, total, code):
         self.graph = graph
         self.per_vertex = per_vertex
-        self.per_edge = per_edge
         self.total = total
         self.code = code
         self._hash = hash(per_vertex)
+        self._per_edge = None
+
+    @property
+    def per_edge(self):
+        """The restriction iota_e(m_s) to every edge group, in edge order;
+        it equals kappa_e(m_t) since every key satisfies its edge
+        constraints."""
+        pe = self._per_edge
+        if pe is None:
+            pv = self.per_vertex
+            pe = self._per_edge = tuple(e.iota.apply(pv[e.s]) for e in self.graph.edges)
+        return pe
 
     def __eq__(self, other):
         return isinstance(other, DimVector) and self.per_vertex == other.per_vertex
@@ -64,16 +81,10 @@ class DimVector:
     def __lt__(self, other):
         return self.per_vertex < other.per_vertex
 
-    def is_zero(self):
-        return self.code == 0
-
     def __add__(self, other):
         return _intern_sum(self.graph, self, other, 1)
 
     def __repr__(self):
-        return format_dimvector(self)
-
-    def text(self):
         return format_dimvector(self)
 
 
@@ -86,13 +97,13 @@ def format_dimvector(m: DimVector) -> str:
 def parse_dimvector(g: GraphOfGroups, text: str) -> DimVector:
     """Inverse of format_dimvector, tolerant of whitespace."""
     stripped = text.replace(" ", "")
+    malformed = ValueError(f"malformed dimension vector {text!r}")
     if not (stripped.startswith("((") and stripped.endswith("))")):
-        raise ValueError(f"malformed dimension vector {text!r}")
-    body = stripped[2:-2]
-    parts = body.split("),(")
-    vecs = []
-    for part in parts:
-        vecs.append(tuple(int(x) for x in part.split(",")) if part else ())
+        raise malformed
+    try:
+        vecs = [tuple(int(x) for x in part.split(",")) if part else () for part in stripped[2:-2].split("),(")]
+    except ValueError:
+        raise malformed from None
     return dimvector(g, vecs)
 
 
@@ -119,14 +130,12 @@ def dimvector(g: GraphOfGroups, per_vertex) -> DimVector:
         return cached
     if len(set(totals)) > 1:
         raise ValueError(f"vertex totals differ: {totals}")
-    per_edge = []
     for j, e in enumerate(g.edges):
         u = e.iota.apply(pv[e.s])
         w = e.kappa.apply(pv[e.t])
         if u != w:
             raise ValueError(f"edge {j} constraint violated: {u} != {w}")
-        per_edge.append(u)
-    return _interned(g, code, pv, tuple(per_edge), totals[0] if totals else 0)
+    return _interned(g, code, pv, totals[0] if totals else 0)
 
 
 def _check_total(total: int):
@@ -144,14 +153,14 @@ def _pack(pv: tuple) -> int:
     return code
 
 
-def _interned(g: GraphOfGroups, code: int, pv: tuple, per_edge: tuple, total: int) -> DimVector:
-    """The graph's interned vector with this code; pv, per_edge and total
-    are trusted, and used only when the code is new.  The one constructor
-    of DimVector, so no vector with an unpackable total exists."""
+def _interned(g: GraphOfGroups, code: int, pv: tuple, total: int) -> DimVector:
+    """The graph's interned vector with this code; pv and total are
+    trusted, and used only when the code is new.  The one constructor of
+    DimVector, so no vector with an unpackable total exists."""
     _check_total(total)
     m = g._dv_cache.get(code)
     if m is None:
-        m = g._dv_cache[code] = DimVector(g, pv, per_edge, total, code)
+        m = g._dv_cache[code] = DimVector(g, pv, total, code)
     return m
 
 
@@ -172,11 +181,7 @@ def _intern_sum(g, a: DimVector, b: DimVector, sign: int):
                 return None
             pv.append(row)
         pv = tuple(pv)
-    pe = tuple(
-        tuple(x + sign * y for x, y in zip(ua, ub))
-        for ua, ub in zip(a.per_edge, b.per_edge)
-    )
-    return _interned(g, a.code + sign * b.code, pv, pe, a.total + sign * b.total)
+    return _interned(g, a.code + sign * b.code, pv, a.total + sign * b.total)
 
 
 def zero_vector(g: GraphOfGroups) -> DimVector:
@@ -189,13 +194,10 @@ def try_sub(m: DimVector, n: DimVector):
 
 
 def scale(m: DimVector, c: int) -> DimVector:
-    return _interned(
-        m.graph,
-        c * m.code,
-        tuple(tuple(c * x for x in v) for v in m.per_vertex),
-        tuple(tuple(c * x for x in u) for u in m.per_edge),
-        c * m.total,
-    )
+    """c*m for an integer c >= 0."""
+    if c < 0:
+        raise ValueError(f"negative scalar {c}: dimension vectors are nonnegative")
+    return _interned(m.graph, c * m.code, tuple(tuple(c * x for x in v) for v in m.per_vertex), c * m.total)
 
 
 def gcd_div(m: DimVector):
@@ -228,7 +230,7 @@ def enumerate_dimvectors(g: GraphOfGroups, d: int):
     """All dimension vectors of total dimension d, in code order (which is
     lexicographic on the concatenated per-vertex vectors): the join of the
     vertices' weighted compositions of d, each key interned under the code
-    the join computed, per_edge decoded once per distinct image."""
+    the join computed."""
     if d < 0:
         raise ValueError("negative total dimension")
     _check_total(d)
@@ -236,19 +238,10 @@ def enumerate_dimvectors(g: GraphOfGroups, d: int):
     if cached is not None:
         return cached
     join = _EdgeJoin(g)
-    decoded = [{} for _ in g.edges]  # per edge: packed image -> per_edge entry
-    out = []
     boxes = [join.items(v, _weighted_compositions(d, u.simple_dims)) for v, u in enumerate(g.vertices)]
-    for code, picks in sorted(join(boxes)):
-        per_edge = []
-        for ((s, at, mask), rows), images in zip(join.sources, decoded):
-            u = picks[s][1] >> at & mask
-            entry = images.get(u)
-            if entry is None:
-                entry = images[u] = tuple(u >> _BITS * delta & _FIELD for delta in range(rows))
-            per_edge.append(entry)
-        out.append(_interned(g, code, tuple(map(_VECTOR, picks)), tuple(per_edge), d))
-    out = g._enum_cache[d] = tuple(out)
+    out = g._enum_cache[d] = tuple(
+        _interned(g, code, tuple(map(_VECTOR, picks)), d) for code, picks in sorted(join(boxes))
+    )
     return out
 
 
@@ -271,8 +264,7 @@ class _EdgeJoin:
     by side in 16-bit fields (no image entry exceeds the total), so both
     are carry-free sums of per-simple weights.  The boxes are joined on the
     image of each amalgam edge (in tree order edge j glues vertex j+1 onto
-    an earlier vertex), and HNN edges filter.  sources[j] locates edge j's
-    image in the s-side item: ((vertex, shift, mask), edge simples).
+    an earlier vertex), and HNN edges filter.
     """
 
     def __init__(self, g: GraphOfGroups):
@@ -298,7 +290,6 @@ class _EdgeJoin:
         self.joins, self.filters = [], []
         for j, e in enumerate(g.edges):
             (self.joins if e.kind == "amalgam" else self.filters).append((fields[j, 0], fields[j, 1]))
-        self.sources = [(fields[j, 0], len(e.group.simple_dims)) for j, e in enumerate(g.edges)]
 
     def items(self, v: int, xs) -> list:
         """The items (code contribution, packed images, x) of the vectors

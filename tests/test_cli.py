@@ -66,6 +66,16 @@ def test_count_vector_filter(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("text", ["((1,x),(1,1,0))", "((1,1)(1,1,0))"])
+def test_count_names_a_non_integer_vector_entry_malformed(capsys, text):
+    code, out, err = run(
+        capsys, "count", "--group", "psl2z", "--max-dim", "4",
+        "--by", "dimvector", "--vector", text,
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: malformed dimension vector {text!r}\n"
+
+
 def test_count_deterministic(capsys):
     args = ["count", "--group", "sl2z", "--max-dim", "3", "--kind", "all", "--by", "total"]
     _, out1, _ = run(capsys, *args)

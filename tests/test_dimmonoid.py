@@ -219,6 +219,17 @@ def test_gcd_divide():
         gcd_div(zero_vector(g))
 
 
+def test_scale_refuses_a_negative_scalar_before_interning():
+    g = preset.__wrapped__("psl2z")
+    m = parse_dimvector(g, "((1,1),(1,1,0))")
+    cached = dict(g._dv_cache)
+    with pytest.raises(ValueError, match="negative"):
+        scale(m, -1)
+    assert g._dv_cache == cached
+    assert scale(m, 0) == zero_vector(g)
+    assert scale(m, 2) == parse_dimvector(g, "((2,2),(2,2,0))")
+
+
 # ---------------------------------------------------------------------------
 # Euler form and parity correction
 # ---------------------------------------------------------------------------

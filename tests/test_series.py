@@ -208,16 +208,80 @@ def test_key_codec_round_trip_order_and_carry_free_sums(name):
 
 @pytest.mark.parametrize("name", CODEC_PRESETS + ["hnn_loop", "three_vertex_tree", "mixed_tree"])
 def test_enumeration_agrees_with_validating_constructor(name):
-    # enumeration interns its vectors without revalidating them and decodes
-    # per_edge from the join's packed images (on the twisted HNN loop from a
-    # filtered edge, on the trees from two joins at vertex 0, on the mixed
-    # tree from three edges of different images); on a second new, uncached
-    # graph dimvector() checks every constraint from scratch
+    # enumeration interns its vectors without revalidating them (on the
+    # twisted HNN loop through a filtered edge, on the trees through two
+    # joins at vertex 0, on the mixed tree through three edges of different
+    # images); on a second new, uncached graph dimvector() checks every
+    # constraint from scratch
     g, fresh = _quotient_graph(name), _quotient_graph(name)
     for d in range(5):
         for m in enumerate_dimvectors(g, d):
             ref = dimvector(fresh, m.per_vertex)
             assert (m.per_vertex, m.per_edge, m.total) == (ref.per_vertex, ref.per_edge, ref.total)
+
+
+@pytest.mark.parametrize("name,D", [
+    ("psl2z", 4), ("sl2z", 4), ("gl2z", 4), ("pgl2z", 4), ("hnn_loop", 6), ("three_vertex_tree", 4),
+])
+def test_every_way_of_building_a_key_gives_both_restrictions_as_edge_vectors(name, D):
+    # per_edge is derived in one place; keys built every way, each way on a
+    # new graph so that it interns keys of its own, must have per_edge equal
+    # to iota(m_s) and kappa(m_t) on every edge.  try_sub's results have
+    # total D - d0, which must differ from d0; the HNN loop's keys have even
+    # totals (d0 = 2), hence D = 6 there
+    from vfreps.dimmonoid import divide, format_dimvector, scale
+
+    ref = [m for d in range(D + 1) for m in enumerate_dimvectors(_quotient_graph(name), d)]
+    d0 = min(m.total for m in ref if m.total)
+
+    def build(g, total):
+        return [dimvector(g, m.per_vertex) for m in ref if m.total == total]
+
+    def enumerated(g):
+        return [m for d in range(D + 1) for m in enumerate_dimvectors(g, d)]
+
+    def differences(g):
+        low = build(g, d0)
+        return [try_sub(a, b) for a in build(g, D) for b in low]
+
+    def sums(g):
+        low = build(g, d0)
+        return [a + b for a in low for b in low]
+
+    ways = [
+        enumerated,
+        lambda g: [dimvector(g, m.per_vertex) for m in ref],
+        lambda g: [parse_dimvector(g, format_dimvector(m)) for m in ref],
+        lambda g: [zero_vector(g)],
+        sums,
+        differences,
+        lambda g: [scale(m, c) for m in build(g, d0) for c in (0, 2, 3)],
+        lambda g: [divide(m, c) for m in build(g, D) for c in (2, 3)],
+    ]
+    for way in ways:
+        g = _quotient_graph(name)
+        before = set(g._dv_cache)
+        keys = [m for m in way(g) if m is not None]
+        assert any(m.code not in before for m in keys), way
+        for m in keys:
+            pv = m.per_vertex
+            for e, u in zip(g.edges, m.per_edge, strict=True):
+                assert u == e.iota.apply(pv[e.s]) == e.kappa.apply(pv[e.t]), (m, e)
+
+
+def test_edge_vectors_are_built_at_orbit_representatives_only():
+    # the Euler form, the correction and the point counts read per_edge at
+    # orbit representatives only, so no other key builds its edge vectors
+    from vfreps.groupgraph import load, save
+
+    g = load(save(preset("sl2z")))
+    compute_absim(g, 6)
+    compute_ss(g, 6)
+    compute_sim(g, 6)
+    reps = set(automorphisms(g).representatives(6).values())
+    built = {code for code, m in g._dv_cache.items() if m._per_edge is not None}
+    assert built and built <= reps
+    assert len(reps) < len(g._dv_cache)
 
 
 def test_mul_mismatch_errors():
