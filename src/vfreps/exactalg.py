@@ -86,15 +86,6 @@ def _int_content(c) -> int:
     return g
 
 
-def _add_lists(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, x in enumerate(b):
-        out[i] += x
-    return _trim(out)
-
-
 def _horner(ints, x):
     """Value of the coefficient list ints (low degree first) at x."""
     acc = 0
@@ -273,14 +264,11 @@ class Poly:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        if self.den == other.den:
-            return Poly(_add_lists(self.ints, other.ints), self.den)
         g = math.gcd(self.den, other.den)
         da, db = other.den // g, self.den // g
-        return Poly(
-            _add_lists([x * da for x in self.ints], [x * db for x in other.ints]),
-            self.den * da,
-        )
+        acc = [x * da for x in self.ints]
+        _add_into(acc, other.ints, db)
+        return Poly(acc, self.den * da)
 
     def __neg__(self) -> "Poly":
         return Poly([-x for x in self.ints], self.den)
@@ -583,12 +571,12 @@ def _strip(ints, n: int, e: int) -> tuple:
     return ints, e
 
 
-def _cancel(num: Poly, exps: dict, trial) -> Poly:
+def _cancel(num: Poly, exps: dict) -> Poly:
     """Divide the nonzero num by s (n = 0) and by Phi_n, for each n in
-    trial, as often as it divides and exps[n] allows, lowering exps to
+    exps, as often as it divides and exps[n] allows, lowering exps to
     match."""
     ints = num.ints
-    for n in trial:
+    for n in list(exps):
         ints, e = _strip(ints, n, exps[n])
         if e:
             exps[n] = e
@@ -631,7 +619,7 @@ class RatFunc:
             num = POLY_ZERO
         elif not den.is_one():
             exps, rest = _split_cyclotomic(den.ints)
-            num = _cancel(num.scale(Fraction(den.den, rest[-1])), exps, list(exps))
+            num = _cancel(num.scale(Fraction(den.den, rest[-1])), exps)
             residual = Poly(rest, rest[-1])
             if not residual.is_one():
                 g = num.gcd(residual)
@@ -873,7 +861,7 @@ def rf_sum(terms) -> RatFunc:
             _add_into(total, acc, 1)
     if total is None or not _trim(total):
         return RF_ZERO
-    total = _cancel(Poly(total, lcm), exps, list(exps))
+    total = _cancel(Poly(total, lcm), exps)
     return RatFunc._make(total, tuple(sorted(exps.items())))
 
 

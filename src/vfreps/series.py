@@ -12,11 +12,12 @@ vector up to a total-dimension truncation D.  The pipeline is
     Moebius/Adams combination                     ->  simple counts
 
 All reductions iterate keys in the deterministic monoid order, so repeated
-runs are bit-identical.  Coefficient values are interned per graph, and
-products, scalings and reduction sums are memoized on interned values;
-dimension vectors with symmetric data therefore cost one polynomial
-operation per distinct value, which is what makes desk-scale truncations
-(D around 12) fast in exact arithmetic.
+runs are bit-identical.  Coefficient values are interned per graph in
+_Values, the one seam to the scalar ring: the stages move int handles and
+get every scalar from its methods (mul, scale, adams, reduce, inverse,
+s_power, gl, integer_poly), so a test can swap the ring.  Products,
+scalings and sums are memoized on handles, so symmetric dimension vectors
+cost one polynomial operation per distinct value.
 
 A series is stored in one form, its handle table {code: handle}: the
 dimension vector's code (DimVector.code, its per-vertex entries in 16-bit
@@ -162,17 +163,19 @@ def unit_series(g: GraphOfGroups, trunc: int) -> GradedSeries:
 # ---------------------------------------------------------------------------
 
 class _Values:
-    """Per-graph intern table for RatFunc values.
+    """Per-graph intern table for RatFunc values: the one seam between the
+    series stages and the scalar ring.
 
     Every coefficient flowing through the pipeline is named by an int
-    handle, its index in `value`; products, scalings, Adams substitutions
-    and whole reduction sums take and return handles, and all but Adams
-    substitutions are memoized on them.  A reduction sum is one
-    exactalg.rf_sum over the counter's (value, multiplicity) pairs, so its
-    terms are neither scaled nor interned one by one.  Symmetric dimension
-    vectors share values, so each distinct polynomial operation happens
-    once no matter how many keys need it.  Handle 0 is zero and handle 1
-    is one.
+    handle, its index in `value`, and the stages only move handles: every
+    scalar they need comes from a method here.  mul, scale, adams and
+    reduce (a sum with int multiplicities, so 1 - s is reduce({one: 1,
+    s_power(1): -1})) combine handles; inverse, s_power and gl (a product
+    of general-linear counts) make them; integer_poly reads one back as a
+    Poly.  All but adams, inverse and gl are memoized, s_power by
+    exponent.  A reduction sum is one exactalg.rf_sum over the counter's
+    (value, multiplicity) pairs, so its terms are neither scaled nor
+    interned one by one.  Handle 0 is zero and handle 1 is one.
     """
 
     def __init__(self):
@@ -181,6 +184,7 @@ class _Values:
         self.mul_memo = {}
         self.scale_memo = {}
         self.sum_memo = {}
+        self.power_memo = {}
         self.zero = self.intern(RF_ZERO)
         self.one = self.intern(RF_ONE)
 
@@ -218,6 +222,23 @@ class _Values:
         if r is None:
             r = self.sum_memo[key] = self.intern(rf_sum((self.value[h], k) for h, k in key))
         return r
+
+    def inverse(self, a: int) -> int:
+        return self.intern(RF_ONE / self.value[a])
+
+    def s_power(self, k: int) -> int:
+        r = self.power_memo.get(k)
+        if r is None:
+            r = self.power_memo[k] = self.intern(RatFunc.s_power(k))
+        return r
+
+    def gl(self, exps: dict, k: int) -> int:
+        """s^k * prod_n gl_count(n)^e over exps = {n: e}."""
+        return self.intern(gl_product(exps, k))
+
+    def integer_poly(self, a: int):
+        """The value as a Poly when it lies in Z[s], else None."""
+        return self.value[a].as_integer_poly()
 
 
 def _values_for(g: GraphOfGroups) -> _Values:
@@ -340,7 +361,7 @@ def invert(f: GradedSeries) -> GradedSeries:
     if f0 is None:
         raise ValueError("series with zero constant term has no inverse")
     G = f.symmetry
-    inv0 = vals.intern(RF_ONE / vals.value[f0])
+    inv0 = vals.inverse(f0)
     neg_inv0 = vals.scale(inv0, -1)
     a = {c: vals.mul(neg_inv0, h) for c, h in f.handles.items() if c}
     return _series(f.graph, f.trunc, _solve(f.graph, f.trunc, G, a, out0=inv0), G)
@@ -361,14 +382,9 @@ def shift(f: GradedSeries, direction: str, y_func=None) -> GradedSeries:
     G = f.symmetry.respecting(y_func, f.trunc)
     vals = _values_for(g)
     vectors = g._dv_cache
-    powers = {}
     out = {}
     for c, h in _handles(f, G).items():
-        e = sign * shift_exponent(g, vectors[c], y_func)
-        p = powers.get(e)
-        if p is None:
-            p = powers[e] = vals.intern(RatFunc.s_power(e))
-        out[c] = vals.mul(h, p)
+        out[c] = vals.mul(h, vals.s_power(sign * shift_exponent(g, vectors[c], y_func)))
     return _series(g, f.trunc, out, G)
 
 
@@ -417,7 +433,7 @@ def build_F(g: GraphOfGroups, trunc: int, y_func=None) -> GradedSeries:
         exps = _gl_exponents(g, m)
         if m.total:
             exps[m.total] = exps.get(m.total, 0) - 1  # divide by gl_d
-        out[c] = vals.intern(gl_product(exps, shift_exponent(g, m, y_func)))
+        out[c] = vals.gl(exps, shift_exponent(g, m, y_func))
     return _series(g, trunc, out, G)
 
 
@@ -494,15 +510,15 @@ def _integer_polys(f: GradedSeries) -> dict:
     """{DimVector: Poly} of the coefficients of f at every key, converted
     once per distinct value; zeros absent.  Raises
     NonPolynomialCoefficient at the first key that fails."""
-    value = _values_for(f.graph).value
+    vals = _values_for(f.graph)
     polys = {}
     out = {}
     for m, h in _every_key(f):
         p = polys.get(h)
         if p is None:
-            p = polys[h] = value[h].as_integer_poly()
+            p = polys[h] = vals.integer_poly(h)
             if p is None:
-                raise NonPolynomialCoefficient(m, value[h])
+                raise NonPolynomialCoefficient(m, vals.value[h])
         out[m] = p
     return out
 
@@ -515,7 +531,7 @@ def _absim(g: GraphOfGroups, trunc: int, y_func) -> tuple:
     if cached is None:
         vals = _values_for(g)
         log = plethystic(shift(invert(build_F(g, trunc, y_func)), "inverse", y_func), "log")
-        one_minus_s = vals.intern(RatFunc.from_poly(Poly((1, -1))))
+        one_minus_s = vals.reduce({vals.one: 1, vals.s_power(1): -1})
         handles = {c: vals.mul(one_minus_s, h) for c, h in log.handles.items()}
         series = _series(g, trunc, handles, log.symmetry)
         cached = g._pipeline_cache[cache_key] = (_integer_polys(series), series)

@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 from itertools import permutations, product
 
 import pytest
@@ -527,6 +528,14 @@ def _random_klein_and_tree_graphs(rng):
     return _relabelled_graphs(rng, out)
 
 
+@lru_cache(maxsize=None)
+def random_group_data():
+    """The 25 graphs of _random_graphs (seed 18) and
+    _random_klein_and_tree_graphs (seed 19), built once, so that every test
+    running the pipeline on them shares its caches and exact tables."""
+    return tuple(_random_graphs(random.Random(18)) + _random_klein_and_tree_graphs(random.Random(19)))
+
+
 def _relabelled_graphs(rng, out):
     """Graphs of (vertices, edge tuples) with every vertex's and edge's
     simples renamed by a random permutation."""
@@ -611,8 +620,7 @@ def test_pipeline_invariants_on_random_group_data():
     # NonPolynomialCoefficient), monic ss, absim and ss of degree
     # 1 - <m,m> where absim is nonzero, and independence of the correction
     D = 4
-    graphs = _random_graphs(random.Random(18)) + _random_klein_and_tree_graphs(random.Random(19))
-    for g in graphs:
+    for g in random_group_data():
         absim, ss = compute_absim(g, D), compute_ss(g, D)
         for d in range(1, D + 1):
             for m in enumerate_dimvectors(g, d):
