@@ -2,61 +2,48 @@
 over arbitrary-precision rationals.
 
 Everything downstream (graded series, counting tables) uses these scalars,
-so there is no floating point anywhere.  A polynomial is stored as a
-primitive integer coefficient vector together with a positive integer
-denominator, so its arithmetic runs on ints while the public face stays
-"list of exact rationals, low degree first".  Exact division works on ints
-alone: the divisor is split into content times a primitive part, and by
-Gauss's lemma an exact quotient by a primitive integer polynomial is again
-an integer polynomial, so the long division never leaves Z and a remainder
-at any step proves it inexact.
+so there is no floating point anywhere.  A Poly is a primitive integer
+coefficient list (low degree first) over a positive integer denominator.
 
-Rational functions are kept in a unique canonical form (numerator and
-denominator coprime, denominator monic), so equal values constructed along
-different arithmetic paths compare equal coefficient-by-coefficient.  The
-denominator is stored factored: s^a times powers of cyclotomic polynomials
-Phi_n, as an exponent tuple, times a monic residual coprime to all of
-them.  Every denominator of the counting pipeline is built from
-general-linear counts and their Adams substitutes, so its residual is 1;
-products and sums are then exponent arithmetic plus exact division of the
-numerator by the Phi_n present.  A residual other than 1 comes only from
-outside data, and only the constructor RatFunc(num, den) handles one, by
-the primitive-PRS gcd: a product or sum that meets one hands it the
-expanded numerator and denominator.
+A RatFunc is kept in a unique canonical form (numerator and denominator
+coprime, denominator monic), so equal values compare equal whatever the
+arithmetic path.  The denominator is stored factored: s^a times powers of
+cyclotomic polynomials Phi_n, as an exponent tuple, times a monic residual
+coprime to them.  Pipeline denominators come from general-linear counts
+and their Adams substitutes, so their residual is 1; only the constructor
+RatFunc(num, den) handles another (outside data), by the primitive-PRS
+gcd.
 
-Every sum goes through one n-ary sum, rf_sum, over (value, int
-multiplicity) pairs, on plain int lists: the numerators that share a
-denominator are added over the lcm of their Poly.den, each group is
-multiplied once by its cofactor up to the common denominator, the groups
-are added into one list, and only that total becomes a Poly, cancelled
-once.  a + b is rf_sum of two terms.
+The numerator is Kronecker-packed (von zur Gathen and Gerhard, Modern
+Computer Algebra, ch. 8): the integer polynomial N is stored as the one
+int N(2^B), beside its rational denominator and a bound on its
+coefficients' bit length.  The slot width B is a function of the value
+alone, the least multiple of 64 that holds every coefficient with two
+bits to spare, so equal values have equal packed ints.  A product of
+numerators is one int product; rf_sum, the n-ary sum behind +, adds each
+denominator group with int multiply-adds, brings it to the common
+denominator with one int product by its cofactor s^a * prod Phi_n^e
+(evaluated at 2^64 once per exponent tuple, _cofactor) and adds the
+groups.  Each operation bounds its result's bits from its operands' and
+repacks wider when the bound passes its width.  Slots are read back only
+to learn the exact bits of a sum, to cancel, and for the Poly view num.
 
-The cofactor s^a * prod Phi_n^e of a sorted exponent tuple is expanded
-once and cached by that tuple (_cofactor), like Phi_n itself, so no
-numerator is multiplied by one Phi_n at a time; RatFunc.den and
-gl_product read the same table.
-
-Most trial divisions of a numerator f by a Phi_n fail, so _divides
-rejects them cheaply and exactly before any division runs.  A degree
-below phi(n) rules Phi_n out.  Otherwise f is evaluated, as one dot
-product, at omega, an element of multiplicative order n modulo the least
-prime p = 1 (mod n) above 2^20 (the modular method of von zur Gathen and
-Gerhard, Modern Computer Algebra, ch. 5-6).  Since p does not divide n,
-omega is a root of Phi_n mod p; Phi_n is monic, so if it divides f then
-f = Phi_n * g with g in Z[s] and f(omega) = 0 mod p.  A nonzero value is
-therefore a proof that Phi_n does not divide f, and only a zero value,
-which may be a coincidence mod p, runs the exact division.  Every
-cancellation, in products, in rf_sum and in RatFunc(num, den), stays
-exact.
+Cancellation stays a proof.  The power of s is the count of zero low
+slots.  A nonzero N(2^B) mod Phi_n(2^B) proves that Phi_n does not divide
+N.  On a zero remainder the quotient unpacks with signed slots to Q, and
+bits(Q) + log2 ||Phi_n||_1 < B - 1 makes Q * Phi_n = N an identity of
+polynomials: both sides have coefficients below 2^(B-1) and the same
+value at 2^B, and such a base-2^B expansion is unique.  Otherwise the
+exact list division decides.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
-from operator import mul
+from itertools import chain, zip_longest
 from typing import Iterable, Optional
 
 NEG_INF = float("-inf")
@@ -77,13 +64,9 @@ def _trim(c: list) -> list:
     return c
 
 
-def _int_content(c) -> int:
-    g = 0
-    for x in c:
-        g = math.gcd(g, x)
-        if g == 1:
-            return 1
-    return g
+def _max_bits(ints) -> int:
+    """Bit length of the largest coefficient, 0 for the zero polynomial."""
+    return max(map(abs, ints)).bit_length() if ints else 0
 
 
 def _horner(ints, x):
@@ -94,27 +77,11 @@ def _horner(ints, x):
     return acc
 
 
-def _mul_lists(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(out)
-
-
 def _exact_div_lists(num, den):
-    """Exact division of integer polynomials over Q; None when inexact.
-
-    The divisor is split as c * p with c its content, signed like its
-    leading coefficient, and p primitive.  By Gauss's lemma an exact
-    quotient num / p lies in Z[s], so the long division runs on ints, and a
-    step where the leading coefficient of p leaves a remainder proves the
-    division inexact.  The result is (coeffs, |c|) with num / den =
-    coeffs / |c|.
-    """
+    """Exact division of integer polynomials over Q: (coeffs, |c|) with
+    num / den = coeffs / |c|, or None when inexact.  den = c * p, c its
+    content signed like its leading coefficient: an exact num / p lies in
+    Z[s] (Gauss's lemma), so a remainder at any step proves it inexact."""
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
     if not num:
@@ -122,7 +89,7 @@ def _exact_div_lists(num, den):
     qdeg = len(num) - len(den)
     if qdeg < 0:
         return None
-    c = _int_content(den)
+    c = math.gcd(*den)
     if den[-1] < 0:
         c = -c
     den = [y // c for y in den]
@@ -147,11 +114,8 @@ def _exact_div_lists(num, den):
 
 
 def _prem(f, g):
-    """Pseudo-remainder of integer polynomials (low-first lists).
-
-    Result equals lc(g)^t * f mod g for some t, which is all the primitive
-    PRS needs (content is stripped afterwards anyway).
-    """
+    """Pseudo-remainder lc(g)^t * f mod g of integer polynomials, for some
+    t: all the primitive PRS needs, as it strips content afterwards."""
     dg = len(g) - 1
     lg = g[-1]
     rem = _trim(list(f))
@@ -180,19 +144,85 @@ def _gcd_lists(a, b):
 
 def _primitive(c):
     c = _trim(list(c))
-    g = _int_content(c)
+    g = math.gcd(*c)
     if g > 1:
         c = [x // g for x in c]
     return c
 
 
-class Poly:
-    """Univariate polynomial with exact rational coefficients.
+# ---------------------------------------------------------------------------
+# Kronecker packing: an integer polynomial as its value at s = 2^B
+# ---------------------------------------------------------------------------
 
-    Internal form: integer coefficients `ints` (low degree first, no
-    trailing zeros) scaled by 1/`den` with den >= 1 and
-    gcd(content(ints), den) = 1.
-    """
+_SLOT = 64
+
+
+def _width(bits: int) -> int:
+    """The least multiple of 64 holding `bits`-bit coefficients and 2 more."""
+    return (bits + _SLOT + 1) // _SLOT * _SLOT
+
+
+def _offset(n: int, B: int) -> int:
+    """2^(B-1) in each of n slots of B bits."""
+    return int.from_bytes((bytes(B // 8 - 1) + b"\x80") * n, "little")
+
+
+def _pack(ints, B: int) -> int:
+    """The value at 2^B of ints; OverflowError outside [-2^(B-1), 2^(B-1))."""
+    h = 1 << (B - 1)
+    raw = b"".join([(c + h).to_bytes(B // 8, "little") for c in ints])
+    return int.from_bytes(raw, "little") - _offset(len(ints), B)
+
+
+def _unpack(P: int, B: int) -> list:
+    """The coefficients in [-2^(B-1), 2^(B-1)) of the polynomial valued P at
+    2^B: slot by slot, or if long at width 64 from P + _offset's bytes."""
+    n = (P.bit_length() + 1) // B + 1
+    h = 1 << (B - 1)
+    if B == _SLOT and n > 8 and sys.byteorder == "little":
+        raw = (P + _offset(n, B)).to_bytes(8 * n, "little")
+        return _trim([x - h for x in memoryview(raw).cast("Q").tolist()])
+    out, mask = [], (1 << B) - 1
+    while P:
+        c = ((P + h) & mask) - h
+        out.append(c)
+        P = (P - c) >> B
+    return out
+
+
+def _repack(P: int, B: int, W: int) -> int:
+    return P if B == W else _pack(_unpack(P, B), W)
+
+
+def _canonical(ints, P: int = 0, B: int = 0) -> tuple:
+    """(value at 2^width, width, bits) of the integer polynomial ints,
+    bits exact; its value P at width B is reused when B is the width."""
+    bits = _max_bits(ints)
+    W = _width(bits)
+    return (P if W == B else _pack(ints, W)), W, bits
+
+
+def _fit(P: int, B: int) -> tuple:
+    """_canonical for the polynomial P packs at B; at width 64, bits may be 1
+    above exact, as P's two's complement words are its slots but a borrow."""
+    if B == _SLOT and sys.byteorder == "little":
+        w = memoryview(P.to_bytes(P.bit_length() // 8 + 8 & -8, "little", signed=True)).cast("q").tolist()
+        bits = (max(max(w), -min(w)) + 1).bit_length()
+        if bits <= _SLOT - 2:
+            return P, _SLOT, bits
+    return _canonical(_unpack(P, B), P, B)
+
+
+def _content_gcd(P: int, B: int, d: int) -> int:
+    """gcd(content, d) of the polynomial P packs at B: gcd(P, d), unless
+    that is not 1, as the content divides P."""
+    g = math.gcd(P, d)
+    return g if g == 1 else math.gcd(g, *_unpack(P, B))
+
+
+class Poly:
+    """Univariate polynomial with exact rational coefficients: `ints` (low
+    degree first, no trailing zeros) over `den` >= 1, coprime to them."""
 
     __slots__ = ("ints", "den", "_hash")
 
@@ -204,7 +234,7 @@ class Poly:
             den = -den
             c = [-x for x in c]
         if den != 1 and c:
-            g = math.gcd(_int_content(c), den)
+            g = math.gcd(den, *c)
             if g > 1:
                 c = [x // g for x in c]
                 den //= g
@@ -253,9 +283,6 @@ class Poly:
     def is_one(self) -> bool:
         return self.ints == (1,) and self.den == 1
 
-    def is_integral(self) -> bool:
-        return self.den == 1
-
     def leading(self) -> Fraction:
         if not self.ints:
             return Fraction(0)
@@ -266,9 +293,8 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         g = math.gcd(self.den, other.den)
         da, db = other.den // g, self.den // g
-        acc = [x * da for x in self.ints]
-        _add_into(acc, other.ints, db)
-        return Poly(acc, self.den * da)
+        pairs = zip_longest(self.ints, other.ints, fillvalue=0)
+        return Poly([x * da + y * db for x, y in pairs], self.den * da)
 
     def __neg__(self) -> "Poly":
         return Poly([-x for x in self.ints], self.den)
@@ -277,7 +303,13 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        return Poly(_mul_lists(self.ints, other.ints), self.den * other.den)
+        """One int product at a width that holds the product's coefficients:
+        each is a sum of at most min(len) products of two coefficients."""
+        a, b = self.ints, other.ints
+        if not a or not b:
+            return POLY_ZERO
+        B = _width(_max_bits(a) + _max_bits(b) + (min(len(a), len(b)) - 1).bit_length())
+        return Poly(_unpack(_pack(a, B) * _pack(b, B), B), self.den * other.den)
 
     def scale(self, c) -> "Poly":
         c = Fraction(c)
@@ -286,14 +318,7 @@ class Poly:
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        out = Poly((1,))
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return math.prod([self] * e, start=POLY_ONE)
 
     def subs_power(self, a: int) -> "Poly":
         """Substitute s -> s^a (a >= 1)."""
@@ -439,20 +464,10 @@ def _cyclotomic(n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _totient(n: int) -> int:
-    """Euler's phi(n), the degree of Phi_n."""
-    out = n
-    for p in factorize(n):
-        out = out // p * (p - 1)
-    return out
-
-
-@lru_cache(maxsize=None)
 def _max_order(k: int) -> int:
-    """An upper bound on the n with phi(n) <= k.  The t distinct primes p of
-    such an n have prod (p - 1) <= phi(n) <= k, so t is at most the number
-    r of leading primes with that property, and n / phi(n) = prod p/(p - 1)
-    is at most the same product over the first r primes."""
+    """An upper bound on the n with phi(n) <= k: their distinct primes p
+    have prod (p - 1) <= k, so n / phi(n) = prod p/(p - 1) is at most that
+    product over the first primes with that property."""
     num = den = 1
     p = 2
     while den * (p - 1) <= k:
@@ -477,112 +492,89 @@ def _adams_factors(n: int, beta: int) -> tuple:
     return tuple((m, 1) for m in orders)
 
 
-def _split_cyclotomic(ints) -> tuple:
-    """Write the integer polynomial ints as s^a * prod Phi_n^e * rest with
-    rest coprime to s and to every Phi_n; returns ({n: e}, rest) with n = 0
-    for s.  Only the Phi_n with phi(n) <= deg(rest) are tried."""
-    exps = {}
-    n = 0
-    while n <= _max_order(len(ints) - 1):
-        cap = len(ints)
-        ints, e = _strip(ints, n, cap)
-        if e < cap:
-            exps[n] = cap - e
-        n += 1
-    return exps, ints
+def _norm_bits(factors) -> int:
+    """Bits a product by s^a * prod Phi_n^e adds: log2 of its 1-norm, bounded
+    by ||fg||_1 <= ||f||_1 ||g||_1."""
+    return sum(e * (sum(map(abs, _cyclotomic(n))) - 1).bit_length() for n, e in factors if n)
 
 
-# n -> (p, [omega^i mod p for i = 0, 1, ...]): p the least prime = 1 (mod n)
-# above 2^20 and omega of multiplicative order n mod p; the list is
-# n-periodic and grown to the longest polynomial met so far
-_ROOT_POWERS = {}
-
-
-def _root_powers(n: int, length: int) -> tuple:
-    """(p, powers) with at least length powers of a primitive n-th root of
-    unity mod p."""
-    entry = _ROOT_POWERS.get(n)
-    if entry is None:
-        p = -(-(1 << 20) // n) * n + 1
-        while factorize(p) != {p: 1}:
-            p += n
-        # g^((p-1)/n) has order dividing n, and exactly n when no
-        # (n/l)-th power is 1 for a prime l | n
-        g = 2
-        while True:
-            w = pow(g, (p - 1) // n, p)
-            if all(pow(w, n // l, p) != 1 for l in factorize(n)):
-                break
-            g += 1
-        entry = _ROOT_POWERS[n] = (p, [pow(w, i, p) for i in range(n)])
-    p, powers = entry
-    if len(powers) < length:
-        powers.extend(powers[:n] * -(-(length - len(powers)) // n))
-    return p, powers
-
-
-def _divides(n: int, ints) -> bool:
-    """Whether Phi_n divides the nonzero integer polynomial ints.
-
-    A degree below phi(n) rules it out.  Otherwise the value of ints at a
-    primitive n-th root of unity omega mod p is one dot product; omega is
-    a root of Phi_n mod p, so if Phi_n (monic) divides ints, with an
-    integer quotient, that value is 0.  A nonzero value therefore proves
-    that Phi_n does not divide ints, and only a zero runs the exact test on
-    ints mod s^n - 1, which Phi_n divides and which has degree below n."""
-    if len(ints) <= _totient(n):
-        return False
-    p, powers = _root_powers(n, len(ints))
-    if sum(map(mul, ints, powers)) % p:
-        return False
-    r = _trim([sum(ints[i::n]) for i in range(n)])
-    return not r or _exact_div_lists(r, _cyclotomic(n)) is not None
+def _evaluate(factors, B: int) -> int:
+    """The value at 2^B of s^a * prod Phi_n^e, factors = ((n, e), ...)."""
+    v = 1
+    for n, e in factors:
+        v = v << (B * e) if n == 0 else v * _pack(_cyclotomic(n), B) ** e
+    return v
 
 
 @lru_cache(maxsize=None)
-def _cofactor(factors: tuple) -> tuple:
-    """Integer coefficients of s^a * prod Phi_n^e, expanded, for the sorted
-    exponent tuple factors = ((n, e), ...) with n = 0 standing for s.  Like
-    _cyclotomic a pure function of its key, so one expansion serves every
-    numerator brought over the same factors."""
-    ints = [1]
-    a = 0
-    for n, e in factors:
-        if n == 0:
-            a = e
-        else:
-            for _ in range(e):
-                ints = _mul_lists(ints, _cyclotomic(n))
-    return (0,) * a + tuple(ints)
+def _cofactor(factors: tuple) -> int:
+    """_evaluate(factors, 64), one int per sorted exponent tuple, for every
+    numerator brought over it and every division by Phi_n (((n, 1),))."""
+    return _evaluate(factors, _SLOT)
 
 
-def _strip(ints, n: int, e: int) -> tuple:
-    """Divide the nonzero integer polynomial ints by s (n = 0) or by Phi_n
-    as often as it divides, at most e times; returns (quotient, e minus the
-    number of divisions)."""
+def _expanded(factors) -> tuple:
+    """s^a * prod Phi_n^e as a canonical (value, width, bits); its
+    coefficients are at most ||.||_1 <= 2^deg, or 2^_norm_bits."""
+    C = _cofactor(factors)
+    if C.bit_length() // _SLOT < _SLOT - 2:
+        return _fit(C, _SLOT)
+    B = _width(_norm_bits(factors))
+    return _fit(_evaluate(factors, B), B)
+
+
+def _strip(t: tuple, n: int, e: int) -> tuple:
+    """Divide the nonzero packed numerator t = (N(2^B), B, bits) by s
+    (n = 0) or Phi_n as often as it divides, at most e times: (quotient, e
+    minus the divisions made), each one proved as the module says."""
+    P, B, bits = t
     if n == 0:
-        k = 0
-        while k < e and not ints[k]:
-            k += 1
-        return (ints[k:], e - k) if k else (ints, e)
-    while e and _divides(n, ints):
-        ints = _exact_div_lists(ints, _cyclotomic(n))[0]
+        k = min(((P & -P).bit_length() - 1) // B, e)
+        return ((P >> (k * B), B, bits) if k else t), e - k
+    while e:
+        q, r = divmod(P, _cofactor(((n, 1),)) if B == _SLOT else _pack(_cyclotomic(n), B))
+        if r:
+            break
+        quo = _unpack(q, B)
+        if _max_bits(quo) + _norm_bits(((n, 1),)) >= B - 1:
+            exact = _exact_div_lists(_unpack(P, B), _cyclotomic(n))
+            if exact is None:
+                break
+            quo = exact[0]
+        P, B, bits = _canonical(quo, q, B)
         e -= 1
-    return ints, e
+    return (P, B, bits), e
 
 
-def _cancel(num: Poly, exps: dict) -> Poly:
-    """Divide the nonzero num by s (n = 0) and by Phi_n, for each n in
-    exps, as often as it divides and exps[n] allows, lowering exps to
-    match."""
-    ints = num.ints
+def _may_divide(t: tuple, n: int) -> bool:
+    """False when a nonzero remainder at width 64 proves that Phi_n does not
+    divide the packed numerator t: _strip's usual outcome, at less cost."""
+    return not n or t[1] != _SLOT or not t[0] % _cofactor(((n, 1),))
+
+
+def _cancel(t: tuple, exps: dict) -> tuple:
+    """_strip t by each n in exps as far as exps[n] allows, lowering exps
+    to the exponents left."""
     for n in list(exps):
-        ints, e = _strip(ints, n, exps[n])
+        t, e = _strip(t, n, exps[n]) if _may_divide(t, n) else (t, exps[n])
         if e:
             exps[n] = e
         else:
             del exps[n]
-    return num if ints is num.ints else Poly(ints, num.den)
+    return t
+
+
+def _split_cyclotomic(ints) -> tuple:
+    """ints = s^a * prod Phi_n^e * rest, rest coprime to s and each Phi_n, as
+    ({n: e}, rest), n = 0 for s; only Phi_n with phi(n) <= deg(rest) tried."""
+    t, exps, n = _canonical(ints), {}, 0
+    while n <= _max_order(t[0].bit_length() // t[1]):
+        cap = t[0].bit_length() // t[1] + 1
+        t, e = _strip(t, n, cap)
+        if e < cap:
+            exps[n] = cap - e
+        n += 1
+    return exps, _unpack(t[0], t[1])
 
 
 # ---------------------------------------------------------------------------
@@ -591,95 +583,100 @@ def _cancel(num: Poly, exps: dict) -> Poly:
 
 class RatFunc:
     """Rational function num/den in canonical form: num and den coprime,
-    den monic, so equal values have equal (num, den).
+    den monic, so equal values have equal parts.
 
-    den is kept factored as s^a * prod Phi_n^e * residual.  `factors` is
-    the sorted exponent tuple ((n, e), ...) with e > 0 and n = 0 standing
-    for s; `residual` is a monic Poly coprime to s and to every Phi_n, and
-    `den` expands the product on demand.  Every pipeline value has residual
-    1: products add exponents, sums (rf_sum, also behind +) take their
-    maximum, Adams substitution maps Phi_n(s^beta) to cyclotomic factors,
-    and cancellation is exact division of the numerator by the Phi_n
-    present.  Only RatFunc(num, den) factors a polynomial, and only it
-    handles a residual other than 1 (a denominator from outside data, such
-    as s - 2), by the primitive-PRS gcd; a product or sum with such an
-    operand passes it the expanded numerator and denominator.
-
-    The canonical zero is 0/1.  Values are immutable and hashable, so they
-    can be interned and memoized by the series layer.
+    `packed` is N(2^width) for the integer polynomial N, `bits` bounds its
+    coefficients' bit length, width = _width(bits) = _width(exact bits),
+    and num = N / `nden`, gcd(content(N), nden) = 1.  den = s^a * prod
+    Phi_n^e * residual: `factors` is the sorted tuple ((n, e), ...), e > 0,
+    n = 0 standing for s, and `residual` a monic Poly coprime to s and each
+    Phi_n.  `num` and `den` expand them into Polys.  The canonical zero is
+    0/1; values are immutable and hashable, so the series layer interns
+    them.
     """
 
-    __slots__ = ("num", "factors", "residual", "_hash")
+    __slots__ = ("packed", "width", "bits", "nden", "factors", "residual", "_hash")
 
     def __init__(self, num: Poly, den: Poly = POLY_ONE):
         if den.is_zero():
             raise ZeroDivisionError("zero denominator in rational function")
         exps, residual = {}, POLY_ONE
-        if num.is_zero():
-            num = POLY_ZERO
-        elif not den.is_one():
+        if not num.is_zero() and not den.is_one():
             exps, rest = _split_cyclotomic(den.ints)
-            num = _cancel(num.scale(Fraction(den.den, rest[-1])), exps)
+            num = num.scale(Fraction(den.den, rest[-1]))
+            t = _cancel(_canonical(num.ints), exps)
             residual = Poly(rest, rest[-1])
+            num = Poly(_unpack(t[0], t[1]), num.den)
             if not residual.is_one():
                 g = num.gcd(residual)
                 num, residual = num.exact_div(g), residual.exact_div(g)
-        self._set(num, tuple(sorted(exps.items())), residual)
+        self._set(*_canonical(num.ints), num.den, tuple(sorted(exps.items())), residual)
 
-    def _set(self, num: Poly, factors: tuple, residual: Poly) -> "RatFunc":
-        self.num = num
+    def _set(self, P: int, B: int, bits: int, nden: int, factors: tuple, residual: Poly) -> "RatFunc":
+        self.packed, self.width, self.bits, self.nden = P, B, bits, nden
         self.factors = factors
-        # a residual 1 is always POLY_ONE itself, so products and sums can
-        # test for it by identity
+        # a residual 1 is always POLY_ONE itself, tested for by identity
         self.residual = POLY_ONE if residual.ints == (1,) else residual
-        self._hash = hash((num, factors, self.residual))
+        self._hash = hash((P, B, nden, factors, self.residual))
         return self
 
     @classmethod
-    def _make(cls, num: Poly, factors: tuple, residual: Poly = POLY_ONE) -> "RatFunc":
+    def _make(cls, P: int, B: int, bits: int, nden: int, factors: tuple, residual=POLY_ONE) -> "RatFunc":
         """A value already in canonical form."""
-        return object.__new__(cls)._set(num, factors, residual)
+        return object.__new__(cls)._set(P, B, bits, nden, factors, residual)
 
     @classmethod
     def from_poly(cls, p: Poly) -> "RatFunc":
-        return cls._make(p, ())
+        return cls._make(*_canonical(p.ints), p.den, ())
 
     @classmethod
     def s_power(cls, k: int) -> "RatFunc":
         """s^k for any integer k; negative k gives denominator s^(-k)."""
         if k >= 0:
-            return cls._make(Poly.monomial(k), ())
-        return cls._make(POLY_ONE, ((0, -k),))
+            return cls._make(1 << (_SLOT * k), _SLOT, 1, 1, ())
+        return cls._make(1, _SLOT, 1, 1, ((0, -k),))
+
+    @property
+    def num(self) -> Poly:
+        return Poly(_unpack(self.packed, self.width), self.nden)
 
     @property
     def den(self) -> Poly:
         """The monic denominator s^a * prod Phi_n^e * residual, expanded."""
-        r = self.residual
-        return Poly(_mul_lists(_cofactor(self.factors), r.ints), r.den)
+        P, B, _ = _expanded(self.factors)
+        d = Poly(_unpack(P, B))
+        return d if self.residual is POLY_ONE else d * self.residual
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.packed
 
     def is_one(self) -> bool:
-        return self.num.is_one() and not self.factors and self.residual.is_one()
+        return self.packed == 1 and self.nden == 1 and not self.factors and self.residual.is_one()
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
         return rf_sum(((self, 1), (other, 1)))
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc._make(-self.num, self.factors, self.residual)
+        return RatFunc._make(-self.packed, self.width, self.bits, self.nden, self.factors, self.residual)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         return self + (-other)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
-        n1, n2 = self.num, other.num
-        if not n1.ints or not n2.ints:
+        """One int product of the numerators, stripped by _merge_factors; a
+        coefficient is a sum of at most deg + 1 products of two."""
+        if not self.packed or not other.packed:
             return RF_ZERO
         if self.residual is not POLY_ONE or other.residual is not POLY_ONE:
-            return RatFunc(n1 * n2, self.den * other.den)
-        ints1, ints2, factors = _merge_factors(n1.ints, self.factors, n2.ints, other.factors)
-        return RatFunc._make(Poly(_mul_lists(ints1, ints2), n1.den * n2.den), factors)
+            return RatFunc(self.num * other.num, self.den * other.den)
+        (P1, B1, b1), (P2, B2, b2), factors = _merge_factors(self, other)
+        d1, d2 = self.nden, other.nden
+        g = 1 if d1 == d2 == 1 else _content_gcd(P1, B1, d2) * _content_gcd(P2, B2, d1)
+        bits = b1 + b2 + min(P1.bit_length() // B1, P2.bit_length() // B2).bit_length()
+        if bits <= _SLOT - 2:  # then both operands have width 64, and so has the product
+            return RatFunc._make(P1 * P2 // g, _SLOT, bits, d1 * d2 // g, factors)
+        B = _width(bits)
+        return RatFunc._make(*_fit(_repack(P1, B1, B) * _repack(P2, B2, B) // g, B), d1 * d2 // g, factors)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         if other.is_zero():
@@ -690,19 +687,18 @@ class RatFunc:
         c = Fraction(c)
         if c == 0:
             return RF_ZERO
-        return RatFunc._make(self.num.scale(c), self.factors, self.residual)
+        cn, cd = c.numerator, c.denominator
+        g = math.gcd(cn, self.nden) * _content_gcd(self.packed, self.width, cd)
+        bits = self.bits + (abs(cn) - 1).bit_length()
+        B = _width(bits)
+        P = _repack(self.packed, self.width, B) * cn // g
+        t = (P, B, bits) if B == _SLOT else _fit(P, B)
+        return RatFunc._make(*t, self.nden * cd // g, self.factors, self.residual)
 
     def __pow__(self, e: int) -> "RatFunc":
         if e < 0:
             return RatFunc(self.den, self.num) ** (-e)
-        out = RF_ONE
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return math.prod([self] * e, start=RF_ONE)
 
     def adams(self, a: int) -> "RatFunc":
         """Adams substitution s -> s^a in numerator and denominator."""
@@ -715,7 +711,8 @@ class RatFunc:
             for m, k in _adams_factors(n, a):
                 exps[m] = exps.get(m, 0) + e * k
         return RatFunc._make(
-            self.num.subs_power(a), tuple(sorted(exps.items())), self.residual.subs_power(a)
+            _pack(self.num.subs_power(a).ints, self.width), self.width, self.bits, self.nden,
+            tuple(sorted(exps.items())), self.residual.subs_power(a),
         )
 
     def eval(self, x) -> Fraction:
@@ -727,11 +724,11 @@ class RatFunc:
             d *= self.residual.eval(y)
         if d == 0:
             raise PoleError(f"pole at {x}")
-        return self.num.eval(y) / d
+        return Fraction(_horner(_unpack(self.packed, self.width), y), self.nden) / d
 
     def as_integer_poly(self) -> Optional[Poly]:
         """The underlying polynomial when the value lies in Z[s], else None."""
-        if self.factors or not self.residual.is_one() or not self.num.is_integral():
+        if self.factors or not self.residual.is_one() or self.nden != 1:
             return None
         return self.num
 
@@ -741,12 +738,9 @@ class RatFunc:
         return f"({self.num.text(var)})/({self.den.text(var)})"
 
     def __eq__(self, other):
-        return (
-            isinstance(other, RatFunc)
-            and self.num == other.num
-            and self.factors == other.factors
-            and self.residual == other.residual
-        )
+        return isinstance(other, RatFunc) and (
+            self.packed, self.width, self.nden, self.factors, self.residual
+        ) == (other.packed, other.width, other.nden, other.factors, other.residual)
 
     def __hash__(self):
         return self._hash
@@ -755,26 +749,26 @@ class RatFunc:
         return f"RatFunc({self.text()})"
 
 
-RF_ZERO = RatFunc._make(POLY_ZERO, ())
-RF_ONE = RatFunc._make(POLY_ONE, ())
+RF_ZERO = RatFunc._make(0, _SLOT, 0, 1, ())
+RF_ONE = RatFunc._make(1, _SLOT, 1, 1, ())
 
 
-def _merge_factors(ints1, f1: tuple, ints2, f2: tuple) -> tuple:
-    """The cyclotomic part of (ints1 / f1) * (ints2 / f2) for canonical
-    values: (ints1', ints2', factors).  One pass merges the sorted exponent
-    tuples; a factor that only one operand has is stripped from the other's
-    numerator, the only one it can divide, since each numerator is coprime
-    to its own denominator."""
+def _merge_factors(a: RatFunc, b: RatFunc) -> tuple:
+    """(t1, t2, factors) for a * b: t1, t2 their packed numerators after one
+    pass over the sorted exponent tuples strips a factor that only one has
+    from the other's numerator, the only one it can divide."""
+    t1, f1, t2, f2 = (a.packed, a.width, a.bits), a.factors, (b.packed, b.width, b.bits), b.factors
     out = []
     i = j = 0
-    while i < len(f1) or j < len(f2):
-        m = f1[i][0] if i < len(f1) else INF
-        n = f2[j][0] if j < len(f2) else INF
+    l1, l2 = len(f1), len(f2)
+    while i < l1 or j < l2:
+        m = f1[i][0] if i < l1 else INF
+        n = f2[j][0] if j < l2 else INF
         if m < n:
-            ints2, e = _strip(ints2, m, f1[i][1])
+            t2, e = _strip(t2, m, f1[i][1]) if _may_divide(t2, m) else (t2, f1[i][1])
             i += 1
         elif n < m:
-            ints1, e = _strip(ints1, n, f2[j][1])
+            t1, e = _strip(t1, n, f2[j][1]) if _may_divide(t1, n) else (t1, f2[j][1])
             m = n
             j += 1
         else:
@@ -783,38 +777,57 @@ def _merge_factors(ints1, f1: tuple, ints2, f2: tuple) -> tuple:
             j += 1
         if e:
             out.append((m, e))
-    return ints1, ints2, tuple(out)
+    return t1, t2, tuple(out)
 
 
-def _add_into(acc: list, ints, c: int) -> None:
-    """acc += c * ints in place, acc growing as needed."""
-    if len(ints) > len(acc):
-        acc.extend([0] * (len(ints) - len(acc)))
-    for i, x in enumerate(ints):
-        acc[i] += c * x
+def _group_sum(groups: dict, common: tuple, lcm: int, B: int) -> tuple:
+    """(total, bits) of rf_sum's groups at width B, or (None, bits) once a
+    coefficient bound passes B - 2: m terms add log2 m to their largest
+    bits, a cofactor C log2 ||C||_1 <= deg C - a (Phi_n's roots have modulus
+    1) or else _norm_bits to the group's exact bits, and the groups' count
+    its log2."""
+    limit = B - 2
+    total = top = 0
+    for factors, members in groups.items():
+        acc = bound = 0
+        for v, k in members:
+            c = k * (lcm // v.nden)
+            acc += c * (v.packed if v.width == B else _repack(v.packed, v.width, B))
+            b = v.bits + (abs(c) - 1).bit_length()
+            if b > bound:
+                bound = b
+        if not acc:
+            continue
+        bound += (len(members) - 1).bit_length()
+        if bound > limit:
+            return None, bound
+        if factors != common:
+            own = dict(factors)
+            up = tuple([(n, d) for n, e in common if (d := e - own.get(n, 0))])
+            C = _cofactor(up) if B == _SLOT else _evaluate(up, B)
+            bound += C.bit_length() // B - (up[0][1] if up[0][0] == 0 else 0)
+            if bound > limit and (bound := _max_bits(_unpack(acc, B)) + _norm_bits(up)) > limit:
+                return None, bound
+            acc *= C
+        total += acc
+        if bound > top:
+            top = bound
+    top += (len(groups) - 1).bit_length()
+    return (total, top) if top <= limit else (None, top)
 
 
 def rf_sum(terms) -> RatFunc:
-    """The canonical sum of value * k over (RatFunc, int k) pairs.
-
-    One pass over the terms groups them by their exponent tuple alone, so
-    no Poly is hashed per term, and finds the lcm L of the numerators'
-    Poly.den.  The common denominator is the exponent-wise maximum of the
-    s and Phi_n exponents.  Each group adds k * (L / den) * ints into a
-    plain int list (a lone member is scaled in one pass), multiplies it
-    once by its cyclotomic cofactor, and adds it into the total, which
-    starts as the first group's list; the total becomes one Poly,
-    cancelled once against every factor.  A value whose residual is not 1
-    (never in the pipeline) hands the terms read so far and the rest over
-    to the constructor, brought over the running lcm of their expanded
-    denominators.
-    """
+    """The canonical sum of value * k over (RatFunc, int k) pairs: grouped by
+    exponent tuple, each group times k * (L / nden), L the nden's lcm, over
+    the exponent-wise maximum (_group_sum), then cancelled once.  A residual
+    other than 1 hands the terms to the constructor, over the running lcm
+    of their expanded denominators."""
     groups = {}
     lcm = 1
+    B = _SLOT
     terms = iter(terms)
     for v, k in terms:
-        num = v.num
-        if k and num.ints:
+        if k and v.packed:
             if v.residual is not POLY_ONE:
                 num, den = POLY_ZERO, POLY_ONE
                 for v, k in chain(chain.from_iterable(groups.values()), ((v, k),), terms):
@@ -824,8 +837,10 @@ def rf_sum(terms) -> RatFunc:
                     num = num * up + v.num.scale(k) * den.exact_div(common)
                     den = den * up
                 return RatFunc(num, den)
-            if num.den != 1:
-                lcm = math.lcm(lcm, num.den)
+            if v.nden != 1:
+                lcm = math.lcm(lcm, v.nden)
+            if v.width > B:
+                B = v.width
             members = groups.get(v.factors)
             if members is None:
                 groups[v.factors] = [(v, k)]
@@ -837,32 +852,17 @@ def rf_sum(terms) -> RatFunc:
             if e > exps.get(n, 0):
                 exps[n] = e
     common = tuple(sorted(exps.items()))
-    total = None
-    for factors, members in groups.items():
-        if len(members) == 1:
-            v, k = members[0]
-            num = v.num
-            c = k * (lcm // num.den)
-            acc = [c * x for x in num.ints]
-        else:
-            acc = []
-            for v, k in members:
-                num = v.num
-                _add_into(acc, num.ints, k * (lcm // num.den))
-            if not _trim(acc):
-                continue
-        if factors != common:
-            own = dict(factors)
-            up = tuple((n, e - own.get(n, 0)) for n, e in common if e > own.get(n, 0))
-            acc = _mul_lists(_cofactor(up), acc)
-        if total is None:
-            total = acc
-        else:
-            _add_into(total, acc, 1)
-    if total is None or not _trim(total):
+    total, bound = _group_sum(groups, common, lcm, B)
+    while total is None:
+        B = _width(bound)
+        total, bound = _group_sum(groups, common, lcm, B)
+    if not total:
         return RF_ZERO
-    total = _cancel(Poly(total, lcm), exps)
-    return RatFunc._make(total, tuple(sorted(exps.items())))
+    if lcm != 1:
+        g = _content_gcd(total, B, lcm)
+        total, lcm = total // g, lcm // g
+    P, B, bits = _cancel(_fit(total, B), exps)
+    return RatFunc._make(P, B, bits, lcm, tuple(sorted(exps.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -890,8 +890,8 @@ def gl_product(exps: dict, s_exponent: int = 0) -> RatFunc:
         net[0] += e * (k * (k - 1) // 2)
         for n in range(1, k + 1):
             net[n] = net.get(n, 0) + e * (k // n)
-    num = Poly(_cofactor(tuple(sorted((n, e) for n, e in net.items() if e > 0))))
-    return RatFunc._make(num, tuple(sorted((n, -e) for n, e in net.items() if e < 0)))
+    num = _expanded(tuple(sorted((n, e) for n, e in net.items() if e > 0)))
+    return RatFunc._make(*num, 1, tuple(sorted((n, -e) for n, e in net.items() if e < 0)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import ast
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import product, zip_longest
 from pathlib import Path
 
 import pytest
@@ -17,20 +17,25 @@ from vfreps.exactalg import (
     QPower,
     RatFunc,
     S,
-    _ROOT_POWERS,
     _adams_factors,
     _cofactor,
     _cyclotomic,
-    _divides,
+    _evaluate,
     _exact_div_lists,
-    _root_powers,
-    _totient,
+    _pack,
+    _strip,
+    _unpack,
     gl_count,
     gl_product,
     is_prime_power,
     mobius,
     rf_sum,
 )
+
+
+def _totient(n):
+    """Euler's phi(n), the degree of Phi_n, by counting."""
+    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
 
 def brute_force_gl_order(d, q):
@@ -127,7 +132,8 @@ def test_cofactor_matches_one_factor_at_a_time(a, cyclo):
     for n, e in factors:
         for _ in range(e if n else 0):
             ints = _mul_int(ints, list(_cyclotomic(n)))
-    assert _cofactor(factors) == (0,) * a + tuple(ints)
+    # the table holds the product's value at 2^64, one int per tuple
+    assert _unpack(_cofactor(factors), 64) == [0] * a + ints
 
 
 def _exact_div_cases():
@@ -626,7 +632,7 @@ def test_rf_sum_of_long_numerators_matches_evaluation(terms):
 
 
 # ---------------------------------------------------------------------------
-# the modular zero test behind every cyclotomic cancellation
+# the packed divisibility test behind every cyclotomic cancellation
 # ---------------------------------------------------------------------------
 
 def _residue_divides(n, ints):
@@ -646,69 +652,127 @@ def _int_poly(draw, max_size):
     return c
 
 
+def _least_prime_one_mod(n):
+    """The least prime p = 1 (mod n) above 2^20."""
+    p = -(-(1 << 20) // n) * n + 1
+    while not _is_prime(p):
+        p += n
+    return p
+
+
+def _carry_case(draw, n):
+    """P = Phi_n * g + (s - 2^64) * h with coefficients below 2^62, so that
+    it packs at width 64: P = F (mod s^n - 1) for F = (2^64 - 1)(s^n - 1)/
+    (s - 1) + t * s^j * (2^64 - s), whose value at 2^64 is 2^(64n) - 1, a
+    multiple of Phi_n(2^64); but F = t * s^j * (2^64 - s) (mod Phi_n) for
+    n > 1, and F = 2^64 - 1 for n = 1, so Phi_n does not divide P.  Each
+    folded coefficient of F is spread over terms below 2^62, at degrees of
+    the same residue mod n."""
+    B = 64
+    f = [(1 << B) - 1] * n
+    if n > 1:
+        j, t = draw(st.integers(0, n - 2)), draw(st.sampled_from([1, -1]))
+        f[j] += t << B
+        f[j + 1] -= t
+    cap = (1 << (B - 2)) - (1 << 10)
+    out = {}
+    for j, c in enumerate(f):
+        r = 0
+        while c:
+            piece = max(-cap, min(cap, c))
+            out[j + n * r] = piece
+            c -= piece
+            r += 1
+    P = [out.get(i, 0) for i in range(max(out) + 1)]
+    g = draw(st.lists(st.integers(-5, 5), max_size=4))
+    for i, x in enumerate(_mul_int(_cyclotomic(n), g) if g else []):
+        P[i] += x
+    while not P[-1]:
+        P.pop()
+    return P
+
+
 @st.composite
 def divisibility_cases(draw):
-    """(n, ints) for n in 1..60, ints of one of five kinds: random; c *
-    Phi_n^k * g; Phi_n itself, of length phi(n) + 1, the degree bound's
-    edge; Phi_n * g +- s^j; Phi_n * g +- p * s^j, which is 0 at the root of
-    unity mod p but not divisible, so only the exact test rejects it."""
+    """(n, ints, kind) for n in 1..60, ints of one of six kinds: random;
+    c * Phi_n^k * g; Phi_n itself, of length phi(n) + 1, the degree bound's
+    edge; Phi_n * g +- s^j; Phi_n * g +- p * s^j, p the least prime = 1
+    (mod n) above 2^20; and carry, whose value at 2^64 is a multiple of
+    Phi_n(2^64) although Phi_n does not divide it, so that only the bound
+    on the unpacked quotient rejects it."""
     n = draw(st.integers(1, 60))
     phi = list(_cyclotomic(n))
-    kind = draw(st.sampled_from(["random", "multiple", "phi", "near", "modular"]))
+    kind = draw(st.sampled_from(["random", "multiple", "phi", "near", "modular", "carry"]))
     if kind == "random":
-        return n, _int_poly(draw, 2 * _totient(n) + 4)
+        return n, _int_poly(draw, 2 * _totient(n) + 4), kind
     if kind == "phi":
-        return n, phi
+        return n, phi, kind
+    if kind == "carry":
+        return n, _carry_case(draw, n), kind
     g = _int_poly(draw, 8)
     if kind == "multiple":
         c = draw(st.integers(1, 30)) * draw(st.sampled_from([1, -1]))
         f = [c * x for x in g]
         for _ in range(draw(st.integers(1, 3))):
             f = _mul_int(f, phi)
-        return n, f
+        return n, f, kind
     f = _mul_int(phi, g)
     j = draw(st.integers(0, len(f) - 1))
-    f[j] += draw(st.sampled_from([1, -1])) * (_root_powers(n, 1)[0] if kind == "modular" else 1)
+    f[j] += draw(st.sampled_from([1, -1])) * (_least_prime_one_mod(n) if kind == "modular" else 1)
     while not f[-1]:
         f.pop()
-    return n, f
+    return n, f, kind
 
 
 @settings(derandomize=True, max_examples=600, deadline=None)
 @given(divisibility_cases())
 def test_divides_agrees_with_the_residue_test(case):
-    n, ints = case
+    # the packed test: a nonzero remainder of P(2^B) mod Phi_n(2^B)
+    # rejects, and a zero one is accepted only through the bound on the
+    # unpacked quotient or the exact list division behind it
+    n, ints, kind = case
+    bits = max(abs(x) for x in ints).bit_length()
+    B = exactalg._width(bits)
+    packed = (_pack(ints, B), B, bits)
     calls = []
 
-    def counted(n, length):
+    def counted(num, den):
         calls.append(n)
-        return _root_powers(n, length)
+        return _exact_div_lists(num, den)
 
-    # a degree below phi(n) is rejected without the modular evaluation
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exactalg, "_root_powers", counted)
-        assert _divides(n, ints) == _residue_divides(n, ints)
-    assert bool(calls) == (len(ints) > _totient(n))
-    assert _divides(n, tuple(ints)) == _residue_divides(n, ints)
+        mp.setattr(exactalg, "_exact_div_lists", counted)
+        got, left = _strip(packed, n, 1)
+    divides = _residue_divides(n, ints)
+    assert left == (0 if divides else 1)
+    if divides:
+        P, W, qbits = got
+        quotient = _exact_div_lists(ints, list(_cyclotomic(n)))[0]
+        assert _unpack(P, W) == quotient and P == _pack(quotient, W)
+        assert qbits == max(abs(x) for x in quotient).bit_length() and W == exactalg._width(qbits)
+    else:
+        assert got == packed
+    if len(ints) <= _totient(n):
+        assert not calls  # a degree below phi(n) leaves a remainder
+    if kind == "carry":
+        assert B == 64 and packed[0] % _cofactor(((n, 1),)) == 0
+        assert not divides and calls == [n]  # the bound sent it to the list division
 
 
 def _is_prime(q):
     return q > 1 and all(q % d for d in range(2, math.isqrt(q) + 1))
 
 
-def test_root_table_holds_primitive_roots_of_unity():
+def test_phi_table_holds_cyclotomic_values_at_the_slot_base():
+    # the divisor of the packed test is Phi_n(2^64) from the cofactor table
+    # at the usual width, and Phi_n(2^B) packed afresh at a wider one
     for n in range(1, 61):
-        _root_powers(n, 3 * n + 1)
-    for n, (p, powers) in _ROOT_POWERS.items():
-        assert _is_prime(p) and (p - 1) % n == 0 and p > 1 << 20
-        # the least such prime
-        assert not any(_is_prime(q) for q in range(p - n, 1 << 20, -n))
-        w = powers[1 % n]
-        assert pow(w, n, p) == 1
-        for ell in range(2, n + 1):
-            if n % ell == 0 and _is_prime(ell):
-                assert pow(w, n // ell, p) != 1
-        assert powers == [pow(w, i, p) for i in range(len(powers))]
+        phi = _cyclotomic(n)
+        for B in (64, 128, 192):
+            value = sum(c << (B * i) for i, c in enumerate(phi))
+            assert _evaluate(((n, 1),), B) == value == _pack(phi, B)
+            assert _unpack(value, B) == list(phi)
+        assert _cofactor(((n, 1),)) == _evaluate(((n, 1),), 64)
 
 
 @st.composite
@@ -741,6 +805,127 @@ def test_product_strips_high_order_factors_like_the_constructor(case):
     n, a, b = case
     general = RatFunc(a.num * b.num, a.den * b.den)
     assert a * b == general and hash(a * b) == hash(general)
+
+
+# ---------------------------------------------------------------------------
+# packed numerators against a list reference
+# ---------------------------------------------------------------------------
+
+def _mul_ref(a, b):
+    """Product of integer coefficient lists (low degree first) by the
+    schoolbook rule; the zero polynomial is []."""
+    return _trim_ref(_mul_int(a, b)) if a and b else []
+
+
+def _trim_ref(c):
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def _lists(r):
+    """A value as integer lists (N, D) with r = N / D, from its expanded
+    numerator n / nd and denominator d / dd: N = n * dd, D = d * nd."""
+    num, den = r.num, r.den
+    return [x * den.den for x in num.ints], [x * num.den for x in den.ints]
+
+
+def _subs(c, a):
+    out = [0] * ((len(c) - 1) * a + 1) if c else []
+    out[::a] = c
+    return out
+
+
+def _check_against_lists(r, num, den):
+    """r equals num / den, computed on integer lists, and is canonical: its
+    packed numerator is the numerator's value at 2^width, width is the
+    narrowest with two bits to spare, bits bounds it, and the constructor
+    on the reference's lists builds an equal, hash-equal value."""
+    rn, rd = _lists(r)
+    assert _mul_ref(rn, den) == _mul_ref(num, rd)
+    # coprime: no factor of the denominator divides the numerator
+    assert r.den.leading() == 1 and r.num.gcd(r.residual).is_one()
+    for n, _ in r.factors:
+        assert r.num.ints[0] if n == 0 else not _residue_divides(n, r.num.ints)
+    ints = list(r.num.ints)
+    exact = max((abs(x) for x in ints), default=0).bit_length()
+    assert r.width == exactalg._width(exact) == exactalg._width(r.bits) and r.bits >= exact
+    assert r.packed == (_pack(ints, r.width) if ints else 0)
+    again = RatFunc(Poly(num), Poly(den))
+    assert again == r and hash(again) == hash(r)
+
+
+@st.composite
+def packed_operands(draw):
+    """Two values from ratfunc_parts, long_sum_terms (its first and last
+    terms) or high_order_pairs, each numerator times 1, 2, 2^57 + 1 (whose
+    sums and products just pass a 64-bit slot) or an 80-bit factor, so that
+    slots of 64, 128 and 192 bits meet."""
+    source = draw(st.sampled_from(["parts", "sums", "high"]))
+    if source == "parts":
+        pair = [_build(draw(ratfunc_parts()))[0] for _ in range(2)]
+    elif source == "sums":
+        terms = draw(long_sum_terms())
+        pair = [terms[0][0], terms[-1][0]]
+    else:
+        pair = list(draw(high_order_pairs())[1:])
+    big = st.sampled_from([1, -2, (1 << 57) + 1, (1 << 80) + 13, -(1 << 81) - 3])
+    return [v.scale(draw(big)) for v in pair]
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(
+    packed_operands(),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.sampled_from([1, (1 << 80) + 1]),
+    st.integers(1, 5),
+)
+def test_packed_arithmetic_matches_a_list_reference(pair, mults, c, big, beta):
+    a, b = pair
+    (na, da), (nb, db) = _lists(a), _lists(b)
+    for v, (num, den) in ((a, (na, da)), (b, (nb, db))):
+        _check_against_lists(v, num, den)
+    _check_against_lists(a * b, _mul_ref(na, nb), _mul_ref(da, db))
+    ka, kb = mults
+    num = [ka * x + kb * y for x, y in zip_longest(_mul_ref(na, db), _mul_ref(nb, da), fillvalue=0)]
+    _check_against_lists(rf_sum([(a, ka), (b, kb)]), _trim_ref(num), _mul_ref(da, db))
+    c = c * big
+    scaled = [x * c.numerator for x in na] if c else []
+    _check_against_lists(a.scale(c), scaled, [x * c.denominator for x in da])
+    _check_against_lists(a.adams(beta), _subs(na, beta), _subs(da, beta))
+
+
+def test_packed_results_widen_past_a_64_bit_slot():
+    # each bound term is needed: without it, these results would overflow
+    # a 64-bit slot and read back wrong
+    wide = [1 << 29] * 32  # a product's middle coefficient is 2^63
+    a = RatFunc(Poly(wide))
+    _check_against_lists(a * a, _mul_ref(wide, wide), [1])
+    assert (a * a).width == 128
+    # eight terms of one group, each with coefficients 2^60, sum to 2^63
+    b = RatFunc(Poly([1 << 60, 1]), Poly(_cyclotomic(3)))
+    _check_against_lists(rf_sum([(b, 1)] * 8), [8 << 60, 8], list(_cyclotomic(3)))
+    # a group brought up by the cofactor (s + 1)^4, whose 1-norm is 16
+    c = RatFunc(Poly([(1 << 61) - 1] * 5))
+    d = RatFunc(POLY_ONE, Poly((1, 1)) ** 4)
+    up = _mul_ref([(1 << 61) - 1] * 5, [1, 4, 6, 4, 1])
+    _check_against_lists(rf_sum([(c, 1), (d, 1)]), [up[0] + 1] + up[1:], [1, 4, 6, 4, 1])
+    # four groups over s^0..s^3 meet at s^3 with 4 * (2^61 + 1)
+    f = [(1 << 61) + 1] * 4
+    groups = [(RatFunc(Poly(f), Poly.monomial(i)), 1) for i in range(4)]
+    total = [0] * 7
+    for i in range(4):
+        for j, x in enumerate(f):
+            total[3 - i + j] += x
+    _check_against_lists(rf_sum(groups), total, [0, 0, 0, 1])
+    # -1 + 2^61 s: its top 64-bit word reads 2^61 - 1 before the borrow
+    g = rf_sum([(RatFunc(Poly([-1, 1 << 61])), 1)])
+    _check_against_lists(g, [-1, 1 << 61], [1])
+    # a scaling past the slot, and a sum that cancels back into it
+    _check_against_lists(c.scale(8), [8 * ((1 << 61) - 1)] * 5, [1])
+    e = rf_sum([(a * a, 1), (a * a, -1), (b, 1)])
+    assert e == b and e.width == 64
 
 
 # ---------------------------------------------------------------------------

@@ -423,6 +423,20 @@ def test_pipeline_denominators_are_cyclotomic(name, D, monkeypatch):
     assert compute_ss(g, D) == compute_ss(preset(name), D)
 
 
+def test_distinct_handles_hold_distinct_values():
+    # a value is interned by its packed numerator, whose slot width is a
+    # function of the value alone; a value packed at two widths would be
+    # interned twice, under two handles that unpack to the same parts
+    from test_dimmonoid import random_group_data
+
+    for g, D in [(preset("psl2z"), 8)] + [(g, 4) for g in random_group_data()]:
+        compute_absim(g, D)
+        compute_ss(g, D)
+        values = series_module._values_for(g).value
+        parts = {(v.num.ints, v.num.den, v.factors, v.residual) for v in values}
+        assert len(parts) == len(values), g.label
+
+
 def is_prime_power_safe(q):
     from vfreps.exactalg import is_prime_power
 
