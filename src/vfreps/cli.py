@@ -10,20 +10,24 @@ Subcommands:
 JSON group description.  Output formats: text, json, csv, latex; each
 command builds only what its format prints.  json output is byte for byte
 what json.dumps(doc, indent=2) prints (two-space indent, one scalar per
-line, non-ASCII escaped), written by render_json without the pure-Python
-encoder that indent selects; integral coefficients are JSON ints and
-rational ones "p/q" strings.  All commands are deterministic; identical
-invocations produce byte-identical output.
+line, non-ASCII escaped), written by _json_chunks without the
+pure-Python encoder that indent selects; integral coefficients are JSON
+ints and rational ones "p/q" strings.  All commands are deterministic;
+identical invocations produce byte-identical output.
 
-A count table is rendered from two kinds of piece.  Each distinct value
-is rendered once per command: its coefficient block (render_json at the
-entry's indent) or its text or latex cell.  Each key is one str.format
-call on a template built once per command from the graph's simple counts
-per vertex (for json, render_json of an entry skeleton); the template
-holds layout only, so data text such as the group label never goes
-through it.  Entries come in output order, by total and then by code,
-from the enumeration of the keys, with no sort.  The argument parser is
-built on the first main call and reused by later calls.
+Every command returns its output as an iterable of str pieces, which
+main writes with sys.stdout.writelines before the final newline.  count
+streams: it computes its tables and renders each distinct value once
+(its coefficient block, render_json at the entry's indent, or its text
+or latex cell) before it returns, and each entry is formatted only as it
+is written, as one str.format call on a template built once per command
+from the graph's simple counts per vertex (for json, render_json of an
+entry skeleton).  No list of entry texts, table block or document string
+is built, and a failed table writes nothing.  The template holds layout
+only, so data text such as the group label never goes through it.
+Entries come in output order, by total and then by code, from the
+enumeration of the keys, with no sort.  The argument parser is built on
+the first main call and reused by later calls.
 
 Exit codes: 0 success, 1 validation/usage error, 2 pipeline integrity
 error (including oracle FAIL).
@@ -37,6 +41,7 @@ import sys
 from functools import lru_cache
 from itertools import chain, count
 from json.encoder import encode_basestring_ascii
+from types import GeneratorType
 
 from . import fforacle, series
 from .dimmonoid import (
@@ -81,19 +86,49 @@ def resolve_group(name_or_path: str) -> GraphOfGroups:
 # ---------------------------------------------------------------------------
 
 class _Raw(str):
-    """JSON text rendered beforehand; render_json inserts it verbatim."""
+    """JSON text rendered beforehand; the JSON writer inserts it verbatim."""
 
 
 _INT = {int}
-_RAW = {_Raw}
 
 
-def render_json(obj, pad: str = "") -> str:
-    """json.dumps(obj, indent=2), byte for byte, for the documents the
-    commands emit: dicts with str keys, lists, ints and strs, and _Raw
-    text rendered at the indent it lands at.  A list of ints (a
-    coefficient list, say) or of _Raw texts is one C-level type scan and
-    one join, with no Python call per entry."""
+def _json_chunks(obj, pad: str = ""):
+    """The pieces of json.dumps(obj, indent=2), byte for byte and in order,
+    for the documents the commands emit: dicts with str keys, lists, ints
+    and strs, _Raw text rendered at the indent it lands at, and generators
+    whose items are such texts (plain str), written as a list while they
+    are consumed.  A dict is written value by value and a generator item
+    by item, each piece led by its separator and key; any other value is
+    one piece, its _json_text."""
+    t = type(obj)
+    if t is dict or t is GeneratorType:
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if t is dict:
+            opening, closing = "{}"
+            lead = "{\n" + inner
+            for k, v in obj.items():
+                key = f"{lead}{encode_basestring_ascii(k)}: "
+                if type(v) is dict or type(v) is GeneratorType:
+                    yield key
+                    yield from _json_chunks(v, inner)
+                else:
+                    yield key + _json_text(v, inner)
+                lead = sep
+        else:
+            opening, closing = "[]"
+            lead = "[\n" + inner
+            for text in obj:
+                yield lead + text
+                lead = sep
+        yield f"\n{pad}{closing}" if lead is sep else opening + closing
+    else:
+        yield _json_text(obj, pad)
+
+
+def _json_text(obj, pad: str) -> str:
+    """The JSON text of one value at pad as one str.  A list of ints (a
+    coefficient list, say) is one C-level type scan and one join."""
     t = type(obj)
     if t is int:
         return str(obj)
@@ -102,23 +137,18 @@ def render_json(obj, pad: str = "") -> str:
     if t is _Raw:
         return obj
     if t is list:
-        types = set(map(type, obj))
-        if types <= _INT:
-            return _block("[", map(str, obj), "]", pad)
-        if types <= _RAW:
-            return _block("[", obj, "]", pad)
-        return _block("[", [render_json(v, pad + "  ") for v in obj], "]", pad)
-    if t is dict:
         inner = pad + "  "
-        items = [f"{encode_basestring_ascii(k)}: {render_json(v, inner)}" for k, v in obj.items()]
-        return _block("{", items, "}", pad)
+        items = map(str, obj) if set(map(type, obj)) <= _INT else [_json_text(v, inner) for v in obj]
+        body = (",\n" + inner).join(items)
+        return f"[\n{inner}{body}\n{pad}]" if body else "[]"
+    if t is dict or t is GeneratorType:
+        return "".join(_json_chunks(obj, pad))
     raise TypeError(f"cannot render {t.__name__} as JSON")
 
 
-def _block(opening: str, items, closing: str, pad: str) -> str:
-    inner = pad + "  "
-    body = (",\n" + inner).join(items)
-    return f"{opening}\n{inner}{body}\n{pad}{closing}" if body else opening + closing
+def render_json(obj, pad: str = "") -> str:
+    """json.dumps(obj, indent=2) as one str: the joined _json_chunks."""
+    return "".join(_json_chunks(obj, pad))
 
 
 def _field(i: int) -> _Raw:
@@ -146,19 +176,32 @@ def _row(cells, fmt: str) -> str:
     return f"{cells[0]}: " + "  ".join(cells[1:])
 
 
-def _table(rows: list, header, fmt: str) -> str:
-    """Text, csv or latex table around rows already made by _row."""
+def _table(rows, header, fmt: str):
+    """The lines of a text, csv or latex table in order, each led by a
+    newline, around rows made by _row and led by theirs."""
     if fmt == "csv":
-        return "\n".join([",".join(header), *rows])
+        yield "\n" + ",".join(header)
+    elif fmt == "latex":
+        yield "\n" + r"\begin{tabular}{|" + "c|" * len(header) + "}"
+        yield "\n" + r"\hline"
+        yield "\n" + " & ".join(header) + r" \\\hline"
+    yield from rows
     if fmt == "latex":
-        top = r"\begin{tabular}{|" + "c|" * len(header) + "}"
-        return "\n".join([top, r"\hline", " & ".join(header) + r" \\\hline", *rows, r"\end{tabular}"])
-    return "\n".join(rows)
+        yield "\n" + r"\end{tabular}"
+
+
+def _unled(lines):
+    """The pieces of a text of newline-led lines, the first newline
+    dropped."""
+    lines = iter(lines)
+    yield next(lines)[1:]
+    yield from lines
 
 
 def _emit_rows(rows, header, fmt: str) -> str:
     """Text, csv or latex table of rows of cells (str or int)."""
-    return _table([_row([str(c) for c in row], fmt) for row in rows], header, fmt)
+    led = ["\n" + _row([str(c) for c in row], fmt) for row in rows]
+    return "".join(_table(led, header, fmt))[1:]
 
 
 def _csv_cell(c: str) -> str:
@@ -178,10 +221,15 @@ _CELL = {
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_count(args) -> str:
-    """Each entry is one str.format call on a template built once per
-    command, with the entry's value as field 0 and its key's fields after
-    it; each distinct value is rendered once per command."""
+def cmd_count(args):
+    """The pieces of a count table, an iterator.  Every table is computed
+    and each distinct value rendered once before it returns; each entry
+    is then one str.format call, made as the pieces are consumed, on a
+    template built once per command, with the entry's value as field 0
+    and its key's fields after it.  A json table is _json_chunks of a
+    document whose entry lists are generators of those texts; a text,
+    csv or latex table is its newline-led lines, the first newline
+    dropped."""
     g = resolve_group(args.group)
     D = args.max_dim
     wanted = None
@@ -227,7 +275,7 @@ def cmd_count(args) -> str:
         template = _json_template(skeleton, pad)
         cells = {p: render_json(p.json_coeffs(), pad + "  ") for p in distinct}
         texts = {
-            kind: [_Raw(template.format(cells[p], *f)) for f, p in entries]
+            kind: (template.format(cells[p], *f) for f, p in entries)
             for kind, entries in tables.items()
         }
         doc = {"group": g.label, "D": D, "kind": args.kind, "by": args.by}
@@ -235,22 +283,25 @@ def cmd_count(args) -> str:
             doc["entries"] = texts[kinds[0]]
         else:
             doc["tables"] = texts
-        return render_json(doc)
+        return _json_chunks(doc)
     # key fields are ints, so csv quotes the label template exactly when it
     # quotes the labels
-    template = _row([label, "{0}"], args.format)
+    template = "\n" + _row([label, "{0}"], args.format)
     cell = _CELL[args.format]
     cells = {p: cell(p) for p in distinct}
     sections = []
     for kind, entries in tables.items():
         if len(kinds) > 1:
-            sections.append(f"[{kind}]")
-        rows = [template.format(cells[p], *f) for f, p in entries]
-        sections.append(_table(rows, [first, kind], args.format))
-    return "\n".join(sections)
+            sections.append((f"\n[{kind}]",))
+        rows = (template.format(cells[p], *f) for f, p in entries)
+        if entries or args.format != "text":
+            sections.append(_table(rows, [first, kind], args.format))
+        else:  # a text table without rows is one empty line
+            sections.append(("\n",))
+    return _unled(chain.from_iterable(sections))
 
 
-def cmd_monoid(args) -> str:
+def cmd_monoid(args) -> tuple:
     g = resolve_group(args.group)
     rows = [
         (m, euler_form(g, m, m), shift_exponent(g, m), 0 if m.total == 0 else gcd_div(m)[0])
@@ -267,17 +318,17 @@ def cmd_monoid(args) -> str:
             }
             for m, e, sig, gc in rows
         ]
-        return render_json({"group": g.label, "d": args.dim, "entries": entries})
+        return (render_json({"group": g.label, "d": args.dim, "entries": entries}),)
     if args.format == "csv":
         rows = [[format_dimvector(m), e, sig, gc] for m, e, sig, gc in rows]
-        return _emit_rows(rows, ["dimvector", "euler_form", "shift_exponent", "gcd"], "csv")
+        return (_emit_rows(rows, ["dimvector", "euler_form", "shift_exponent", "gcd"], "csv"),)
     rows = [
         [format_dimvector(m), f"euler={e}", f"shift={sig}", f"gcd={gc}"] for m, e, sig, gc in rows
     ]
-    return _emit_rows(rows, ["dimvector", "euler", "shift", "gcd"], args.format)
+    return (_emit_rows(rows, ["dimvector", "euler", "shift", "gcd"], args.format),)
 
 
-def cmd_epoly(args) -> str:
+def cmd_epoly(args) -> tuple:
     g = resolve_group(args.group)
     agg = CountingTable(g, args.max_dim).aggregate("ss")
     data = [(d, p, int(p.eval(1))) for d, p in agg.items() if d >= 1]
@@ -286,19 +337,19 @@ def cmd_epoly(args) -> str:
             {"d": d, "e_polynomial": series.epoly_text(p), "euler_characteristic": chi}
             for d, p, chi in data
         ]
-        return render_json({"group": g.label, "D": args.max_dim, "entries": entries})
+        return (render_json({"group": g.label, "D": args.max_dim, "entries": entries}),)
     if args.format == "csv":
         rows = [[d, series.epoly_text(p), chi] for d, p, chi in data]
-        return _emit_rows(rows, ["d", "e_polynomial", "euler_characteristic"], "csv")
+        return (_emit_rows(rows, ["d", "e_polynomial", "euler_characteristic"], "csv"),)
     if args.format == "latex":
         rows = [[d, series.epoly_latex(p), chi] for d, p, chi in data]
     else:
         rows = [[f"d={d}", series.epoly_text(p), f"euler={chi}"] for d, p, chi in data]
-    return _emit_rows(rows, ["d", "E-polynomial", "Euler"], args.format)
+    return (_emit_rows(rows, ["d", "E-polynomial", "Euler"], args.format),)
 
 
 def cmd_oracle(args) -> tuple:
-    """Returns (output text, all_passed)."""
+    """Returns ((output text,), all_passed)."""
     p = fforacle.presentation(args.group)
     g = preset(args.group)
     q = args.q
@@ -336,7 +387,7 @@ def cmd_oracle(args) -> tuple:
                 f"oracle={oracle} pipeline={pipeline} {'PASS' if good else 'FAIL'}"
             )
         lines.append(f"summary: {'PASS' if ok else 'FAIL'}")
-    return "\n".join(lines), ok
+    return ("\n".join(lines),), ok
 
 
 # ---------------------------------------------------------------------------
@@ -402,20 +453,20 @@ def main(argv=None) -> int:
                 raise CliError("--max-dim must be >= 0")
             if args.max_dim >= TOTAL_LIMIT:
                 raise CliError(f"--max-dim must be below {TOTAL_LIMIT}, the total-dimension bound")
+        ok = True
         if args.command == "count":
-            print(cmd_count(args))
+            out = cmd_count(args)
         elif args.command == "monoid":
             if args.dim < 0:
                 raise CliError("--dim must be >= 0")
-            print(cmd_monoid(args))
+            out = cmd_monoid(args)
         elif args.command == "epoly":
-            print(cmd_epoly(args))
-        elif args.command == "oracle":
+            out = cmd_epoly(args)
+        else:
             out, ok = cmd_oracle(args)
-            print(out)
-            if not ok:
-                return 2
-        return 0
+        sys.stdout.writelines(out)
+        sys.stdout.write("\n")
+        return 0 if ok else 2
     except NonPolynomialCoefficient as e:
         print(f"pipeline integrity error: {e}", file=sys.stderr)
         return 2

@@ -185,6 +185,7 @@ class _Values:
         self.scale_memo = {}
         self.sum_memo = {}
         self.power_memo = {}
+        self.polys = {}
         self.zero = self.intern(RF_ZERO)
         self.one = self.intern(RF_ONE)
 
@@ -237,8 +238,12 @@ class _Values:
         return self.intern(gl_product(exps, k))
 
     def integer_poly(self, a: int):
-        """The value as a Poly when it lies in Z[s], else None."""
-        return self.value[a].as_integer_poly()
+        """The value as a Poly when it lies in Z[s], else None; one Poly
+        per handle, so tables sharing a value share its Poly."""
+        p = self.polys.get(a)
+        if p is None:
+            p = self.polys[a] = self.value[a].as_integer_poly()
+        return p
 
 
 def _values_for(g: GraphOfGroups) -> _Values:
@@ -507,19 +512,15 @@ def plethystic(f: GradedSeries, direction: str) -> GradedSeries:
 # ---------------------------------------------------------------------------
 
 def _integer_polys(f: GradedSeries) -> dict:
-    """{DimVector: Poly} of the coefficients of f at every key, converted
-    once per distinct value; zeros absent.  Raises
+    """{DimVector: Poly} of the coefficients of f at every key, the one
+    Poly of each value's handle; zeros absent.  Raises
     NonPolynomialCoefficient at the first key that fails."""
     vals = _values_for(f.graph)
-    polys = {}
     out = {}
     for m, h in _every_key(f):
-        p = polys.get(h)
+        p = out[m] = vals.integer_poly(h)
         if p is None:
-            p = polys[h] = vals.integer_poly(h)
-            if p is None:
-                raise NonPolynomialCoefficient(m, vals.value[h])
-        out[m] = p
+            raise NonPolynomialCoefficient(m, vals.value[h])
     return out
 
 

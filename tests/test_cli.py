@@ -1,9 +1,11 @@
+import io
 import json
 import re
+import sys
 
 import pytest
 
-from vfreps import cli
+from vfreps import cli, series
 from vfreps.dimmonoid import enumerate_dimvectors, format_dimvector, parse_dimvector, scale
 from vfreps.exactalg import Poly
 from vfreps.groupgraph import preset, save
@@ -421,6 +423,59 @@ def test_json_writer_rejects_other_types():
     for bad in (True, None, 1.5, (1, 2), {1: 2}):
         with pytest.raises(TypeError):
             cli.render_json([bad])
+
+
+class _RecordingStdout(io.StringIO):
+    """A stdout that keeps each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, s):
+        self.writes.append(s)
+        return super().write(s)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("by", ["dimvector", "total"])
+@pytest.mark.parametrize("group, D", [("sl2z", 5), ("psl2z", 7)])
+def test_count_writes_one_entry_or_row_at_a_time(monkeypatch, group, D, by, fmt):
+    stdout = _RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    argv = ("count", "--group", group, "--max-dim", str(D), "--kind", "all", "--by", by)
+    assert cli.main([*argv, "--format", fmt]) == 0
+    g = preset(group)
+    if fmt == "json":
+        want = json.dumps(_reference_json(g, group, argv), indent=2) + "\n"
+    else:
+        want = _reference_text(g, argv, fmt)
+    assert _lines_of("".join(stdout.writes)) == _lines_of(want)
+    if fmt == "json":
+        # every entry has one "coefficients" key
+        per_write = [w.count('"coefficients"') for w in stdout.writes]
+        assert max(per_write) == 1 and sum(per_write) == want.count('"coefficients"')
+    else:
+        assert max(w.count("\n") for w in stdout.writes) == 1
+        assert len(stdout.writes) >= want.count("\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_failed_table_writes_nothing(capsys, monkeypatch, odd_psl2z, fmt):
+    # every table is computed before the first byte is written
+    monkeypatch.setattr(series._Values, "integer_poly", lambda self, a: None)
+    code, out, err = run(
+        capsys, "count", "--group", odd_psl2z, "--max-dim", "3", "--kind", "all",
+        "--by", "dimvector", "--format", fmt,
+    )
+    assert (code, out) == (2, "") and err.startswith("pipeline integrity error: ")
+    monkeypatch.undo()
+    for vector in ("((2,2),(1,2,1))", "((65536,0),(65536,0,0))"):
+        code, out, err = run(
+            capsys, "count", "--group", "psl2z", "--max-dim", "3", "--kind", "all",
+            "--by", "dimvector", "--vector", vector, "--format", fmt,
+        )
+        assert (code, out) == (1, "") and err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------
