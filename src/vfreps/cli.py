@@ -20,7 +20,7 @@ main writes with sys.stdout.writelines before the final newline.  count
 streams: it computes its tables and renders each distinct value once
 (its coefficient block, render_json at the entry's indent, or its text
 or latex cell) before it returns, and each entry is formatted only as it
-is written, as one str.format call on a template built once per command
+is written, as one % operation on a template built once per command
 from the graph's simple counts per vertex (for json, render_json of an
 entry skeleton).  No list of entry texts, table block or document string
 is built, and a failed table writes nothing.  The template holds layout
@@ -30,7 +30,9 @@ enumeration of the keys, with no sort.  The argument parser is built on
 the first main call and reused by later calls.
 
 Exit codes: 0 success, 1 validation/usage error, 2 pipeline integrity
-error (including oracle FAIL).
+error (including oracle FAIL).  When the reader of stdout closes the pipe
+early (`vfreps count ... | head`), the command stops writing, prints
+nothing on stderr and exits 0.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import argparse
 import os
 import sys
 from functools import lru_cache
-from itertools import chain, count
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from types import GeneratorType
 
@@ -151,16 +153,13 @@ def render_json(obj, pad: str = "") -> str:
     return "".join(_json_chunks(obj, pad))
 
 
-def _field(i: int) -> _Raw:
-    """Stands for str.format field {i} in a skeleton given to _json_template."""
-    return _Raw(f"\0{i}\1")
+_SLOT = _Raw("\0")  # stands for one field of an entry in a template
 
 
-def _json_template(skeleton: dict, pad: str) -> str:
-    """str.format template of render_json(skeleton, pad) with each _field(i)
-    turned into the field {i}; the skeleton holds no data text."""
-    text = render_json(skeleton, pad).replace("{", "{{").replace("}", "}}")
-    return text.replace("\0", "{").replace("\1", "}")
+def _template(text: str) -> str:
+    """The % template of a layout text whose fields are _SLOTs, literal
+    % escaped; the layout holds no data text."""
+    return text.replace("%", "%%").replace("\0", "%s")
 
 
 def _json_dimvector(m) -> list:
@@ -224,9 +223,10 @@ _CELL = {
 def cmd_count(args):
     """The pieces of a count table, an iterator.  Every table is computed
     and each distinct value rendered once before it returns; each entry
-    is then one str.format call, made as the pieces are consumed, on a
-    template built once per command, with the entry's value as field 0
-    and its key's fields after it.  A json table is _json_chunks of a
+    is then one % operation, made as the pieces are consumed, on a
+    template built once per command, with the fields its template holds
+    (the key's entries, and its total for json) and then its value's
+    cell.  A json table is _json_chunks of a
     document whose entry lists are generators of those texts; a text,
     csv or latex table is its newline-led lines, the first newline
     dropped."""
@@ -241,26 +241,30 @@ def cmd_count(args):
             raise CliError("--vector exceeds --max-dim")
     table = CountingTable(g, D)
     kinds = ["absim", "ss", "sim"] if args.kind == "all" else [args.kind]
+    # the key fields of an entry, in the order its template holds them;
+    # the value's cell is the last field
     if args.by == "total":
         keys = [(d, (d,)) for d in range(1, D + 1)]
         values = table.aggregate
         first = "d"
-        label = "d={1}" if args.format == "text" else "{1}"
-        skeleton = {"d": _field(1), "coefficients": _field(0)}
+        label = "d=\0" if args.format == "text" else "\0"
+        skeleton = {"d": _SLOT, "coefficients": _SLOT}
     else:
         vectors = [wanted] if wanted is not None else [
             m for d in range(1, D + 1) for m in enumerate_dimvectors(g, d)
         ]
-        keys = [(m, (*chain.from_iterable(m.per_vertex), m.total)) for m in vectors]
+        # the text, csv and latex labels hold no total
+        if args.format == "json":
+            keys = [(m, (*chain.from_iterable(m.per_vertex), m.total)) for m in vectors]
+        else:
+            keys = [(m, tuple(chain.from_iterable(m.per_vertex))) for m in vectors]
         values = table.per_vector
-        fields = count(1)
-        slots = [[next(fields) for _ in v.simple_dims] for v in g.vertices]
         first = "dimvector"
-        label = "(" + ",".join("(" + ",".join(f"{{{i}}}" for i in v) + ")" for v in slots) + ")"
+        label = "(" + ",".join("(" + ",".join("\0" * len(v.simple_dims)) + ")" for v in g.vertices) + ")"
         skeleton = {
-            "dimvector": [list(map(_field, v)) for v in slots],
-            "total_dim": _field(next(fields)),
-            "coefficients": _field(0),
+            "dimvector": [[_SLOT] * len(v.simple_dims) for v in g.vertices],
+            "total_dim": _SLOT,
+            "coefficients": _SLOT,
         }
     # entries in output order (total, then code) as (key fields, value);
     # keys without a value are left out, except a wanted vector
@@ -272,10 +276,10 @@ def cmd_count(args):
     distinct = {p for entries in tables.values() for _, p in entries}
     if args.format == "json":
         pad = " " * (4 if len(kinds) == 1 else 6)  # under "entries" or "tables"
-        template = _json_template(skeleton, pad)
+        template = _template(render_json(skeleton, pad))
         cells = {p: render_json(p.json_coeffs(), pad + "  ") for p in distinct}
         texts = {
-            kind: (template.format(cells[p], *f) for f, p in entries)
+            kind: (template % (*f, cells[p]) for f, p in entries)
             for kind, entries in tables.items()
         }
         doc = {"group": g.label, "D": D, "kind": args.kind, "by": args.by}
@@ -286,14 +290,14 @@ def cmd_count(args):
         return _json_chunks(doc)
     # key fields are ints, so csv quotes the label template exactly when it
     # quotes the labels
-    template = "\n" + _row([label, "{0}"], args.format)
+    template = _template("\n" + _row([label, "\0"], args.format))
     cell = _CELL[args.format]
     cells = {p: cell(p) for p in distinct}
     sections = []
     for kind, entries in tables.items():
         if len(kinds) > 1:
             sections.append((f"\n[{kind}]",))
-        rows = (template.format(cells[p], *f) for f, p in entries)
+        rows = (template % (*f, cells[p]) for f, p in entries)
         if entries or args.format != "text":
             sections.append(_table(rows, [first, kind], args.format))
         else:  # a text table without rows is one empty line
@@ -466,7 +470,13 @@ def main(argv=None) -> int:
             out, ok = cmd_oracle(args)
         sys.stdout.writelines(out)
         sys.stdout.write("\n")
+        sys.stdout.flush()
         return 0 if ok else 2
+    except BrokenPipeError:
+        # the reader has what it asked for; stdout goes to devnull so that
+        # the flush at shutdown finds nothing left to write
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except NonPolynomialCoefficient as e:
         print(f"pipeline integrity error: {e}", file=sys.stderr)
         return 2

@@ -8,18 +8,34 @@ representative per orbit (see the series module docstring).  This module
 owns every group that tags a series: automorphisms(g) builds G once per
 graph, trivial(g) gives the graph's one generator-free group without
 building G, and Automorphisms.respecting gives the subgroups between
-them.  The sub-vectors of a representative, which its decompositions
-count, come from the edge-constraint join of dimmonoid; this module works
-on per_vertex tuples and never on the code layout.
+them.
+
+G splits as G0 x| (edge-moving part).  G0, the elements that fix every
+edge simple, is normal in G and is the product of the symmetric groups on
+each vertex's signature classes: the simples of equal dimension and equal
+columns in every restriction matrix at that vertex.  The least code of a
+G0-orbit sorts each class's entries ascending over the class's places,
+so a key's G0-representative is its code plus one table lookup per vertex
+with a class of two or more simples.  The orbit walk then runs over those
+G0-representatives only, under the few generators that move edge
+simples, each of which sends every class onto a class in ascending
+order and so maps G0-representatives to G0-representatives.  The
+sub-vectors of a representative, which its decompositions
+count, come from the edge-constraint join of dimmonoid, which also gives
+the code of a vertex vector; this module works on per_vertex tuples and
+never on the code layout.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import add, attrgetter, itemgetter, mul, sub
 
 from .dimmonoid import _EdgeJoin, enumerate_dimvectors
 from .groupgraph import GraphOfGroups
+
+_CODE = attrgetter("code")
+_PER_VERTEX = attrgetter("per_vertex")
 
 
 class Automorphisms:
@@ -38,36 +54,45 @@ class Automorphisms:
     Vertex swaps are not part of G.
 
     A group is kept as the elements (sigma, tau) it is built from, its
-    generators, never as a list of all its elements.  Those of G come from
-    _automorphism_generators: one element per (level, image point) of a
-    stabiliser chain of the vertex simples in code order, each found by a
-    backtrack over the edge simples.  A subgroup keeps some of them, so
-    its orbits refine those of G and it has orbits, representatives and
+    generators, never as a list of all its elements.  An element that
+    fixes every edge simple is a transposition of two simples of one
+    vertex; the others move an edge simple and map each run of the
+    transpositions onto a run in ascending order.  A run is a class of
+    simples joined by the transpositions, and the transpositions generate
+    K, the product of the symmetric groups on the runs, which the other
+    elements normalise.
+    Those of G come from _automorphism_generators: the adjacent
+    transpositions of every signature class, whose runs are the classes,
+    so K = G0, and one element per (level, image point) of a stabiliser
+    chain of the edge simples.  A subgroup keeps some of them, so its
+    orbits refine those of G and it has orbits, representatives and
     decompositions of its own.  `generators` holds their per-vertex
     permutations in the format of SymmetryGroupDescriptor (p[gamma] is the
-    image of gamma) and `edge_perms` their tau_e.  The orbit walk applies
-    the generators to flat tuples of per_vertex entries.
-    The representative of an orbit is its least code, and since scaling
-    commutes with every relabelling and keeps code order, rep(beta*m) =
-    beta*rep(m).
+    image of gamma) and `edge_perms` their tau_e.
+
+    The representative of an orbit is its least code.  That of a K-orbit
+    sorts every run ascending over its places, and the orbit walk applies
+    the edge-moving generators to the flat per_vertex tuples of
+    K-representatives, whose images are K-representatives again.  Since
+    scaling commutes with every relabelling and keeps code order,
+    rep(beta*m) = beta*rep(m).
     """
 
     def __init__(self, g: GraphOfGroups, elements):
         self.graph = g
         self.generators = tuple(sigma for sigma, _ in elements)
         self.edge_perms = tuple(tau for _, tau in elements)
-        self._movers = []
-        for sigma in self.generators:
-            flat = [base + p[gamma] for base, p in zip(_offsets(g), sigma) for gamma in range(len(p))]
-            inverse = [0] * len(flat)
-            for f, image in enumerate(flat):
-                inverse[image] = f
-            self._movers.append(itemgetter(*inverse))
+        self._flats = [_flat(sigma) for sigma in self.generators]
+        moving = [any(t[delta] != delta for t in tau for delta in range(len(t))) for tau in self.edge_perms]
+        self._edge_movers = [_mover(p) for p, m in zip(self._flats, moving) if m]
+        runs = _runs(g, [sigma for sigma, m in zip(self.generators, moving) if not m])
+        self._join = _EdgeJoin(g) if any(runs) else None
+        # per vertex with a run: the vertex and its _Sorter
+        self._sorters = [(v, _Sorter(self._join.weights[v][0], r)) for v, r in enumerate(runs) if r]
         self._rep = {}
         self._reps = []
         self.orbits = {}  # representative code -> its orbit's keys, in code order
         self._decompositions = {}
-        self._join = None
         self._respecting = {}
 
     def is_trivial(self) -> bool:
@@ -82,8 +107,14 @@ class Automorphisms:
         y_func is constant on those of self.  Cached by (y_func, trunc) on
         this group and on H, whose generators all keep y_func, so every
         stage that asks for the same correction gets the same object and
-        y_func is evaluated once."""
-        if y_func is None or not self._movers:
+        y_func is evaluated once.
+
+        A kept edge-moving generator sigma maps the runs of H onto runs,
+        so it normalises their symmetric groups: sigma sends each class
+        onto a class in ascending order, so it conjugates a kept
+        transposition of neighbours in a class into a transposition of
+        neighbours, which keeps y_func too and is kept."""
+        if y_func is None or not self.generators:
             return self
         H = self._respecting.get((y_func, trunc))
         if H is None:
@@ -92,9 +123,9 @@ class Automorphisms:
             for d in range(trunc + 1):
                 for m in enumerate_dimvectors(g, d):
                     y[tuple(chain.from_iterable(m.per_vertex))] = y_func(g, m)
-            kept = [i for i, mover in enumerate(self._movers)
+            kept = [i for i, mover in enumerate(map(_mover, self._flats))
                     if all(y[mover(t)] == value for t, value in y.items())]
-            if len(kept) == len(self._movers):
+            if len(kept) == len(self.generators):
                 H = self
             elif not kept:
                 H = trivial(g)
@@ -105,34 +136,57 @@ class Automorphisms:
 
     def representatives(self, trunc: int) -> dict:
         """{code: code of the orbit representative} for every key of total
-        <= trunc, built degree by degree by an orbit walk over flat tuples;
-        fills `orbits` on the way."""
-        g, rep, movers = self.graph, self._rep, self._movers
+        <= trunc, built degree by degree; fills `orbits` on the way.  A
+        key's K-representative is its code plus its vertices' sorter
+        entries; the K-orbits are then joined by a walk under the
+        edge-moving generators only."""
+        g, rep, orbits = self.graph, self._rep, self.orbits
         for d in range(len(self._reps), trunc + 1):
             keys = enumerate_dimvectors(g, d)
-            flats = [tuple(chain.from_iterable(m.per_vertex)) for m in keys]
-            vector_of = dict(zip(flats, keys))
-            reps = []
-            # keys come in code order, so the first key of an orbit is its least
-            for t, m in zip(flats, keys):
-                c = m.code
-                if c in rep:
+            codes = list(map(_CODE, keys))
+            if not self.generators:  # every orbit is one key
+                rep.update(zip(codes, codes))
+                orbits.update(zip(codes, zip(keys)))
+                self._reps.append(tuple(codes))
+                continue
+            least = self._least(keys, codes)
+            # K-orbits by representative, in code order: keys come in code
+            # order, so the first key of an orbit is its least
+            members = {}
+            for m, c in zip(keys, least):
+                members.setdefault(c, []).append(m)
+            flat, code_of = {}, {}
+            if self._edge_movers:
+                flat = {c: tuple(chain.from_iterable(ms[0].per_vertex)) for c, ms in members.items()}
+                code_of = {t: c for c, t in flat.items()}
+            # root: the G-representative of every K-representative, as its
+            # key's own code, so that the tables share the keys' ints
+            root, reps = {}, []
+            for c, ms in members.items():
+                if c in root:
                     continue
-                reps.append(c)
-                orbit = [t]
-                seen = {t}
-                for u in orbit:
-                    for mover in movers:
-                        w = mover(u)
-                        if w not in seen:
-                            seen.add(w)
-                            orbit.append(w)
-                members = sorted((vector_of[u] for u in orbit), key=attrgetter("code"))
-                for x in members:
-                    rep[x.code] = c
-                self.orbits[c] = tuple(members)
+                r = root[c] = ms[0].code
+                reps.append(r)
+                walk = [c]
+                for u in walk:
+                    for mover in self._edge_movers:
+                        w = code_of[mover(flat[u])]
+                        if w not in root:
+                            root[w] = r
+                            walk.append(w)
+                orbits[r] = tuple(ms if len(walk) == 1 else
+                                  sorted(chain.from_iterable(map(members.__getitem__, walk)), key=_CODE))
+            rep.update(zip(codes, map(root.__getitem__, least)))
             self._reps.append(tuple(reps))
         return rep
+
+    def _least(self, keys, codes) -> list:
+        """The code of every key's K-representative: its code plus a
+        sorter entry per vertex with a run."""
+        least = codes
+        for v, table in self._sorters:
+            least = list(map(add, least, map(table.__getitem__, map(itemgetter(v), map(_PER_VERTEX, keys)))))
+        return least
 
     def reps(self, d: int) -> tuple:
         """Representative codes of total d, ascending; needs
@@ -144,20 +198,51 @@ class Automorphisms:
         representative with this code: k of its sub-vectors m1 (zero and m
         included) have rep(m1) = r1 and rep(m - m1) = r2.  One tuple per
         representative, whatever its number of pairs; read it with
-        zip(it, it, it).  Needs the representatives of its total."""
+        zip(it, it, it).  Without generators every orbit is one key, so
+        each sub-vector is its own pair with k = 1, straight from the join.
+        Needs the representatives of its total."""
         out = self._decompositions.get(code)
         if out is None:
             if self._join is None:
                 self._join = _EdgeJoin(self.graph)
-            rep = self._rep
-            count = {}
             m = self.graph._dv_cache[code]
-            for c1, _ in self._join([self._join.box(v, x) for v, x in enumerate(m.per_vertex)]):
-                key = (rep[c1], rep[code - c1])
-                count[key] = count.get(key, 0) + 1
-            out = self._decompositions[code] = tuple(chain.from_iterable(
-                (r1, r2, k) for (r1, r2), k in count.items()
-            ))
+            subs = self._join([self._join.box(v, x) for v, x in enumerate(m.per_vertex)])
+            if not self.generators:
+                out = tuple(chain.from_iterable((c1, code - c1, 1) for c1, _ in subs))
+            else:
+                rep = self._rep
+                count = {}
+                for c1, _ in subs:
+                    key = (rep[c1], rep[code - c1])
+                    count[key] = count.get(key, 0) + 1
+                out = tuple(chain.from_iterable((r1, r2, k) for (r1, r2), k in count.items()))
+            self._decompositions[code] = out
+        return out
+
+
+class _Sorter(dict):
+    """{x: code of x with every run sorted minus the code of x} for the
+    vectors x of one vertex, each computed on first read; weights are the
+    vertex's code weights per simple.  The sorted runs are appended to x
+    and read back into their places by one itemgetter."""
+
+    def __init__(self, weights: list, runs: list):
+        super().__init__()
+        self.weights = weights
+        self.entries = [itemgetter(*run) for run in runs]
+        places = list(range(len(weights)))
+        at = len(places)
+        for run in runs:
+            for gamma in run:
+                places[gamma] = at
+                at += 1
+        self.placed = itemgetter(*places)
+
+    def __missing__(self, x):
+        y = list(x)
+        for entries in self.entries:
+            y += sorted(entries(x))
+        out = self[x] = sum(map(mul, map(sub, self.placed(y), x), self.weights))
         return out
 
 
@@ -182,25 +267,84 @@ def trivial(g: GraphOfGroups) -> Automorphisms:
     return T
 
 
-def _offsets(g: GraphOfGroups) -> list:
-    """Flat index of every vertex's first simple."""
-    out, base = [], 0
-    for v in g.vertices:
-        out.append(base)
-        base += len(v.simple_dims)
+def _flat(sigma) -> list:
+    """sigma as one permutation of the flat indices of the vertex simples."""
+    out = []
+    for p in sigma:
+        out += [len(out) + x for x in p]
+    return out
+
+
+def _mover(p: list):
+    """The map of flat per_vertex tuples that moves entry f to place p[f]."""
+    inverse = [0] * len(p)
+    for f, image in enumerate(p):
+        inverse[image] = f
+    return itemgetter(*inverse)
+
+
+def _runs(g: GraphOfGroups, transpositions: list) -> list:
+    """Every vertex's runs: the classes of two or more of its simples that
+    the transpositions join, each ascending, in order of their least
+    simple."""
+    parent = {}
+
+    def root(x):
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    for sigma in transpositions:
+        a, b = ((v, x) for v, p in enumerate(sigma) for x in range(len(p)) if p[x] != x)
+        ra, rb = root(a), root(b)
+        parent[ra] = parent[rb] = min(ra, rb)
+    out = [{} for _ in g.vertices]
+    for v, x in sorted(parent):
+        out[v].setdefault(root((v, x)), []).append(x)
+    return [list(runs.values()) for runs in out]
+
+
+def _signature_classes(g: GraphOfGroups) -> list:
+    """Every vertex's signature classes with two or more simples, each
+    ascending: the simples of equal dimension and equal column in every
+    restriction matrix at the vertex."""
+    matrices = [[] for _ in g.vertices]
+    for e in g.edges:
+        matrices[e.s].append(e.iota.matrix)
+        matrices[e.t].append(e.kappa.matrix)
+    out = []
+    for v, vertex in enumerate(g.vertices):
+        classes = {}
+        for gamma, dim in enumerate(vertex.simple_dims):
+            key = (dim,) + tuple(row[gamma] for m in matrices[v] for row in m)
+            classes.setdefault(key, []).append(gamma)
+        out.append([c for c in classes.values() if len(c) > 1])
     return out
 
 
 def _automorphism_generators(g: GraphOfGroups) -> list:
-    """[(sigma, tau)] generating G: one element per (level, image point)
-    of the stabiliser chain of the vertex simples in flat order.  Level
-    (v, b) fixes every earlier simple and sends b to a later simple p of
-    equal dimension; levels run from the last, so p is skipped when the
-    elements found so far (all of which fix the earlier simples) already
-    carry b to it.  S_n thus costs n - 1 elements."""
+    """[(sigma, tau)] generating G: the adjacent transpositions of every
+    signature class, which generate G0, then one element per (level,
+    image point) of the stabiliser chain of the edge simples in flat
+    order.  Level (j, b) fixes every earlier edge simple and sends b to a
+    later simple p of equal dimension; levels run from the last, so p is
+    skipped when the elements found so far (all of which fix the earlier
+    edge simples) already carry b to it.  A group S_n of edge
+    permutations thus costs n - 1 elements.  Elements with the same tau
+    differ by an element of G0, so these and G0 generate G; the ones that
+    move no vertex simple fix every key and are left out."""
+    identity = [tuple(range(len(v.simple_dims))) for v in g.vertices]
+    still = tuple(tuple(range(len(e.group.simple_dims))) for e in g.edges)
     found = []
-    for v in reversed(range(len(g.vertices))):
-        dims = g.vertices[v].simple_dims
+    for v, classes in enumerate(_signature_classes(g)):
+        for c in classes:
+            for a, b in zip(c, c[1:]):
+                p = list(identity[v])
+                p[a], p[b] = b, a
+                found.append(((*identity[:v], tuple(p), *identity[v + 1:]), still))
+    moving = []
+    for j in reversed(range(len(g.edges))):
+        dims = g.edges[j].group.simple_dims
         for b in reversed(range(len(dims))):
             orbit = {b}
             for p in range(b + 1, len(dims)):
@@ -209,41 +353,41 @@ def _automorphism_generators(g: GraphOfGroups) -> list:
                 frontier = list(orbit)
                 while frontier:
                     x = frontier.pop()
-                    for sigma, _ in found:
-                        y = sigma[v][x]
+                    for _, tau in moving:
+                        y = tau[j][x]
                         if y not in orbit:
                             orbit.add(y)
                             frontier.append(y)
                 if p in orbit:
                     continue
-                pinned = [{gamma: gamma for gamma in range(len(u.simple_dims))}
-                          if i < v else {} for i, u in enumerate(g.vertices)]
-                pinned[v] = {gamma: gamma for gamma in range(b)}
-                pinned[v][b] = p
+                pinned = [{delta: delta for delta in range(len(e.group.simple_dims))}
+                          if i < j else {} for i, e in enumerate(g.edges)]
+                pinned[j] = {delta: delta for delta in range(b)}
+                pinned[j][b] = p
                 element = _extend(g, pinned)
                 if element is not None:
-                    found.append(element)
+                    moving.append(element)
                     orbit.add(p)
-    return found
+    # an element that moves no vertex simple fixes every key
+    return found + [(sigma, tau) for sigma, tau in moving if list(sigma) != identity]
 
 
 def _extend(g: GraphOfGroups, pinned: list):
-    """One element (sigma, tau) of G with sigma_v[gamma] = pinned[v][gamma]
+    """One element (sigma, tau) of G with tau_e[delta] = pinned[e][delta]
     wherever pinned, or None.
 
-    The backtrack assigns tau edge simple by edge simple.  With tau known
-    on the assigned edge simples, a vertex simple gamma may go to gamma'
-    exactly when their signatures agree: the dimension and the entries
-    M[delta][gamma] against M[tau delta][gamma'] over the assigned delta of
-    every restriction M at that vertex.  Each edge simple delta may only
-    go to a delta' of equal dimension with M[delta'][pinned gamma] =
-    M[delta][gamma] for every pinned simple at either end, so the pinned
-    simples always agree with their images; the edge simples with the
-    fewest such images come first.  Agreement is an equivalence, so
-    sigma_v exists iff the other signatures agree as multisets; sigma()
-    tests that at every node by matching each unpinned simple to the
-    first free image of its signature, and the match at the last node is
-    sigma."""
+    The backtrack assigns tau edge simple by edge simple, the pinned ones
+    first.  With tau known on the assigned edge simples, a vertex simple
+    gamma may go to gamma' exactly when their signatures agree: the
+    dimension and the entries M[delta][gamma] against M[tau
+    delta][gamma'] over the assigned delta of every restriction M at that
+    vertex.  Each edge simple may only go to one of equal dimension.
+    Agreement is an equivalence, so sigma_v exists iff the signatures
+    agree as multisets; sigma() tests that at every node by matching each
+    simple to the first free image of its signature, and the match at the
+    last node is sigma.  There a signature class is one signature, so
+    sigma sends every class onto its image in ascending order and maps a
+    key with sorted classes to one with sorted classes."""
     ends = [[] for _ in g.vertices]  # per vertex: (edge index, matrix)
     for j, e in enumerate(g.edges):
         ends[e.s].append((j, e.iota.matrix))
@@ -252,38 +396,29 @@ def _extend(g: GraphOfGroups, pinned: list):
     domains = {}
     for j, e in enumerate(g.edges):
         dims = e.group.simple_dims
-        pins = [(m, x, y) for m, v in ((e.iota.matrix, e.s), (e.kappa.matrix, e.t))
-                for x, y in pinned[v].items()]
-        # images grouped by what they must match: dimension and pinned entries
-        images = {}
-        for image in range(len(dims)):
-            key = (dims[image],) + tuple(m[image][y] for m, _, y in pins)
-            images.setdefault(key, []).append(image)
         for delta in range(len(dims)):
-            key = (dims[delta],) + tuple(m[delta][x] for m, x, _ in pins)
-            domains[j, delta] = images.get(key, [])
+            pin = pinned[j].get(delta)
+            domains[j, delta] = [pin] if pin is not None else [
+                image for image in range(len(dims)) if dims[image] == dims[delta]]
     points = sorted(domains, key=lambda point: len(domains[point]))
 
     def sigma():
         out = []
-        for v, pins in enumerate(pinned):
-            dims = g.vertices[v].simple_dims
+        for v, vertex in enumerate(g.vertices):
+            dims = vertex.simple_dims
             terms = [(m, delta, image) for j, m in ends[v]
                      for delta, image in enumerate(tau[j]) if image is not None]
-            taken = set(pins.values())
             free = {}  # signature -> free images, ascending
             for y in range(len(dims)):
-                if y not in taken:
-                    key = (dims[y],) + tuple(m[image][y] for m, _, image in terms)
-                    free.setdefault(key, []).append(y)
-            p = dict(pins)
+                key = (dims[y],) + tuple(m[image][y] for m, _, image in terms)
+                free.setdefault(key, []).append(y)
+            p = []
             for x in range(len(dims)):
-                if x not in pins:
-                    images = free.get((dims[x],) + tuple(m[delta][x] for m, delta, _ in terms))
-                    if not images:
-                        return None
-                    p[x] = images.pop(0)
-            out.append(tuple(p[x] for x in range(len(dims))))
+                images = free.get((dims[x],) + tuple(m[delta][x] for m, delta, _ in terms))
+                if not images:
+                    return None
+                p.append(images.pop(0))
+            out.append(tuple(p))
         return tuple(out)
 
     def search(i):

@@ -1,7 +1,10 @@
 import io
 import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -476,6 +479,23 @@ def test_a_failed_table_writes_nothing(capsys, monkeypatch, odd_psl2z, fmt):
             "--by", "dimvector", "--vector", vector, "--format", fmt,
         )
         assert (code, out) == (1, "") and err.startswith("error: ")
+
+
+def test_a_reader_that_closes_the_pipe_early_ends_the_command_quietly():
+    # like `vfreps count ... | head -1`: the table is larger than a pipe
+    # buffer, the reader stops after one line, and the command stops
+    # writing with exit code 0 and nothing on stderr
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "vfreps.cli", "count", "--group", "sl2z", "--max-dim", "5",
+         "--kind", "ss", "--by", "dimvector"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.stdout.readline().startswith(b"((")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=300), err) == (0, b"")
 
 
 # ---------------------------------------------------------------------------
