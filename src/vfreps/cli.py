@@ -372,8 +372,7 @@ def cmd_oracle(args) -> tuple:
         )
     elif args.check == "absim":
         oracle = fforacle.count_absim_orbits(p, d, q)
-        absim = series.compute_absim(g, d)
-        pipeline = sum(pp.eval(q) for m, pp in absim.items() if m.total == d)
+        pipeline = CountingTable(g, d).aggregate("absim")[d].eval(q)
         ok = oracle == pipeline
         lines.append(
             f"check=absim group={args.group} d={d} q={q}: "

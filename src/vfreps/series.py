@@ -9,13 +9,15 @@ vector up to a total-dimension truncation D.  The pipeline is
     F^-1         inversion in the completed monoid algebra
     inverse shift, plethystic Log, scalar (1-s)   ->  absolutely simple counts
     plethystic Exp of those                       ->  semisimple counts
-    Moebius/Adams combination                     ->  simple counts
+    Moebius/Adams combination of absim handles    ->  simple counts
+    one reduce per total, weighted by orbit size  ->  per-total sums
 
 All reductions iterate keys in the deterministic monoid order, so repeated
 runs are bit-identical.  Coefficient values are interned per graph in
 _Values, the one seam to the scalar ring: the stages move int handles and
 get every scalar from its methods (mul, scale, adams, reduce, inverse,
-s_power, gl, integer_poly), so a test can swap the ring.  Products,
+s_power, gl), and read values back as Polys with poly and integer_poly
+only when a table is handed out, so a test can swap the ring.  Products,
 scalings and sums are memoized on handles, so symmetric dimension vectors
 cost one polynomial operation per distinct value.
 
@@ -63,6 +65,7 @@ subgroup and the trivial group against it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -171,11 +174,12 @@ class _Values:
     scalar they need comes from a method here.  mul, scale, adams and
     reduce (a sum with int multiplicities, so 1 - s is reduce({one: 1,
     s_power(1): -1})) combine handles; inverse, s_power and gl (a product
-    of general-linear counts) make them; integer_poly reads one back as a
-    Poly.  All but adams, inverse and gl are memoized, s_power by
-    exponent.  A reduction sum is one exactalg.rf_sum over the counter's
-    (value, multiplicity) pairs, so its terms are neither scaled nor
-    interned one by one.  Handle 0 is zero and handle 1 is one.
+    of general-linear counts) make them; poly reads one in Q[s] back as a
+    Poly, once per handle, and integer_poly is poly for values in Z[s].
+    All but adams, inverse and gl are memoized, s_power by exponent.  A
+    reduction sum is one exactalg.rf_sum over the counter's (value,
+    multiplicity) pairs, so its terms are neither scaled nor interned one
+    by one.  Handle 0 is zero and handle 1 is one.
     """
 
     def __init__(self):
@@ -237,13 +241,19 @@ class _Values:
         """s^k * prod_n gl_count(n)^e over exps = {n: e}."""
         return self.intern(gl_product(exps, k))
 
-    def integer_poly(self, a: int):
-        """The value as a Poly when it lies in Z[s], else None; one Poly
+    def poly(self, a: int):
+        """The value as a Poly when it lies in Q[s], else None; one Poly
         per handle, so tables sharing a value share its Poly."""
         p = self.polys.get(a)
         if p is None:
-            p = self.polys[a] = self.value[a].as_integer_poly()
+            v = self.value[a]
+            p = self.polys[a] = None if v.factors or v.residual is not POLY_ONE else v.num
         return p
+
+    def integer_poly(self, a: int):
+        """The value as a Poly when it lies in Z[s], else None."""
+        p = self.poly(a)
+        return p if p is not None and p.den == 1 else None
 
 
 def _values_for(g: GraphOfGroups) -> _Values:
@@ -511,31 +521,59 @@ def plethystic(f: GradedSeries, direction: str) -> GradedSeries:
 # the counting pipeline
 # ---------------------------------------------------------------------------
 
-def _integer_polys(f: GradedSeries) -> dict:
-    """{DimVector: Poly} of the coefficients of f at every key, the one
-    Poly of each value's handle; zeros absent.  Raises
-    NonPolynomialCoefficient at the first key that fails."""
-    vals = _values_for(f.graph)
-    out = {}
-    for m, h in _every_key(f):
-        p = out[m] = vals.integer_poly(h)
-        if p is None:
-            raise NonPolynomialCoefficient(m, vals.value[h])
-    return out
-
-
-def _absim(g: GraphOfGroups, trunc: int, y_func) -> tuple:
-    """(compute_absim's table, the absim series (1-s) * Log(unshift(F^-1))
-    it came from, kept at the codes of its tag)."""
-    cache_key = ("absim", trunc, y_func)
-    cached = g._pipeline_cache.get(cache_key)
-    if cached is None:
-        vals = _values_for(g)
+def _counts(g: GraphOfGroups, kind: str, trunc: int, y_func=None) -> tuple:
+    """(handles, G, table) of one kind of count, cached on the graph:
+    {code: handle} at the representatives of the tag G, zeros absent, and
+    what compute_<kind> hands out, each value read back once.  absim is
+    (1-s) * Log(unshift(F^-1)) and ss its plethystic Exp, both checked to
+    lie in Z[s]; sim (compute_sim) needs the correction None."""
+    key = (kind, trunc, y_func)
+    cached = g._pipeline_cache.get(key)
+    if cached is not None:
+        return cached
+    vals = _values_for(g)
+    vectors = g._dv_cache
+    read = vals.integer_poly
+    if kind == "absim":
         log = plethystic(shift(invert(build_F(g, trunc, y_func)), "inverse", y_func), "log")
         one_minus_s = vals.reduce({vals.one: 1, vals.s_power(1): -1})
         handles = {c: vals.mul(one_minus_s, h) for c, h in log.handles.items()}
-        series = _series(g, trunc, handles, log.symmetry)
-        cached = g._pipeline_cache[cache_key] = (_integer_polys(series), series)
+        G = log.symmetry
+    elif kind == "ss":
+        absim, G, _ = _counts(g, "absim", trunc, y_func)
+        handles = plethystic(_series(g, trunc, absim, G), "exp").handles
+    elif kind == "sim":
+        absim, G, _ = _counts(g, "absim", trunc)
+        read = vals.poly
+        handles, per_pair = {}, {}
+        for r in _codes(G, trunc):
+            if not r:
+                continue
+            pairs = []
+            for c in dimmonoid.gcd_div(vectors[r])[1]:
+                # psi fixes a constant, so the terms are counted, not keyed
+                h, acc = absim.get(r // c), Counter()
+                for gamma in range(1, c + 1):
+                    if h is not None and c % gamma == 0 and mobius(gamma):
+                        acc[vals.adams(h, c // gamma)] += mobius(gamma)
+                pairs.append((c, vals.scale(vals.reduce(acc), Fraction(1, c)) if acc else vals.zero))
+            h = vals.reduce(Counter(v for _, v in pairs))
+            if h != vals.zero:
+                handles[r] = h
+            pairs = [(c, vals.poly(v)) for c, v in pairs]
+            for m in G.orbits[r]:
+                for c, p in pairs:
+                    per_pair[(m, c)] = p
+    else:
+        raise KeyError(kind)
+    table = {}
+    for c, h in handles.items():
+        p = read(h)
+        if p is None:
+            raise NonPolynomialCoefficient(vectors[c], vals.value[h])
+        for m in G.orbits[c]:
+            table[m] = p
+    cached = g._pipeline_cache[key] = (handles, G, (per_pair, table) if kind == "sim" else table)
     return cached
 
 
@@ -546,7 +584,7 @@ def compute_absim(g: GraphOfGroups, trunc: int, y_func=None) -> dict:
     Returns {DimVector: Poly} with zero entries absent.  Raises
     NonPolynomialCoefficient if any coefficient fails to normalize.
     """
-    return _absim(g, trunc, y_func)[0]
+    return _counts(g, "absim", trunc, y_func)[2]
 
 
 def compute_ss(g: GraphOfGroups, trunc: int, y_func=None) -> dict:
@@ -554,12 +592,7 @@ def compute_ss(g: GraphOfGroups, trunc: int, y_func=None) -> dict:
     plethystic Exp of the absolutely simple series, which carries the tag
     of the Log it came from.  The zero vector maps to the constant 1 (the
     zero module)."""
-    cache_key = ("ss", trunc, y_func)
-    cached = g._pipeline_cache.get(cache_key)
-    if cached is None:
-        absim = _absim(g, trunc, y_func)[1]
-        cached = g._pipeline_cache[cache_key] = _integer_polys(plethystic(absim, "exp"))
-    return cached
+    return _counts(g, "ss", trunc, y_func)[2]
 
 
 def compute_sim(g: GraphOfGroups, trunc: int):
@@ -567,49 +600,14 @@ def compute_sim(g: GraphOfGroups, trunc: int):
 
     Returns (per_pair, per_vector): per_pair maps (m, c) with c | m to the
     rational-coefficient polynomial counting simples of dimension vector m
-    with endomorphism field of degree c; per_vector sums those over c.
-    Both are computed at orbit representatives and copied to the other
-    keys; m/c is the vector with code m.code // c.
+    with endomorphism field of degree c, zeros included; per_vector sums
+    those over c, zeros absent.  At a representative r of the absim
+    table's tag, the (r, c) value is the handle
+        scale(reduce({adams(absim[r // c], c // gamma): mu(gamma)}), 1/c),
+    r // c being a representative too; both tables are read back at every
+    key of r's orbit.
     """
-    cache_key = ("sim", trunc)
-    cached = g._pipeline_cache.get(cache_key)
-    if cached is not None:
-        return cached
-    absim, series = _absim(g, trunc, None)
-    G = series.symmetry
-    vectors = g._dv_cache
-    per_pair = {}
-    per_vector = {}
-    for r in _codes(G, trunc):
-        if r:
-            pairs, total = _sim_at(absim, vectors, vectors[r])
-            for m in G.orbits[r]:
-                for c, val in pairs:
-                    per_pair[(m, c)] = val
-                if not total.is_zero():
-                    per_vector[m] = total
-    out = (per_pair, per_vector)
-    g._pipeline_cache[cache_key] = out
-    return out
-
-
-def _sim_at(absim: dict, vectors: dict, m: DimVector) -> tuple:
-    """([(c, simple count with endomorphism degree c)], their sum) at m."""
-    _, divisors = dimmonoid.gcd_div(m)
-    pairs = []
-    total = Poly(())
-    for c in divisors:
-        p = absim.get(vectors[m.code // c])
-        acc = Poly(())
-        if p is not None:
-            for gamma in range(1, c + 1):
-                mu = mobius(gamma) if c % gamma == 0 else 0
-                if mu:
-                    acc = acc + p.subs_power(c // gamma).scale(mu)
-        val = acc.scale(Fraction(1, c))
-        pairs.append((c, val))
-        total = total + val
-    return pairs, total
+    return _counts(g, "sim", trunc)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +621,8 @@ class CountingTable:
     Each kind is computed on first use and cached on the graph, so a
     request for one kind pays for no other: absim, ss and sim map
     DimVector -> Poly with zero entries absent (ss includes the zero
-    vector; sim is the per-vector half of compute_sim).
+    vector; sim is the per-vector half of compute_sim).  aggregate sums a
+    kind's handles per total dimension and reads back one Poly per total.
     """
 
     graph: GraphOfGroups
@@ -642,22 +641,19 @@ class CountingTable:
         return compute_sim(self.graph, self.trunc)[1]
 
     def per_vector(self, kind: str) -> dict:
-        if kind not in ("absim", "ss", "sim"):
-            raise KeyError(kind)
-        return getattr(self, kind)
+        table = _counts(self.graph, kind, self.trunc)[2]
+        return table[1] if kind == "sim" else table
 
     def aggregate(self, kind: str) -> dict:
-        """Per total dimension: sum of the per-vector polynomials."""
-        table = self.per_vector(kind)
-        out = {}
-        for m, p in table.items():
-            out[m.total] = out.get(m.total, Poly(())) + p
-        for d in range(self.trunc + 1):
-            if kind == "ss" and d == 0:
-                out.setdefault(0, POLY_ONE)
-            else:
-                out.setdefault(d, Poly(()))
-        return dict(sorted(out.items()))
+        """{d: Poly} for every total d in 0..trunc: the sum of the kind's
+        values of total d, one reduce over the representatives, each
+        weighted by the size of its orbit."""
+        handles, G, _ = _counts(self.graph, kind, self.trunc)
+        vals = _values_for(self.graph)
+        acc = [Counter() for _ in range(self.trunc + 1)]
+        for c, h in handles.items():
+            acc[self.graph._dv_cache[c].total][h] += len(G.orbits[c])
+        return {d: vals.poly(vals.reduce(a) if a else vals.zero) for d, a in enumerate(acc)}
 
 
 def epoly_text(p: Poly) -> str:

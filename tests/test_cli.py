@@ -579,23 +579,22 @@ def test_oracle_rejects_a_presentation_without_generators(capsys, check):
     "check, dim, shown", [("hom", 1, "48/7"), ("per-vector", 1, "8/7"), ("absim", 2, "106/7")]
 )
 def test_oracle_fails_on_a_non_integral_pipeline_value(capsys, monkeypatch, check, dim, shown):
-    # 1/7 more per dimension vector (for absim, on one value of total 2):
+    # 1/7 more per dimension vector (for absim, on the sum at total 2):
     # truncated to an int, every value would still match the oracle (6 in
     # all and 1 per vector at d=1, 15 absim orbits at d=2) and print PASS
     from vfreps import series
     from vfreps.exactalg import RatFunc
 
     seventh = RatFunc(Poly((1,)), Poly((7,)))
-    real_count, real_absim = series.rep_space_count, series.compute_absim
+    real_count, real_aggregate = series.rep_space_count, CountingTable.aggregate
 
-    def absim(g, trunc):
-        table = dict(real_absim(g, trunc))
-        m = min((m for m in table if m.total == trunc), key=repr)
-        table[m] = table[m] + Poly((1,), 7)
-        return table
+    def aggregate(table, kind):
+        sums = dict(real_aggregate(table, kind))
+        sums[table.trunc] = sums[table.trunc] + Poly((1,), 7)
+        return sums
 
     monkeypatch.setattr(series, "rep_space_count", lambda g, m: real_count(g, m) + seventh)
-    monkeypatch.setattr(series, "compute_absim", absim)
+    monkeypatch.setattr(CountingTable, "aggregate", aggregate)
     code, out, _ = run(
         capsys, "oracle", "--group", "psl2z", "--dim", str(dim), "--q", "7", "--check", check
     )

@@ -12,14 +12,17 @@ straight from series._gl_exponents.  No point is a pole, since every
 pipeline denominator is s^a * prod Phi_n^e with n <= D < N.
 
 The ring shares no code with exactalg, and a polynomial identity holds at
-every point, so the exact absim and ss tables evaluated at the same
-points must equal the modular ones: a mismatch proves an error in exactalg
-or a scalar that bypasses the table, and the table's intern rejects any
-value that is not a residue tuple.
+every point, so the exact tables evaluated at the same points must equal
+the modular ones: absim and ss, both halves of compute_sim (the simple
+counts per pair and per vector, with rational coefficients) and the
+per-total sums of CountingTable.aggregate for all three kinds.  A mismatch
+proves an error in exactalg or a scalar that bypasses the table, and the
+table's intern rejects any value that is not a residue tuple.
 """
 
 import math
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 
 import pytest
@@ -30,7 +33,7 @@ from vfreps import series as series_module
 from vfreps.exactalg import RF_ONE
 from vfreps.groupgraph import preset
 from vfreps.orbits import trivial
-from vfreps.series import build_F, compute_absim, compute_ss, plethystic
+from vfreps.series import CountingTable, build_F, compute_absim, compute_sim, compute_ss, plethystic
 
 GOLDEN_DEPTH = {"psl2z": 12, "sl2z": 8, "gl2z": 10, "pgl2z": 12}
 
@@ -151,33 +154,50 @@ class ModularValues:
                 acc = tuple([x * y % p for x, y in zip(acc, factor)])
         return self.intern(acc)
 
+    def poly(self, a):
+        return self.value[a]
+
     def integer_poly(self, a):
         return self.value[a]
 
     def evaluate(self, poly):
-        """The residue tuple of an integer Poly (None for zero)."""
+        """The residue tuple of a Poly (None for zero); its rational
+        coefficients ints / den are read mod p through the inverse of den."""
         if poly is None:
             return self.value[self.zero]
         p = self.p
+        inv = pow(poly.den, -1, p)
         out = []
         for x in self.points:
             acc = 0
             for c in reversed(poly.ints):
                 acc = (acc * x + c) % p
-            out.append(acc)
+            out.append(acc * inv % p)
         return tuple(out)
 
 
+def _tables(g, trunc, y_func):
+    """{name: table} of absim and ss, and for the correction None also
+    the two halves of compute_sim and the per-total sums of all three
+    kinds."""
+    tables = {"absim": compute_absim(g, trunc, y_func), "ss": compute_ss(g, trunc, y_func)}
+    if y_func is None:
+        tables["sim per pair"], tables["sim"] = compute_sim(g, trunc)
+        for kind in ("absim", "ss", "sim"):
+            tables[f"{kind} per total"] = CountingTable(g, trunc).aggregate(kind)
+    return tables
+
+
 def _mismatches(g, trunc, quotient=True, y_func=None):
-    """Keys of absim and ss where the exact tables, evaluated at the
-    modular points, differ from the pipeline run on g with a ModularValues
-    table in place of the exact one.  The exact run comes first, and the
-    modular run reuses its graph-level caches (keys, orbits,
-    decompositions) but none of its values.  With quotient False the
-    modular run tags every series with the trivial group and solves by
+    """(table, key) pairs where the exact tables (_tables), evaluated at
+    the modular points, differ from the pipeline run on g with a
+    ModularValues table in place of the exact one.  The exact run comes
+    first, and the modular run reuses its graph-level caches (keys,
+    orbits, decompositions) but none of its values.  With quotient False
+    the modular run tags every series with the trivial group and solves by
     whole degree buckets (test_series._bucket_solve), so it uses neither
     orbits nor decompositions.  y_func is the correction of both runs."""
-    exact = compute_absim(g, trunc, y_func), compute_ss(g, trunc, y_func)
+    exact = _tables(g, trunc, y_func)
     vals = ModularValues(trunc)
     with pytest.MonkeyPatch.context() as patch:
         if not quotient:
@@ -185,17 +205,18 @@ def _mismatches(g, trunc, quotient=True, y_func=None):
             patch.setattr(series_module, "automorphisms", trivial)
         cache = {k: g._pipeline_cache[k] for k in ("automorphisms", "trivial") if k in g._pipeline_cache}
         patch.setattr(g, "_pipeline_cache", dict(cache, values=vals))
-        modular = compute_absim(g, trunc, y_func), compute_ss(g, trunc, y_func)
+        modular = _tables(g, trunc, y_func)
     zero = vals.value[vals.zero]
     seen = {}
     bad = []
-    for kind, want, got in zip(("absim", "ss"), exact, modular):
-        for m in sorted(set(want) | set(got), key=lambda m: m.code):
-            p = want.get(m)
+    for name, want in exact.items():
+        got = modular[name]
+        for k in chain(want, (k for k in got if k not in want)):
+            p = want.get(k)
             if p not in seen:
                 seen[p] = vals.evaluate(p)
-            if seen[p] != got.get(m, zero):
-                bad.append((kind, m))
+            if seen[p] != got.get(k, zero):
+                bad.append((name, k))
     return bad
 
 

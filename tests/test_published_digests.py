@@ -1,8 +1,9 @@
 """Byte identity of the CLI's published tables.
 
 tests/fixtures/published_digests.json holds the SHA-1 of `vfreps count
---kind all --by dimvector --format json` for psl2z D=12, sl2z D=8, gl2z
-D=10 and pgl2z D=12.  A change to the scalar representation, the series
+--kind all --by dimvector --format json`, of `vfreps count --kind all
+--by total --format json` and of `vfreps epoly --format json` for psl2z
+D=12, sl2z D=8, gl2z D=10 and pgl2z D=12.  A change to the scalar representation, the series
 stages or the renderer that alters one byte of these tables fails here,
 and so does output that depends on the process's string-hash seed.
 """
@@ -22,26 +23,43 @@ from vfreps import cli
 DIGESTS = json.loads((Path(__file__).parent / "fixtures" / "published_digests.json").read_text())
 
 
-def _argv(name, D):
-    return ["count", "--group", name, "--max-dim", str(D), "--kind", "all", "--by", "dimvector", "--format", "json"]
+def _argv(name, D, by="dimvector"):
+    return ["count", "--group", name, "--max-dim", str(D), "--kind", "all", "--by", by, "--format", "json"]
+
+
+def _sha1(capsys, argv):
+    assert cli.main(argv) == 0
+    return hashlib.sha1(capsys.readouterr().out.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(DIGESTS["tables"]))
 def test_published_table_output_is_byte_identical(name, capsys):
     entry = DIGESTS["tables"][name]
-    assert cli.main(_argv(name, entry["D"])) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha1(out.encode()).hexdigest() == entry["sha1"]
+    assert _sha1(capsys, _argv(name, entry["D"])) == entry["sha1"]
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS["by_total"]))
+def test_published_per_total_output_is_byte_identical(name, capsys):
+    entry = DIGESTS["by_total"][name]
+    assert _sha1(capsys, _argv(name, entry["D"], "total")) == entry["sha1"]
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS["epoly"]))
+def test_published_epoly_output_is_byte_identical(name, capsys):
+    entry = DIGESTS["epoly"][name]
+    argv = ["epoly", "--group", name, "--max-dim", str(entry["D"]), "--format", "json"]
+    assert _sha1(capsys, argv) == entry["sha1"]
 
 
 def test_output_does_not_depend_on_the_hash_seed():
     src = str(Path(vfreps.__file__).resolve().parents[1])
-    outs = []
-    for seed in ("0", "4242"):
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-        run = subprocess.run(
-            [sys.executable, "-m", "vfreps.cli", *_argv("psl2z", 8)],
-            env=env, capture_output=True, text=True, timeout=300, check=True,
-        )
-        outs.append(run.stdout)
-    assert outs[0] == outs[1] and outs[0].startswith("{")
+    for by in ("dimvector", "total"):
+        outs = []
+        for seed in ("0", "4242"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-m", "vfreps.cli", *_argv("psl2z", 8, by)],
+                env=env, capture_output=True, text=True, timeout=300, check=True,
+            )
+            outs.append(run.stdout)
+        assert outs[0] == outs[1] and outs[0].startswith("{"), by

@@ -22,6 +22,7 @@ from vfreps.exactalg import POLY_ONE, Poly, RatFunc, S, gl_count, mobius
 from vfreps.groupgraph import is_suitable_prime_power, preset
 from vfreps.orbits import automorphisms, trivial
 from vfreps.series import (
+    CountingTable,
     GradedSeries,
     build_F,
     compute_absim,
@@ -832,6 +833,31 @@ def _reference_sim(g, absim, trunc):
                         acc = acc + base.subs_power(c // gamma).scale(mobius(gamma))
                 per_pair[(m, c)] = acc.scale(Fraction(1, c))
     return per_pair
+
+
+def _assert_aggregate_is_the_per_key_sum(g, D):
+    """CountingTable.aggregate against the Poly sum of every key's value
+    per total, sim's values taken from _reference_sim."""
+    table = CountingTable(g, D)
+    sim = {}
+    for (m, _), p in _reference_sim(g, table.absim, D).items():
+        sim[m] = sim.get(m, Poly(())) + p
+    for kind, values in (("absim", table.absim), ("ss", table.ss), ("sim", sim)):
+        sums = aggregate(values)
+        assert table.aggregate(kind) == {d: sums.get(d, Poly(())) for d in range(D + 1)}, (g, kind)
+
+
+@pytest.mark.parametrize("name, D", [("dinf", 6), ("psl2z", 6), ("sl2z", 4), ("gl2z", 4), ("pgl2z", 5)])
+def test_aggregate_is_the_per_key_sum_on_presets(name, D):
+    _assert_aggregate_is_the_per_key_sum(preset(name), D)
+
+
+def test_aggregate_is_the_per_key_sum_on_random_group_data():
+    from test_dimmonoid import random_group_data
+
+    assert len(random_group_data()) == 25
+    for g in random_group_data():
+        _assert_aggregate_is_the_per_key_sum(g, 4)
 
 
 def _alt_y(g, m):
