@@ -352,6 +352,17 @@ def cmd_epoly(args) -> tuple:
     return (_emit_rows(rows, ["d", "E-polynomial", "Euler"], args.format),)
 
 
+def _rep_space_values(g: GraphOfGroups, d: int, q: int) -> list:
+    """[(value at q, keys)] over the keys of total d, one entry per distinct
+    counting polynomial: rep_space_count is a product of general-linear
+    counts fixed by the key's exponents, so it is evaluated once per
+    distinct exponent set."""
+    groups = {}
+    for m in enumerate_dimvectors(g, d):
+        groups.setdefault(frozenset(series._gl_exponents(g, m).items()), []).append(m)
+    return [(series.rep_space_count(g, ms[0]).eval(q), ms) for ms in groups.values()]
+
+
 def cmd_oracle(args) -> tuple:
     """Returns ((output text,), all_passed)."""
     p = fforacle.presentation(args.group)
@@ -364,7 +375,7 @@ def cmd_oracle(args) -> tuple:
     # p/q and can never equal the oracle's int
     if args.check == "hom":
         oracle = fforacle.count_hom(p, d, q)
-        pipeline = sum(series.rep_space_count(g, m).eval(q) for m in enumerate_dimvectors(g, d))
+        pipeline = sum(value * len(ms) for value, ms in _rep_space_values(g, d, q))
         ok = oracle == pipeline
         lines.append(
             f"check=hom group={args.group} d={d} q={q}: "
@@ -380,9 +391,10 @@ def cmd_oracle(args) -> tuple:
         )
     else:  # per-vector
         census = fforacle.dimvector_census(p, d, q)
+        values = {m: value for value, ms in _rep_space_values(g, d, q) for m in ms}
         for m in enumerate_dimvectors(g, d):
             oracle = census.get(m, 0)
-            pipeline = series.rep_space_count(g, m).eval(q)
+            pipeline = values[m]
             good = oracle == pipeline
             ok = ok and good
             lines.append(

@@ -18,6 +18,14 @@ are generated from (trace, det); powers are alpha*X + beta*I (`ch_power`,
 Cayley-Hamilton), invariant lines are eigenlines, and absolute simplicity
 is a commutation test (`commutant_dimension` is the tests' reference).
 
+What depends on a class only is computed once per class: characteristic
+roots (a table on the field, keyed by trace and det), the generator-1
+candidates of an equality relation (solved per class of generator 1 and
+per distinct x0^a), generator 0's invariant lines (once per class of
+generator 0), and eigenvalue multiplicities (once per distinct matrix,
+with dimvector() called once per distinct dimension vector).  Only the
+absolute-simplicity test runs per point.
+
 Supported: d <= 2, q <= 13 with q = 4, 9 realized through fixed
 irreducible polynomials.  Character indexing over F_q fixes the canonical
 primitive element g0 (the smallest generator of the multiplicative
@@ -78,6 +86,12 @@ class SmallField:
         self.pow_of_gen = [1]
         for _ in range(q - 2):
             self.pow_of_gen.append(self.mul[self.pow_of_gen[-1]][self.generator])
+        # roots of t^2 - tr*t + det by (tr, det): (t - r)(t - s) for r <= s
+        # has tr = r + s and det = r*s, and an irreducible one has no entry
+        self.char_roots = {
+            (add[r][s], mul[r][s]): (r,) if r == s else (r, s)
+            for r in range(q) for s in range(r, q)
+        }
 
     def _extension_tables(self, p, modulus):
         q = p * p
@@ -154,9 +168,9 @@ def mat_det(F, A):
 
 
 def _char_roots(F, A):
-    """Roots t of the characteristic polynomial t^2 - tr*t + det of A."""
-    tr, det = F.add[A[0]][A[3]], mat_det(F, A)
-    return [t for t in range(F.q) if not F.add[F.mul[t][F.add[t][F.neg[tr]]]][det]]
+    """Roots t of the characteristic polynomial t^2 - tr*t + det of A, in
+    increasing order, read from the field's table."""
+    return F.char_roots.get((F.add[A[0]][A[3]], mat_det(F, A)), ())
 
 
 def ch_power(F, tr, det, k):
@@ -327,16 +341,39 @@ def _field_pow(F, x, k):
     return y
 
 
-def _class_powers(F, d, key, members, k):
-    """x^k for each member x of the class with this power_solutions key:
-    the scalar's power, or alpha*x + beta*I with (alpha, beta) = ch_power
-    computed once for the class."""
+def _class_power(F, d, key, x, k):
+    """x^k for a member x of the class with this power_solutions key: the
+    scalar's power, or alpha*x + beta*I with (alpha, beta) = ch_power."""
     if key[0] == "s":
         c = _field_pow(F, key[1], k)
-        return [c if d == 1 else (c, 0, 0, c)] * len(members)
+        return c if d == 1 else (c, 0, 0, c)
     alpha, beta = ch_power(F, *key, k)
     m, P = F.mul[alpha], F.add
-    return [(P[m[a]][beta], m[b], m[c], P[m[e]][beta]) for a, b, c, e in members]
+    a, b, c, e = x
+    return (P[m[a]][beta], m[b], m[c], P[m[e]][beta])
+
+
+def _power_preimages(F, d, classes, k, X):
+    """The members y of classes with y^k = X, in class order, found once
+    per class.  y^k is constant on a scalar class, and on a non-scalar one
+    with alpha = 0 (y^k = beta*I), so such a class gives all or none of its
+    members.  Otherwise y^k = alpha*y + beta*I, so y = (X - beta*I)/alpha
+    is the one candidate, kept when it is non-scalar with the class's
+    (trace, det)."""
+    M, P, n = F.mul, F.add, F.neg
+    out = []
+    for key, members in classes:
+        alpha, beta = (0, 0) if key[0] == "s" else ch_power(F, *key, k)
+        if not alpha:
+            if _class_power(F, d, key, members[0], k) == X:
+                out += members
+            continue
+        m, nb = M[F.inv[alpha]], n[beta]
+        a, b, c, e = X
+        y = (m[P[a][nb]], m[b], m[c], m[P[e][nb]])
+        if (y[1] or y[2] or y[0] != y[3]) and (P[y[0]][y[3]], mat_det(F, y)) == key:
+            out.append(y)
+    return out
 
 
 def _classes(p: PresentationData, d: int, q: int):
@@ -344,8 +381,8 @@ def _classes(p: PresentationData, d: int, q: int):
     x0 = the class's first member, the candidate lists of the other
     generators at x0).  Every tuple of x0 and one candidate per list
     satisfies the relations.  An equality relation g_0^a = g_1^b takes
-    generator 1 from the bucket of x0^a among generator 1's solutions,
-    keyed by y^b; generator 0 has no bucket."""
+    generator 1 from the preimages of x0^a under y -> y^b, solved per class
+    of generator 1 and once per distinct x0^a."""
     sets = [power_solutions(q, d, k) for k in p.power_orders]
     if p.equality is None:
         rest = [tuple(x for _, members in s for x in members) for s in sets[1:]]
@@ -356,13 +393,12 @@ def _classes(p: PresentationData, d: int, q: int):
     if (i, j, p.generators) != (0, 1, 2):
         raise ValueError("equality relations are handled for two generators only")
     F = field(q)
-    bucket = {}
-    for key, members in sets[1]:
-        for y, yb in zip(members, _class_powers(F, d, key, members, b)):
-            bucket.setdefault(yb, []).append(y)
+    solved = {}
     for key, members in sets[0]:
-        xa = _class_powers(F, d, key, members[:1], a)[0]
-        yield len(members), members[0], [bucket.get(xa, ())]
+        xa = _class_power(F, d, key, members[0], a)
+        if xa not in solved:
+            solved[xa] = _power_preimages(F, d, sets[1], b, xa)
+        yield len(members), members[0], [solved[xa]]
 
 
 def count_hom(p: PresentationData, d: int, q: int) -> int:
@@ -381,36 +417,40 @@ def _class_points(p: PresentationData, d: int, q: int):
         yield w, ((x0,) + r for r in product(*rest))
 
 
-def _absolutely_simple(q: int, mats) -> bool:
-    """No common invariant line, and two generators that do not commute.
-    Without a common line the commutant is a finite division algebra, so a
-    field K (Wedderburn).  Commuting generators span a field F_{q^2} inside
-    K; if K = F_{q^2}, every generator lies in End_K(F_q^2) = K, so all
-    commute.  Hence K = F_q exactly when two generators do not commute."""
-    common = invariant_lines(q, mats[0])
-    for A in mats[1:]:
-        if not common:
-            break
-        common = common & invariant_lines(q, A)
-    if common:
-        return False
-    F = field(q)
-    return any(mat_mul(F, A, B) != mat_mul(F, B, A) for i, A in enumerate(mats) for B in mats[i + 1:])
-
-
 def count_absim_orbits(p: PresentationData, d: int, q: int) -> int:
     """Number of isomorphism classes of absolutely simple d-dimensional
     modules: absolutely simple points over |GL_d|/(q-1), the size of a
     conjugation orbit.  Points are counted at class representatives of
-    generator 0, weighted by class size; PGL_d acts freely on them, so each
-    class's weighted count and the total must be multiples of the orbit size."""
+    generator 0, whose invariant lines are looked up once per class, and
+    weighted by class size; PGL_d acts freely on them, so each class's
+    weighted count and the total must be multiples of the orbit size.
+
+    A point is absolutely simple when its generators have no common
+    invariant line and two of them do not commute.  Without a common line
+    the commutant is a finite division algebra, so a field K (Wedderburn).
+    Commuting generators span a field F_{q^2} inside K; if K = F_{q^2},
+    every generator lies in End_K(F_q^2) = K, so all commute.  Hence
+    K = F_q exactly when two generators do not commute."""
     _check_supported(p, d, q)
     if d != 2:
         raise ValueError("absolutely simple orbit counting needs d = 2")
+    F = field(q)
     orbit_size = (q * q - 1) * (q * q - q) // (q - 1)
     points = 0
     for weight, tuples in _class_points(p, d, q):
-        n = weight * sum(1 for mats in tuples if _absolutely_simple(q, mats))
+        n, lines0 = 0, None
+        for mats in tuples:
+            if lines0 is None:  # every tuple of the class starts with its x0
+                lines0 = invariant_lines(q, mats[0])
+            common = lines0
+            for A in mats[1:]:
+                if not common:
+                    break
+                common = common & invariant_lines(q, A)
+            if not common and any(
+                mat_mul(F, A, B) != mat_mul(F, B, A) for i, A in enumerate(mats) for B in mats[i + 1:]
+            ):
+                n += weight
         if n % orbit_size:
             raise ArithmeticError(
                 f"class of size {weight}: {n} absim points not divisible by {orbit_size}"
@@ -423,20 +463,41 @@ def count_absim_orbits(p: PresentationData, d: int, q: int) -> int:
     return points // orbit_size
 
 
-def _point_reader(p: PresentationData, q: int):
-    """The map from a relation-satisfying tuple to its dimension vector,
-    which reads each vertex generator's eigenvalue multiplicities against
-    the canonical root-of-unity indexing.  The preset, the suitability
-    check and each vertex's index of roots of unity are set up once here,
-    not once per point; every result is still validated by dimvector()."""
+class _Multiplicities(dict):
+    """One vertex generator's eigenvalue multiplicities by matrix, against
+    the vertex's index {root of unity: position}, read on first use."""
+
+    def __init__(self, F, index):
+        super().__init__()
+        self.F, self.index = F, index
+
+    def __missing__(self, x):
+        mult = [0] * len(self.index)
+        for ev, count in _eigenvalues(self.F, x):
+            k = self.index.get(ev)
+            if k is None:
+                raise ArithmeticError(
+                    f"eigenvalue outside the expected roots of unity at q={self.F.q}"
+                )
+            mult[k] += count
+        m = self[x] = tuple(mult)
+        return m
+
+
+def _vertex_multiplicities(p: PresentationData, q: int):
+    """(graph, per vertex of the preset's graph: None for a trivial vertex,
+    else its generator's _Multiplicities).  Generator i is vertex i's;
+    free(a) has one trivial vertex and a generators.  The preset, the
+    suitability check and each vertex's index of roots of unity are set
+    up once here, not once per point."""
     g = preset(p.preset_name)
     if not is_suitable_prime_power(g, q):
         raise ValueError(f"q={q} is not suitable for {p.preset_name}")
     F = field(q)
-    positions = []  # per vertex: None if trivial, else {root of unity: index}
+    out = []
     for v in g.vertices:
         if v.order == 1:
-            positions.append(None)
+            out.append(None)
             continue
         n = v.order  # cyclic vertex groups only
         if v.simple_dims != (1,) * n:
@@ -445,31 +506,17 @@ def _point_reader(p: PresentationData, q: int):
         roots = [1]
         for _ in range(n - 1):
             roots.append(F.mul[roots[-1]][omega])
-        positions.append({r: k for k, r in enumerate(roots)})
-
-    def read(mats):
-        per_vertex = []
-        for i, pos in enumerate(positions):
-            if pos is None:
-                per_vertex.append((2 if mats and not isinstance(mats[0], int) else 1,))
-                continue
-            mult = [0] * len(pos)
-            for ev, count in _eigenvalues(F, mats[i]):
-                k = pos.get(ev)
-                if k is None:
-                    raise ArithmeticError(
-                        f"eigenvalue outside the expected roots of unity at q={q}"
-                    )
-                mult[k] += count
-            per_vertex.append(tuple(mult))
-        return dimvector(g, per_vertex)
-
-    return read
+        out.append(_Multiplicities(F, {r: k for k, r in enumerate(roots)}))
+    return g, out
 
 
 def dimvector_of_point(p: PresentationData, mats, q: int):
-    """Dimension vector of one relation-satisfying tuple (see _point_reader)."""
-    return _point_reader(p, q)(mats)
+    """Dimension vector of one relation-satisfying tuple, each vertex
+    generator's multiplicities read and the result validated by
+    dimvector(); the per-point reference for dimvector_census."""
+    g, mults = _vertex_multiplicities(p, q)
+    d = 2 if mats and not isinstance(mats[0], int) else 1
+    return dimvector(g, [(d,) if m is None else m[mats[i]] for i, m in enumerate(mults)])
 
 
 def _eigenvalues(F, x):
@@ -488,12 +535,20 @@ def _eigenvalues(F, x):
 def dimvector_census(p: PresentationData, d: int, q: int):
     """Per-dimension-vector point counts, refining count_hom.  The
     dimension vector of a point is a conjugation invariant, so each point
-    at a class representative of generator 0 counts once per class member."""
+    at a class representative of generator 0 counts once per class member.
+    Each vertex generator's multiplicities are read once per distinct
+    matrix, points are counted by their per-vertex multiplicities, and
+    dimvector() validates each distinct per-vertex tuple once."""
     _check_supported(p, d, q)
-    read = _point_reader(p, q)
-    out = {}
+    g, mults = _vertex_multiplicities(p, q)
+    vertex_gens = [(i, m) for i, m in enumerate(mults) if m is not None]
+    counts = {}
     for weight, tuples in _class_points(p, d, q):
         for mats in tuples:
-            m = read(mats)
-            out[m] = out.get(m, 0) + weight
+            key = tuple(m[mats[i]] for i, m in vertex_gens)
+            counts[key] = counts.get(key, 0) + weight
+    out = {}
+    for key, n in counts.items():
+        read = iter(key)
+        out[dimvector(g, [(d,) if m is None else next(read) for m in mults])] = n
     return out

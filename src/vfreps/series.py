@@ -524,9 +524,10 @@ def plethystic(f: GradedSeries, direction: str) -> GradedSeries:
 def _counts(g: GraphOfGroups, kind: str, trunc: int, y_func=None) -> tuple:
     """(handles, G, table) of one kind of count, cached on the graph:
     {code: handle} at the representatives of the tag G, zeros absent, and
-    what compute_<kind> hands out, each value read back once.  absim is
+    the per-vector table, each value read back once.  absim is
     (1-s) * Log(unshift(F^-1)) and ss its plethystic Exp, both checked to
-    lie in Z[s]; sim (compute_sim) needs the correction None."""
+    lie in Z[s]; sim (compute_sim) needs the correction None, and its table
+    is (the (c, handle) pairs at each representative, per-vector table)."""
     key = (kind, trunc, y_func)
     cached = g._pipeline_cache.get(key)
     if cached is not None:
@@ -545,7 +546,7 @@ def _counts(g: GraphOfGroups, kind: str, trunc: int, y_func=None) -> tuple:
     elif kind == "sim":
         absim, G, _ = _counts(g, "absim", trunc)
         read = vals.poly
-        handles, per_pair = {}, {}
+        handles, pairs_at = {}, {}
         for r in _codes(G, trunc):
             if not r:
                 continue
@@ -560,10 +561,7 @@ def _counts(g: GraphOfGroups, kind: str, trunc: int, y_func=None) -> tuple:
             h = vals.reduce(Counter(v for _, v in pairs))
             if h != vals.zero:
                 handles[r] = h
-            pairs = [(c, vals.poly(v)) for c, v in pairs]
-            for m in G.orbits[r]:
-                for c, p in pairs:
-                    per_pair[(m, c)] = p
+            pairs_at[r] = pairs
     else:
         raise KeyError(kind)
     table = {}
@@ -573,7 +571,7 @@ def _counts(g: GraphOfGroups, kind: str, trunc: int, y_func=None) -> tuple:
             raise NonPolynomialCoefficient(vectors[c], vals.value[h])
         for m in G.orbits[c]:
             table[m] = p
-    cached = g._pipeline_cache[key] = (handles, G, (per_pair, table) if kind == "sim" else table)
+    cached = g._pipeline_cache[key] = (handles, G, (pairs_at, table) if kind == "sim" else table)
     return cached
 
 
@@ -605,9 +603,18 @@ def compute_sim(g: GraphOfGroups, trunc: int):
     table's tag, the (r, c) value is the handle
         scale(reduce({adams(absim[r // c], c // gamma): mu(gamma)}), 1/c),
     r // c being a representative too; both tables are read back at every
-    key of r's orbit.
+    key of r's orbit.  The per-vector table is built with the sim handles;
+    the per-pair one only here, since no other caller reads it.
     """
-    return _counts(g, "sim", trunc)[2]
+    _, G, (pairs_at, per_vector) = _counts(g, "sim", trunc)
+    vals = _values_for(g)
+    per_pair = {}
+    for r, pairs in pairs_at.items():
+        pairs = [(c, vals.poly(h)) for c, h in pairs]
+        for m in G.orbits[r]:
+            for c, p in pairs:
+                per_pair[(m, c)] = p
+    return per_pair, per_vector
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +645,7 @@ class CountingTable:
 
     @property
     def sim(self) -> dict:
-        return compute_sim(self.graph, self.trunc)[1]
+        return self.per_vector("sim")
 
     def per_vector(self, kind: str) -> dict:
         table = _counts(self.graph, kind, self.trunc)[2]

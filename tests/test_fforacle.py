@@ -84,6 +84,17 @@ def test_extension_field_frobenius():
     assert sorted(fixed) == [0, 1, 2]
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 11, 13])
+def test_char_roots_table_matches_the_sweep(q):
+    # the table is filled from the factorizations (t - r)(t - s); the
+    # reference tries every t in F_q for every (trace, det)
+    F = field(q)
+    for tr, det in product(range(q), repeat=2):
+        sweep = tuple(t for t in range(q) if not F.add[F.mul[t][F.add[t][F.neg[tr]]]][det])
+        assert F.char_roots.get((tr, det), ()) == sweep, (tr, det)
+    assert set(F.char_roots) <= set(product(range(q), repeat=2))
+
+
 # ---------------------------------------------------------------------------
 # matrices and power solutions
 # ---------------------------------------------------------------------------
@@ -281,25 +292,26 @@ def test_count_absim_matches_pipeline(name, q):
     assert count_absim_orbits(presentation(name), 2, q) == pipeline_absim_count(name, 2, q)
 
 
+def _power(F, d, x, k):
+    """x^k by repeated multiplication, for a d = 1 or d = 2 element."""
+    if d == 2:
+        return mat_pow(F, x, k)
+    y = 1
+    for _ in range(k):
+        y = F.mul[y][x]
+    return y
+
+
 def _all_points(p, d, q):
     """Every relation-satisfying tuple: the full product of the power
     solutions, filtered by the equality relation."""
     F = field(q)
-
-    def power(x, k):
-        if d == 2:
-            return mat_pow(F, x, k)
-        y = 1
-        for _ in range(k):
-            y = F.mul[y][x]
-        return y
-
     sets = [flat_solutions(q, d, k) for k in p.power_orders]
     if p.equality is None:
         return list(product(*sets))
     i, a, j, b = p.equality
-    lhs = {x: power(x, a) for x in sets[i]}
-    rhs = {y: power(y, b) for y in sets[j]}
+    lhs = {x: _power(F, d, x, a) for x in sets[i]}
+    rhs = {y: _power(F, d, y, b) for y in sets[j]}
     return [t for t in product(*sets) if lhs[t[i]] == rhs[t[j]]]
 
 
@@ -370,6 +382,41 @@ def test_commutation_criterion_matches_the_commutant(name, q):
     # here, since every other generator's order divides q - 1
     assert (seen[True] > 0) == (name != "free(1)")
     assert (seen[False] > 0) == name.startswith("free")
+
+
+# the oracle presentations with an equality relation g_0^a = g_1^b, a = 1
+# for cyclic_amalgam(2,2,4), at every suitable q <= 13
+EQUALITY_POINTS = [
+    (name, q)
+    for name in ("gc(2)", "gc(3)", "sl2z", "cyclic_amalgam(2,2,4)")
+    for q in (2, 3, 4, 5, 7, 9, 11, 13)
+    if is_suitable_prime_power(preset(name), q)
+]
+
+
+@pytest.mark.parametrize("name,q", EQUALITY_POINTS)
+def test_solved_candidates_match_the_member_sweep(name, q):
+    # _classes solves y^b = x0^a once per class of generator 1; the
+    # reference powers every member y of generator 1's solutions, in the
+    # order power_solutions lists them.  At d = 2 both kinds of non-scalar
+    # class must give candidates: y^b = beta*I on the whole class
+    # (alpha = 0), and y^b = alpha*y + beta*I with one solution (alpha != 0)
+    from vfreps.fforacle import _classes
+
+    p = presentation(name)
+    _, a, _, b = p.equality
+    F = field(q)
+    for d in (1, 2):
+        classes1 = power_solutions(q, d, p.power_orders[1])
+        branches = set()
+        for _, x0, rest in _classes(p, d, q):
+            target = _power(F, d, x0, a)
+            sweep = [y for _, members in classes1 for y in members if _power(F, d, y, b) == target]
+            assert rest == [sweep], (d, x0)
+            for key, members in classes1:
+                if key[0] != "s" and set(members) & set(sweep):
+                    branches.add(ch_power(F, *key, b)[0] == 0)
+        assert branches == ({True, False} if d == 2 else set())
 
 
 def test_per_class_check_rejects_a_wrong_class_weight(monkeypatch):
