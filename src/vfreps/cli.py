@@ -17,14 +17,14 @@ identical invocations produce byte-identical output.
 
 Every command returns its output as an iterable of str pieces, which
 main writes with sys.stdout.writelines before the final newline.  count
-streams: it computes its tables and renders each distinct value once
-(its coefficient block, render_json at the entry's indent, or its text
-or latex cell) before it returns, and each entry is formatted only as it
-is written, as one % operation on a template built once per command
-from the graph's simple counts per vertex (for json, render_json of an
-entry skeleton).  No list of entry texts, table block or document string
-is built, and a failed table writes nothing.  The template holds layout
-only, so data text such as the group label never goes through it.
+streams: before it returns, it computes its tables at the orbit
+representatives (no per-key table) and renders each distinct value's
+cell (its coefficient block, or its text or latex cell) and each
+distinct vertex vector's text at its place in the entry layout once;
+each entry is then made only as it is written, from its key's pieces
+and its representative's cell.  No list of entry texts, table block or
+document string is built, and a failed table writes nothing.  The
+layout holds no data text, so the group label never goes through it.
 Entries come in output order, by total and then by code, from the
 enumeration of the keys, with no sort.  The argument parser is built on
 the first main call and reused by later calls.
@@ -43,6 +43,7 @@ import sys
 from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter, getitem, itemgetter
 from types import GeneratorType
 
 from . import fforacle, series
@@ -153,17 +154,7 @@ def render_json(obj, pad: str = "") -> str:
     return "".join(_json_chunks(obj, pad))
 
 
-_SLOT = _Raw("\0")  # stands for one field of an entry in a template
-
-
-def _template(text: str) -> str:
-    """The % template of a layout text whose fields are _SLOTs, literal
-    % escaped; the layout holds no data text."""
-    return text.replace("%", "%%").replace("\0", "%s")
-
-
-def _json_dimvector(m) -> list:
-    return [list(v) for v in m.per_vertex]
+_SLOT = _Raw("\0")  # stands for one field of an entry in its layout
 
 
 def _row(cells, fmt: str) -> str:
@@ -177,14 +168,21 @@ def _row(cells, fmt: str) -> str:
 
 def _table(rows, header, fmt: str):
     """The lines of a text, csv or latex table in order, each led by a
-    newline, around rows made by _row and led by theirs."""
+    newline, around rows made by _row and led by theirs; a text table
+    without rows is one empty line."""
+    rows = iter(rows)
+    row = next(rows, None)
+    if row is None and fmt == "text":
+        yield "\n"
     if fmt == "csv":
         yield "\n" + ",".join(header)
     elif fmt == "latex":
         yield "\n" + r"\begin{tabular}{|" + "c|" * len(header) + "}"
         yield "\n" + r"\hline"
         yield "\n" + " & ".join(header) + r" \\\hline"
-    yield from rows
+    if row is not None:
+        yield row
+        yield from rows
     if fmt == "latex":
         yield "\n" + r"\end{tabular}"
 
@@ -222,16 +220,16 @@ _CELL = {
 
 def cmd_count(args):
     """The pieces of a count table, an iterator.  Every table is computed
-    and each distinct value rendered once before it returns; each entry
-    is then one % operation, made as the pieces are consumed, on a
-    template built once per command, with the fields its template holds
-    (the key's entries, and its total for json) and then its value's
-    cell.  A json table is _json_chunks of a
-    document whose entry lists are generators of those texts; a text,
-    csv or latex table is its newline-led lines, the first newline
-    dropped."""
+    at the orbit representatives, and each distinct value's cell and each
+    distinct vertex vector's text rendered once, before it returns.  Each
+    entry is then made as the pieces are consumed: its key's text (its
+    vertex texts and the layout up to the value) and then the cell of its
+    representative's value.  A json table is _json_chunks of a document
+    whose entry lists are generators of those texts; a text, csv or latex
+    table is its newline-led lines, the first newline dropped."""
     g = resolve_group(args.group)
     D = args.max_dim
+    fmt = args.format
     wanted = None
     if getattr(args, "vector", None):
         if args.by != "dimvector":
@@ -241,68 +239,70 @@ def cmd_count(args):
             raise CliError("--vector exceeds --max-dim")
     table = CountingTable(g, D)
     kinds = ["absim", "ss", "sim"] if args.kind == "all" else [args.kind]
-    # the key fields of an entry, in the order its template holds them;
-    # the value's cell is the last field
+    pad = " " * (4 if len(kinds) == 1 else 6)  # json entries sit under "entries" or "tables"
+    # per kind (the lookup of every key in output order, {lookup: Poly});
+    # the entry layout has a \0 per vertex, the total (if shown) and the cell
     if args.by == "total":
-        keys = [(d, (d,)) for d in range(1, D + 1)]
-        values = table.aggregate
-        first = "d"
-        label = "d=\0" if args.format == "text" else "\0"
-        skeleton = {"d": _SLOT, "coefficients": _SLOT}
+        keys = range(1, D + 1)
+        found = {kind: (keys, table.aggregate(kind)) for kind in kinds}
+        first, vertices = "d", 0
+        layout = {"d": _SLOT, "coefficients": _SLOT} if fmt == "json" else _row(
+            ["d=\0" if fmt == "text" else "\0", "\0"], fmt)
     else:
-        vectors = [wanted] if wanted is not None else [
+        keys = [wanted] if wanted is not None else [
             m for d in range(1, D + 1) for m in enumerate_dimvectors(g, d)
         ]
-        # the text, csv and latex labels hold no total
-        if args.format == "json":
-            keys = [(m, (*chain.from_iterable(m.per_vertex), m.total)) for m in vectors]
+        found = {}
+        for kind in kinds:
+            rep, polys = table.by_representative(kind)
+            if wanted is not None:
+                polys = {rep[wanted.code]: polys.get(rep[wanted.code], POLY_ZERO)}
+            found[kind] = (map(rep.__getitem__, map(attrgetter("code"), keys)), polys)
+        first, vertices = "dimvector", len(g.vertices)
+        if fmt == "json":
+            layout = {"dimvector": [_SLOT] * vertices, "total_dim": _SLOT, "coefficients": _SLOT}
+            render = lambda x: _json_text(list(x), pad + "    ")
         else:
-            keys = [(m, tuple(chain.from_iterable(m.per_vertex))) for m in vectors]
-        values = table.per_vector
-        first = "dimvector"
-        label = "(" + ",".join("(" + ",".join("\0" * len(v.simple_dims)) + ")" for v in g.vertices) + ")"
-        skeleton = {
-            "dimvector": [[_SLOT] * len(v.simple_dims) for v in g.vertices],
-            "total_dim": _SLOT,
-            "coefficients": _SLOT,
-        }
-    # entries in output order (total, then code) as (key fields, value);
-    # keys without a value are left out, except a wanted vector
-    default = None if wanted is None else POLY_ZERO
-    tables = {}
-    for kind in kinds:
-        found = values(kind)
-        tables[kind] = [(f, p) for k, f in keys if (p := found.get(k, default)) is not None]
-    distinct = {p for entries in tables.values() for _, p in entries}
-    if args.format == "json":
-        pad = " " * (4 if len(kinds) == 1 else 6)  # under "entries" or "tables"
-        template = _template(render_json(skeleton, pad))
-        cells = {p: render_json(p.json_coeffs(), pad + "  ") for p in distinct}
-        texts = {
-            kind: (template % (*f, cells[p]) for f, p in entries)
-            for kind, entries in tables.items()
-        }
+            # laid out on a field per simple, as csv quotes a label with a
+            # comma, then each vertex's fields become one
+            simples = "(" + ",".join("(" + ",".join("\1" * len(v.simple_dims)) + ")" for v in g.vertices) + ")"
+            layout = _row([simples, "\0"], fmt).replace(simples, "(" + ",".join("\0" * vertices) + ")")
+            render = lambda x: "(" + ",".join(map(str, x)) + ")"
+    parts = (render_json(layout, pad) if fmt == "json" else "\n" + layout).split("\0")
+    # a key's text: each vertex vector's text led by the layout before it,
+    # then the layout up to the cell, with the total where it shows one
+    places = [{x: parts[v] + render(x) for x in set(map(itemgetter(v), map(attrgetter("per_vertex"), keys)))}
+              for v in range(vertices)]
+    joint = {d: str(d).join(parts[vertices:-1]) for d in range(D + 1)}
+    key_text = (lambda m: "".join(map(getitem, places, m.per_vertex)) + joint[m.total]) if vertices \
+        else joint.__getitem__
+    cell = (lambda p: render_json(p.json_coeffs(), pad + "  ")) if fmt == "json" else _CELL[fmt]
+    cells = {p: cell(p) + parts[-1] for _, polys in found.values() for p in polys.values()}
+    texts = {
+        kind: _entries(keys, map({k: cells[p] for k, p in polys.items()}.get, lookups), key_text)
+        for kind, (lookups, polys) in found.items()
+    }
+    if fmt == "json":
         doc = {"group": g.label, "D": D, "kind": args.kind, "by": args.by}
         if len(kinds) == 1:
             doc["entries"] = texts[kinds[0]]
         else:
             doc["tables"] = texts
         return _json_chunks(doc)
-    # key fields are ints, so csv quotes the label template exactly when it
-    # quotes the labels
-    template = _template("\n" + _row([label, "\0"], args.format))
-    cell = _CELL[args.format]
-    cells = {p: cell(p) for p in distinct}
     sections = []
-    for kind, entries in tables.items():
+    for kind, rows in texts.items():
         if len(kinds) > 1:
             sections.append((f"\n[{kind}]",))
-        rows = (template % (*f, cells[p]) for f, p in entries)
-        if entries or args.format != "text":
-            sections.append(_table(rows, [first, kind], args.format))
-        else:  # a text table without rows is one empty line
-            sections.append(("\n",))
+        sections.append(_table(rows, [first, kind], fmt))
     return _unled(chain.from_iterable(sections))
+
+
+def _entries(keys, cells, key_text):
+    """One table's entries: key_text(key) + cell for each key whose cell
+    is not None; a function, so that each table binds its own cells."""
+    for k, cell in zip(keys, cells):
+        if cell is not None:
+            yield key_text(k) + cell
 
 
 def cmd_monoid(args) -> tuple:
@@ -314,7 +314,7 @@ def cmd_monoid(args) -> tuple:
     if args.format == "json":
         entries = [
             {
-                "dimvector": _json_dimvector(m),
+                "dimvector": [list(v) for v in m.per_vertex],
                 "euler_form": e,
                 "correction": correction_y(g, m),
                 "shift_exponent": sig,

@@ -17,13 +17,14 @@ A key stores its vertex entries only.  Its edge vectors, the common
 restrictions that the Euler form, the correction Y and the point counts
 read, are derived from the s-side vertex entries on first read
 (DimVector.per_edge), so the keys that only index a convolution never
-build them.
+build them.  A key hashes as its code: equal per_vertex tuples have equal
+codes, in any graph.
 
 One edge-constraint join (_EdgeJoin) solves the edge constraints for
 every caller: enumeration feeds it each vertex's weighted compositions
-of d and returns the keys in code order, and the orbit quotient feeds it
-each vertex's sub-box x <= m_v to walk the sub-vectors of m.  No other
-module knows the code layout.
+of d and returns the keys in code order, with no sort, and the orbit
+quotient feeds it each vertex's sub-box x <= m_v to walk the
+sub-vectors of m.  No other module knows the code layout.
 """
 
 from __future__ import annotations
@@ -51,14 +52,13 @@ class DimVector:
     them).
     """
 
-    __slots__ = ("graph", "per_vertex", "total", "code", "_hash", "_per_edge")
+    __slots__ = ("graph", "per_vertex", "total", "code", "_per_edge")
 
     def __init__(self, graph, per_vertex, total, code):
         self.graph = graph
         self.per_vertex = per_vertex
         self.total = total
         self.code = code
-        self._hash = hash(per_vertex)
         self._per_edge = None
 
     @property
@@ -76,7 +76,7 @@ class DimVector:
         return isinstance(other, DimVector) and self.per_vertex == other.per_vertex
 
     def __hash__(self):
-        return self._hash
+        return hash(self.code)
 
     def __lt__(self, other):
         return self.per_vertex < other.per_vertex
@@ -156,7 +156,8 @@ def _pack(pv: tuple) -> int:
 def _interned(g: GraphOfGroups, code: int, pv: tuple, total: int) -> DimVector:
     """The graph's interned vector with this code; pv and total are
     trusted, and used only when the code is new.  The one constructor of
-    DimVector, so no vector with an unpackable total exists."""
+    DimVector but enumerate_dimvectors, which checks its total once per
+    degree, so no vector with an unpackable total exists."""
     _check_total(total)
     m = g._dv_cache.get(code)
     if m is None:
@@ -229,8 +230,8 @@ def divide(m: DimVector, c: int):
 def enumerate_dimvectors(g: GraphOfGroups, d: int):
     """All dimension vectors of total dimension d, in code order (which is
     lexicographic on the concatenated per-vertex vectors): the join of the
-    vertices' weighted compositions of d, each key interned under the code
-    the join computed."""
+    vertices' weighted compositions of d, which comes in code order, each
+    key interned under the code the join computed."""
     if d < 0:
         raise ValueError("negative total dimension")
     _check_total(d)
@@ -239,8 +240,9 @@ def enumerate_dimvectors(g: GraphOfGroups, d: int):
         return cached
     join = _EdgeJoin(g)
     boxes = [join.items(v, _weighted_compositions(d, u.simple_dims)) for v, u in enumerate(g.vertices)]
+    intern = g._dv_cache.setdefault
     out = g._enum_cache[d] = tuple(
-        _interned(g, code, tuple(map(_VECTOR, picks)), d) for code, picks in sorted(join(boxes))
+        intern(code, DimVector(g, tuple(map(_VECTOR, picks)), d, code)) for code, picks in join(boxes)
     )
     return out
 
@@ -255,9 +257,11 @@ def _weighted_compositions(d: int, dims) -> list:
 
 class _EdgeJoin:
     """The one solver of the edge constraints of a graph.  Called with one
-    box of items per vertex, it returns (code, picks), unordered, for every
-    dimension vector whose vertex vectors come from the boxes; picks[v] is
-    the item chosen at vertex v.
+    box of items per vertex, it returns (code, picks) for every dimension
+    vector whose vertex vectors come from the boxes; picks[v] is the item
+    chosen at vertex v, in code order when the boxes are: vertex 0's items
+    come in box order, edge j (amalgams first, in tree order) glues vertex
+    j + 1 on in box order, and HNN edges filter.
 
     An item starts with the vertex vector's code contribution and its
     packed images: its images under every restriction at the vertex, side

@@ -24,7 +24,8 @@ candidates of an equality relation (solved per class of generator 1 and
 per distinct x0^a), generator 0's invariant lines (once per class of
 generator 0), and eigenvalue multiplicities (once per distinct matrix,
 with dimvector() called once per distinct dimension vector).  Only the
-absolute-simplicity test runs per point.
+absolute-simplicity test runs per point, reading each matrix's invariant
+lines from a table that lives for one count_absim_orbits call.
 
 Supported: d <= 2, q <= 13 with q = 4, 9 realized through fixed
 irreducible polynomials.  Character indexing over F_q fixes the canonical
@@ -36,7 +37,7 @@ vertex group is g0^((q-1)/n) raised to gamma.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from math import prod
 
@@ -223,7 +224,6 @@ def power_solutions(q: int, d: int, k):
     raise ValueError("oracle supports d <= 2 only")
 
 
-@lru_cache(maxsize=None)
 def invariant_lines(q: int, A):
     """Indices of the projective lines of F_q^2 mapped to themselves by A
     (index x for the line through (1, x), q for the line through (0, 1)):
@@ -437,16 +437,17 @@ def count_absim_orbits(p: PresentationData, d: int, q: int) -> int:
     F = field(q)
     orbit_size = (q * q - 1) * (q * q - q) // (q - 1)
     points = 0
+    lines_of = lru_cache(maxsize=None)(partial(invariant_lines, q))  # for this call only
     for weight, tuples in _class_points(p, d, q):
         n, lines0 = 0, None
         for mats in tuples:
             if lines0 is None:  # every tuple of the class starts with its x0
-                lines0 = invariant_lines(q, mats[0])
+                lines0 = lines_of(mats[0])
             common = lines0
             for A in mats[1:]:
                 if not common:
                     break
-                common = common & invariant_lines(q, A)
+                common = common & lines_of(A)
             if not common and any(
                 mat_mul(F, A, B) != mat_mul(F, B, A) for i, A in enumerate(mats) for B in mats[i + 1:]
             ):

@@ -383,15 +383,13 @@ def _extend(g: GraphOfGroups, pinned: list):
     delta][gamma'] over the assigned delta of every restriction M at that
     vertex.  Each edge simple may only go to one of equal dimension.
     Agreement is an equivalence, so sigma_v exists iff the signatures
-    agree as multisets; sigma() tests that at every node by matching each
-    simple to the first free image of its signature, and the match at the
-    last node is sigma.  There a signature class is one signature, so
-    sigma sends every class onto its image in ascending order and maps a
-    key with sorted classes to one with sorted classes."""
-    ends = [[] for _ in g.vertices]  # per vertex: (edge index, matrix)
-    for j, e in enumerate(g.edges):
-        ends[e.s].append((j, e.iota.matrix))
-        ends[e.t].append((j, e.kappa.matrix))
+    agree as multisets (_match).  Only the end vertices of an edge read its
+    tau, so assigning tau_e[delta] extends their signatures by one entry
+    and matches them again; the match at the last node is sigma.  There a
+    signature class is one signature, so sigma sends every class onto its
+    image in ascending order and maps a key with sorted classes to one
+    with sorted classes."""
+    at = [((e.s, e.iota.matrix), (e.t, e.kappa.matrix)) for e in g.edges]
     tau = [[None] * len(e.group.simple_dims) for e in g.edges]
     domains = {}
     for j, e in enumerate(g.edges):
@@ -401,39 +399,47 @@ def _extend(g: GraphOfGroups, pinned: list):
             domains[j, delta] = [pin] if pin is not None else [
                 image for image in range(len(dims)) if dims[image] == dims[delta]]
     points = sorted(domains, key=lambda point: len(domains[point]))
-
-    def sigma():
-        out = []
-        for v, vertex in enumerate(g.vertices):
-            dims = vertex.simple_dims
-            terms = [(m, delta, image) for j, m in ends[v]
-                     for delta, image in enumerate(tau[j]) if image is not None]
-            free = {}  # signature -> free images, ascending
-            for y in range(len(dims)):
-                key = (dims[y],) + tuple(m[image][y] for m, _, image in terms)
-                free.setdefault(key, []).append(y)
-            p = []
-            for x in range(len(dims)):
-                images = free.get((dims[x],) + tuple(m[delta][x] for m, delta, _ in terms))
-                if not images:
-                    return None
-                p.append(images.pop(0))
-            out.append(tuple(p))
-        return tuple(out)
+    # per vertex: its simples' signatures as preimages and as images, and
+    # their match, the identity while no tau entry is assigned
+    state = []
+    for vertex in g.vertices:
+        signatures = [(dim,) for dim in vertex.simple_dims]
+        state.append((signatures, signatures, tuple(range(len(signatures)))))
 
     def search(i):
-        s = sigma()
-        if s is None or i == len(points):
-            return s
+        if i == len(points):
+            return tuple(p for _, _, p in state)
         j, delta = points[i]
         for image in domains[j, delta]:
             if image not in tau[j]:
                 tau[j][delta] = image
-                s = search(i + 1)
-                if s is not None:
-                    return s
+                before = state[:]
+                for v, m in at[j]:
+                    xs, ys, _ = state[v]
+                    xs, ys = list(map(add, xs, zip(m[delta]))), list(map(add, ys, zip(m[image])))
+                    state[v] = (xs, ys, _match(xs, ys))
+                if all(state[v][2] is not None for v, _ in at[j]):
+                    s = search(i + 1)
+                    if s is not None:
+                        return s
+                state[:] = before
                 tau[j][delta] = None
         return None
 
     s = search(0)
     return None if s is None else (s, tuple(tuple(t) for t in tau))
+
+
+def _match(xs: list, ys: list):
+    """The permutation that sends each simple x to the first free simple y
+    with ys[y] == xs[x], or None when the signatures differ as multisets."""
+    free = {}  # signature -> free images, ascending
+    for y, key in enumerate(ys):
+        free.setdefault(key, []).append(y)
+    p = []
+    for key in xs:
+        images = free.get(key)
+        if not images:
+            return None
+        p.append(images.pop(0))
+    return tuple(p)

@@ -55,8 +55,9 @@ at the representatives of its tag only and is computed there: _solve
 sums, for each representative m, over its decompositions m = m1 + (m -
 m1), which a walk over the sub-vectors of m finds and which name
 a[rep(m1)] and right[rep(m - m1)].  Other keys take their representative's value only
-where a caller reads every key: GradedSeries.coeffs, the Poly tables, and
-an operand that mul or shift moves to a smaller tag.
+where a caller reads every key: GradedSeries.coeffs, the per-key Poly
+tables (built on their first read, _per_key), and an operand that mul or
+shift moves to a smaller tag.
 
 The tests keep the solve that multiplies whole degree buckets pairwise as
 the reference, and check mul, invert, Log and Exp under G, a proper
@@ -522,29 +523,30 @@ def plethystic(f: GradedSeries, direction: str) -> GradedSeries:
 # ---------------------------------------------------------------------------
 
 def _counts(g: GraphOfGroups, kind: str, trunc: int, y_func=None) -> tuple:
-    """(handles, G, table) of one kind of count, cached on the graph:
-    {code: handle} at the representatives of the tag G, zeros absent, and
-    the per-vector table, each value read back once.  absim is
-    (1-s) * Log(unshift(F^-1)) and ss its plethystic Exp, both checked to
-    lie in Z[s]; sim (compute_sim) needs the correction None, and its table
-    is (the (c, handle) pairs at each representative, per-vector table)."""
+    """(handles, G, polys, pairs_at) of one kind of count, cached on the
+    graph: {code: handle} at the representatives of the tag G, zeros
+    absent, their values read back as Polys, and for sim the (c, handle)
+    pairs at each representative (else None).  absim is (1-s) *
+    Log(unshift(F^-1)) and ss its plethystic Exp, both checked to lie in
+    Z[s] before anything is cached; sim (compute_sim) needs the
+    correction None.  No per-key table is built here (_per_key)."""
     key = (kind, trunc, y_func)
     cached = g._pipeline_cache.get(key)
     if cached is not None:
         return cached
     vals = _values_for(g)
     vectors = g._dv_cache
-    read = vals.integer_poly
+    read, pairs_at = vals.integer_poly, None
     if kind == "absim":
         log = plethystic(shift(invert(build_F(g, trunc, y_func)), "inverse", y_func), "log")
         one_minus_s = vals.reduce({vals.one: 1, vals.s_power(1): -1})
         handles = {c: vals.mul(one_minus_s, h) for c, h in log.handles.items()}
         G = log.symmetry
     elif kind == "ss":
-        absim, G, _ = _counts(g, "absim", trunc, y_func)
+        absim, G, _, _ = _counts(g, "absim", trunc, y_func)
         handles = plethystic(_series(g, trunc, absim, G), "exp").handles
     elif kind == "sim":
-        absim, G, _ = _counts(g, "absim", trunc)
+        absim, G, _, _ = _counts(g, "absim", trunc)
         read = vals.poly
         handles, pairs_at = {}, {}
         for r in _codes(G, trunc):
@@ -564,33 +566,42 @@ def _counts(g: GraphOfGroups, kind: str, trunc: int, y_func=None) -> tuple:
             pairs_at[r] = pairs
     else:
         raise KeyError(kind)
-    table = {}
+    polys = {}
     for c, h in handles.items():
-        p = read(h)
+        p = polys[c] = read(h)
         if p is None:
             raise NonPolynomialCoefficient(vectors[c], vals.value[h])
-        for m in G.orbits[c]:
-            table[m] = p
-    cached = g._pipeline_cache[key] = (handles, G, (pairs_at, table) if kind == "sim" else table)
+    cached = g._pipeline_cache[key] = (handles, G, polys, pairs_at)
     return cached
+
+
+def _per_key(g: GraphOfGroups, kind: str, trunc: int, y_func=None) -> dict:
+    """One kind's {DimVector: Poly} table, each key taking its
+    representative's Poly: built on its first read and cached on the graph."""
+    key = ("per_key", kind, trunc, y_func)
+    table = g._pipeline_cache.get(key)
+    if table is None:
+        _, G, polys, _ = _counts(g, kind, trunc, y_func)
+        table = g._pipeline_cache[key] = {m: p for c, p in polys.items() for m in G.orbits[c]}
+    return table
 
 
 def compute_absim(g: GraphOfGroups, trunc: int, y_func=None) -> dict:
     """Counting polynomials of absolutely simple modules per dimension
     vector: (1-s) * Log(unshift(F^-1)), coefficients forced into Z[s].
 
-    Returns {DimVector: Poly} with zero entries absent.  Raises
+    Returns {DimVector: Poly} with zero entries absent (_per_key).  Raises
     NonPolynomialCoefficient if any coefficient fails to normalize.
     """
-    return _counts(g, "absim", trunc, y_func)[2]
+    return _per_key(g, "absim", trunc, y_func)
 
 
 def compute_ss(g: GraphOfGroups, trunc: int, y_func=None) -> dict:
     """Counting polynomials of semisimple modules per dimension vector:
     plethystic Exp of the absolutely simple series, which carries the tag
     of the Log it came from.  The zero vector maps to the constant 1 (the
-    zero module)."""
-    return _counts(g, "ss", trunc, y_func)[2]
+    zero module).  Built like compute_absim's table."""
+    return _per_key(g, "ss", trunc, y_func)
 
 
 def compute_sim(g: GraphOfGroups, trunc: int):
@@ -603,10 +614,10 @@ def compute_sim(g: GraphOfGroups, trunc: int):
     table's tag, the (r, c) value is the handle
         scale(reduce({adams(absim[r // c], c // gamma): mu(gamma)}), 1/c),
     r // c being a representative too; both tables are read back at every
-    key of r's orbit.  The per-vector table is built with the sim handles;
-    the per-pair one only here, since no other caller reads it.
+    key of r's orbit.  The per-vector table is built with the sim handles
+    (_per_key); the per-pair one only here, since no other caller reads it.
     """
-    _, G, (pairs_at, per_vector) = _counts(g, "sim", trunc)
+    _, G, _, pairs_at = _counts(g, "sim", trunc)
     vals = _values_for(g)
     per_pair = {}
     for r, pairs in pairs_at.items():
@@ -614,7 +625,7 @@ def compute_sim(g: GraphOfGroups, trunc: int):
         for m in G.orbits[r]:
             for c, p in pairs:
                 per_pair[(m, c)] = p
-    return per_pair, per_vector
+    return per_pair, _per_key(g, "sim", trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -625,37 +636,35 @@ def compute_sim(g: GraphOfGroups, trunc: int):
 class CountingTable:
     """All counting polynomials of one group up to a truncation.
 
-    Each kind is computed on first use and cached on the graph, so a
-    request for one kind pays for no other: absim, ss and sim map
-    DimVector -> Poly with zero entries absent (ss includes the zero
-    vector; sim is the per-vector half of compute_sim).  aggregate sums a
-    kind's handles per total dimension and reads back one Poly per total.
+    Each kind is computed on first use, at the orbit representatives, and
+    cached on the graph, so a request for one kind pays for no other.
+    absim, ss and sim (per_vector) map DimVector -> Poly with zero entries
+    absent (ss includes the zero vector; sim is the per-vector half of
+    compute_sim), built on their first read.  by_representative and
+    aggregate (one Poly per total) read the representatives only.
     """
 
     graph: GraphOfGroups
     trunc: int
 
-    @property
-    def absim(self) -> dict:
-        return compute_absim(self.graph, self.trunc)
-
-    @property
-    def ss(self) -> dict:
-        return compute_ss(self.graph, self.trunc)
-
-    @property
-    def sim(self) -> dict:
-        return self.per_vector("sim")
+    absim = property(lambda self: self.per_vector("absim"))
+    ss = property(lambda self: self.per_vector("ss"))
+    sim = property(lambda self: self.per_vector("sim"))
 
     def per_vector(self, kind: str) -> dict:
-        table = _counts(self.graph, kind, self.trunc)[2]
-        return table[1] if kind == "sim" else table
+        return _per_key(self.graph, kind, self.trunc)
+
+    def by_representative(self, kind: str) -> tuple:
+        """(rep, values): {code: representative's code} for every key of
+        total <= trunc and {representative's code: Poly}, zeros absent."""
+        _, G, polys, _ = _counts(self.graph, kind, self.trunc)
+        return G.representatives(self.trunc), polys
 
     def aggregate(self, kind: str) -> dict:
         """{d: Poly} for every total d in 0..trunc: the sum of the kind's
         values of total d, one reduce over the representatives, each
         weighted by the size of its orbit."""
-        handles, G, _ = _counts(self.graph, kind, self.trunc)
+        handles, G, _, _ = _counts(self.graph, kind, self.trunc)
         vals = _values_for(self.graph)
         acc = [Counter() for _ in range(self.trunc + 1)]
         for c, h in handles.items():

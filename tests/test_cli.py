@@ -11,8 +11,9 @@ import pytest
 from vfreps import cli, series
 from vfreps.dimmonoid import enumerate_dimvectors, format_dimvector, parse_dimvector, scale
 from vfreps.exactalg import Poly
-from vfreps.groupgraph import preset, save
+from vfreps.groupgraph import load, preset, save
 from vfreps.series import CountingTable
+from test_dimmonoid import random_group_data
 
 
 def run(capsys, *argv):
@@ -366,6 +367,31 @@ def test_count_tables_match_a_per_entry_reference(capsys, table_group, fmt):
         code, out, _ = run(capsys, *argv, "--format", fmt)
         assert code == 0
         assert _lines_of(out) == _lines_of(_reference_text(g, argv, fmt))
+
+
+def test_count_by_dimvector_matches_the_per_vector_tables_on_random_group_data(capsys, monkeypatch):
+    # the command reads each kind at the orbit representatives and renders
+    # each vertex vector once; the reference reads CountingTable.per_vector
+    # of an independent copy of the graph at every key
+    D = 3
+    for data in random_group_data():
+        g = load(save(data), label="random")
+        monkeypatch.setattr(cli, "resolve_group", lambda name: g)
+        keys = [m for d in range(D + 1) for m in enumerate_dimvectors(data, d)]
+        # the last key, the zero vector, and twice a key of total one,
+        # which no absolutely simple module has
+        vectors = [keys[-1], keys[0]] + [scale(m, 2) for m in keys if m.total == 1][:1]
+        requests = [(kind, ()) for kind in ("all", "absim", "ss", "sim")]
+        requests += [("all", ("--vector", format_dimvector(m))) for m in vectors]
+        for kind, vector in requests:
+            argv = ("count", "--group", "random", "--max-dim", str(D), "--kind", kind,
+                    "--by", "dimvector", *vector)
+            for fmt in ("text", "csv", "latex"):
+                code, out, _ = run(capsys, *argv, "--format", fmt)
+                assert code == 0 and _lines_of(out) == _lines_of(_reference_text(data, argv, fmt))
+            code, out, _ = run(capsys, *argv, "--format", "json")
+            want = json.dumps(_reference_json(data, "random", argv), indent=2) + "\n"
+            assert code == 0 and _lines_of(out) == _lines_of(want)
 
 
 def test_json_stdout_is_canonical_for_an_odd_group_file_name(capsys, odd_psl2z, tmp_path):
@@ -734,6 +760,25 @@ def test_unrequested_kinds_are_not_computed(capsys, monkeypatch):
     ):
         code, out, _ = run(capsys, *argv)
         assert code == 0 and out
+
+
+def test_tables_and_epoly_build_no_per_key_table(capsys, monkeypatch):
+    def boom(g, kind, trunc, y_func=None):
+        raise AssertionError(f"per-key {kind} table built")
+
+    monkeypatch.setattr(series, "_per_key", boom)
+    for fmt in ("text", "json", "csv", "latex"):
+        for argv in (
+            ("count", "--group", "sl2z", "--max-dim", "4", "--kind", "all", "--by", "dimvector"),
+            ("count", "--group", "sl2z", "--max-dim", "4", "--by", "dimvector",
+             "--vector", "((0,0,0,2),(0,0,0,1,0,1))"),
+            ("count", "--group", "sl2z", "--max-dim", "4", "--kind", "all", "--by", "total"),
+            ("epoly", "--group", "sl2z", "--max-dim", "4"),
+        ):
+            code, out, _ = run(capsys, *argv, "--format", fmt)
+            assert code == 0 and out
+    with pytest.raises(AssertionError, match="per-key"):
+        CountingTable(preset("sl2z"), 4).per_vector("ss")
 
 
 def _lines(*lines):

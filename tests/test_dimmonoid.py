@@ -109,6 +109,15 @@ def test_enumeration_is_sorted_lexicographically():
     assert vecs == sorted(vecs)
 
 
+def _check_codes_increase(g, D):
+    """The join returns every degree's keys in code order without a sort:
+    their codes increase strictly, so their per_vertex tuples do too."""
+    for d in range(D + 1):
+        keys = enumerate_dimvectors(g, d)
+        assert all(a.code < b.code for a, b in zip(keys, keys[1:])), d
+        assert all(a.per_vertex < b.per_vertex for a, b in zip(keys, keys[1:])), d
+
+
 def _unpruned_constrained_vectors(u, matrix, dims):
     """All nonnegative x with matrix . x = u, unpruned: every column is
     enumerated up to its bound and the residual is checked only at the leaf."""
@@ -137,6 +146,18 @@ ENUMERATION_PRESETS = [
     "cyclic_amalgam(2,2,4)", "dinf", "gc(2)", "psl2z", "sl2z", "gl2z", "pgl2z",
     "cyclic_amalgam(6,3,6)", "cyclic_amalgam(12,12,12)",
 ]
+
+
+@pytest.mark.parametrize("name", ENUMERATION_PRESETS)
+def test_enumeration_codes_increase_strictly_on_presets(name):
+    _check_codes_increase(_fresh(name), 5)
+
+
+def test_enumeration_codes_increase_strictly_on_random_group_data():
+    for g in random_group_data():
+        _check_codes_increase(g, 5)
+    for twisted in (False, True):
+        _check_codes_increase(_hnn_loop(twisted), 6)
 
 
 @pytest.mark.parametrize("name", ENUMERATION_PRESETS)

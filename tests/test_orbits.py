@@ -14,7 +14,9 @@ from operator import attrgetter, itemgetter
 import pytest
 
 from test_dimmonoid import _fresh, _hnn_loop, random_group_data
+from test_groupgraph import ALL_PRESETS
 from test_series import _alt_y, _weighted_y
+from vfreps import orbits
 from vfreps.dimmonoid import _EdgeJoin, enumerate_dimvectors
 from vfreps.orbits import automorphisms, trivial
 
@@ -186,3 +188,70 @@ def test_edge_moving_generators_of_the_presets(name, moving):
     # the rest of each G is the adjacent transpositions of its signature
     # classes, which generate G0
     assert _check_generators(automorphisms(_fresh(name))) == moving
+
+
+def _rebuilding_extend(g, pinned):
+    """The backtrack of orbits._extend with every vertex's signatures
+    rebuilt at every node: the reference for the one that recomputes only
+    the end vertices of the edge just assigned."""
+    ends = [[] for _ in g.vertices]
+    for j, e in enumerate(g.edges):
+        ends[e.s].append((j, e.iota.matrix))
+        ends[e.t].append((j, e.kappa.matrix))
+    tau = [[None] * len(e.group.simple_dims) for e in g.edges]
+    domains = {}
+    for j, e in enumerate(g.edges):
+        dims = e.group.simple_dims
+        for delta in range(len(dims)):
+            pin = pinned[j].get(delta)
+            domains[j, delta] = [pin] if pin is not None else [
+                image for image in range(len(dims)) if dims[image] == dims[delta]]
+    points = sorted(domains, key=lambda point: len(domains[point]))
+
+    def sigma():
+        out = []
+        for v, vertex in enumerate(g.vertices):
+            dims = vertex.simple_dims
+            terms = [(m, delta, image) for j, m in ends[v]
+                     for delta, image in enumerate(tau[j]) if image is not None]
+            free = {}
+            for y in range(len(dims)):
+                key = (dims[y],) + tuple(m[image][y] for m, _, image in terms)
+                free.setdefault(key, []).append(y)
+            p = []
+            for x in range(len(dims)):
+                images = free.get((dims[x],) + tuple(m[delta][x] for m, delta, _ in terms))
+                if not images:
+                    return None
+                p.append(images.pop(0))
+            out.append(tuple(p))
+        return tuple(out)
+
+    def search(i):
+        s = sigma()
+        if s is None or i == len(points):
+            return s
+        j, delta = points[i]
+        for image in domains[j, delta]:
+            if image not in tau[j]:
+                tau[j][delta] = image
+                s = search(i + 1)
+                if s is not None:
+                    return s
+                tau[j][delta] = None
+        return None
+
+    s = search(0)
+    return None if s is None else (s, tuple(tuple(t) for t in tau))
+
+
+REFERENCE_PRESETS = ALL_PRESETS + ["cyclic_amalgam(12,6,12)", "cyclic_amalgam(24,24,24)"]
+
+
+def test_generators_equal_those_of_the_rebuilding_backtrack(monkeypatch):
+    graphs = [_fresh(name) for name in REFERENCE_PRESETS] + list(random_group_data())
+    graphs += [_hnn_loop(twisted) for twisted in (False, True)]
+    found = [orbits._automorphism_generators(g) for g in graphs]
+    monkeypatch.setattr(orbits, "_extend", _rebuilding_extend)
+    assert [orbits._automorphism_generators(g) for g in graphs] == found
+    assert any(any(tau != tuple(map(tuple, map(range, map(len, tau)))) for _, tau in gens) for gens in found)

@@ -1,9 +1,9 @@
 """Byte identity of the CLI's published tables.
 
 tests/fixtures/published_digests.json holds the SHA-1 of `vfreps count
---kind all --by dimvector --format json`, of `vfreps count --kind all
---by total --format json` and of `vfreps epoly --format json` for psl2z
-D=12, sl2z D=8, gl2z D=10 and pgl2z D=12.  A change to the scalar representation, the series
+--kind all --by dimvector` in each of the four formats, of `vfreps count
+--kind all --by total --format json` and of `vfreps epoly --format json`
+for psl2z D=12, sl2z D=8, gl2z D=10 and pgl2z D=12.  A change to the scalar representation, the series
 stages or the renderer that alters one byte of these tables fails here,
 and so does output that depends on the process's string-hash seed.
 """
@@ -23,8 +23,8 @@ from vfreps import cli
 DIGESTS = json.loads((Path(__file__).parent / "fixtures" / "published_digests.json").read_text())
 
 
-def _argv(name, D, by="dimvector"):
-    return ["count", "--group", name, "--max-dim", str(D), "--kind", "all", "--by", by, "--format", "json"]
+def _argv(name, D, by="dimvector", fmt="json"):
+    return ["count", "--group", name, "--max-dim", str(D), "--kind", "all", "--by", by, "--format", fmt]
 
 
 def _sha1(capsys, argv):
@@ -36,6 +36,13 @@ def _sha1(capsys, argv):
 def test_published_table_output_is_byte_identical(name, capsys):
     entry = DIGESTS["tables"][name]
     assert _sha1(capsys, _argv(name, entry["D"])) == entry["sha1"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "latex"])
+@pytest.mark.parametrize("name", sorted(DIGESTS["tables"]))
+def test_published_table_text_csv_and_latex_are_byte_identical(name, fmt, capsys):
+    entry = DIGESTS[fmt][name]
+    assert _sha1(capsys, _argv(name, entry["D"], fmt=fmt)) == entry["sha1"]
 
 
 @pytest.mark.parametrize("name", sorted(DIGESTS["by_total"]))
