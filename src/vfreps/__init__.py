@@ -12,7 +12,7 @@ The package is organized along the pipeline:
   cli         command-line interface
 """
 
-from .exactalg import Poly, QPower, RatFunc, gl_count, is_prime_power, mobius
+from .exactalg import Poly, RatFunc, gl_count, mobius, prime_power
 from .groupgraph import (
     Edge,
     FiniteGroupData,
@@ -39,7 +39,6 @@ from .dimmonoid import (
     symmetry_orbits,
 )
 from .series import (
-    CountingTable,
     GradedSeries,
     NonPolynomialCoefficient,
     build_F,

@@ -59,7 +59,7 @@ from .dimmonoid import (
 )
 from .exactalg import POLY_ZERO, Poly
 from .groupgraph import PRESET_NAMES, GraphOfGroups, ValidationError, load, preset
-from .series import CountingTable, NonPolynomialCoefficient
+from .series import NonPolynomialCoefficient
 
 
 class CliError(Exception):
@@ -237,14 +237,13 @@ def cmd_count(args):
         wanted = parse_dimvector(g, args.vector)
         if wanted.total > D:
             raise CliError("--vector exceeds --max-dim")
-    table = CountingTable(g, D)
     kinds = ["absim", "ss", "sim"] if args.kind == "all" else [args.kind]
     pad = " " * (4 if len(kinds) == 1 else 6)  # json entries sit under "entries" or "tables"
     # per kind (the lookup of every key in output order, {lookup: Poly});
     # the entry layout has a \0 per vertex, the total (if shown) and the cell
     if args.by == "total":
         keys = range(1, D + 1)
-        found = {kind: (keys, table.aggregate(kind)) for kind in kinds}
+        found = {kind: (keys, series.aggregate(g, kind, D)) for kind in kinds}
         first, vertices = "d", 0
         layout = {"d": _SLOT, "coefficients": _SLOT} if fmt == "json" else _row(
             ["d=\0" if fmt == "text" else "\0", "\0"], fmt)
@@ -254,7 +253,7 @@ def cmd_count(args):
         ]
         found = {}
         for kind in kinds:
-            rep, polys = table.by_representative(kind)
+            rep, polys = series.by_representative(g, kind, D)
             if wanted is not None:
                 polys = {rep[wanted.code]: polys.get(rep[wanted.code], POLY_ZERO)}
             found[kind] = (map(rep.__getitem__, map(attrgetter("code"), keys)), polys)
@@ -334,7 +333,7 @@ def cmd_monoid(args) -> tuple:
 
 def cmd_epoly(args) -> tuple:
     g = resolve_group(args.group)
-    agg = CountingTable(g, args.max_dim).aggregate("ss")
+    agg = series.aggregate(g, "ss", args.max_dim)
     data = [(d, p, int(p.eval(1))) for d, p in agg.items() if d >= 1]
     if args.format == "json":
         entries = [
@@ -383,7 +382,7 @@ def cmd_oracle(args) -> tuple:
         )
     elif args.check == "absim":
         oracle = fforacle.count_absim_orbits(p, d, q)
-        pipeline = CountingTable(g, d).aggregate("absim")[d].eval(q)
+        pipeline = series.aggregate(g, "absim", d)[d].eval(q)
         ok = oracle == pipeline
         lines.append(
             f"check=absim group={args.group} d={d} q={q}: "

@@ -213,16 +213,6 @@ def gcd_div(m: DimVector):
     return g, divisors
 
 
-def divide(m: DimVector, c: int):
-    """m/c when c divides every entry, else None."""
-    if c == 0:
-        raise ZeroDivisionError("division of a dimension vector by zero")
-    if any(x % c for v in m.per_vertex for x in v):
-        return None
-    pv = tuple(tuple(x // c for x in v) for v in m.per_vertex)
-    return dimvector(m.graph, pv)
-
-
 # ---------------------------------------------------------------------------
 # enumeration: the edge-constraint join
 # ---------------------------------------------------------------------------
@@ -373,13 +363,10 @@ class SymmetryGroupDescriptor:
     permute) the blocks on both sides at once.
 
     generators: tuples of per-vertex permutations (index tuples).
-    blocks: per vertex, the tuple of partition blocks (None for
-    trivial_edges).
     """
 
     kind: str
     generators: tuple
-    blocks: tuple = None
 
 
 def symmetry_descriptor(g: GraphOfGroups) -> SymmetryGroupDescriptor:
@@ -418,7 +405,7 @@ def symmetry_descriptor(g: GraphOfGroups) -> SymmetryGroupDescriptor:
                         p[x], p[y] = y, x
                     perms.append(tuple(p))
                 gens.append(tuple(perms))
-        return SymmetryGroupDescriptor("abelian_vertices", tuple(gens), blocks)
+        return SymmetryGroupDescriptor("abelian_vertices", tuple(gens))
     raise ValueError(
         "symmetry group supported only for trivial edge groups or a single "
         "amalgam of abelian vertex groups"
@@ -445,15 +432,6 @@ def _one_vertex_transposition(g, vertex, a, b):
             p[a], p[b] = b, a
         perms.append(tuple(p))
     return tuple(perms)
-
-
-def apply_symmetry(m: DimVector, perms) -> DimVector:
-    """The image of m under one tuple of per-vertex permutations, looked up
-    by its code among the enumerated keys of m's total; ValueError when
-    the image is not one of them."""
-    g = m.graph
-    enumerate_dimvectors(g, m.total)
-    return _image(g, _permuted(m.per_vertex, perms))
 
 
 def _permuted(pv: tuple, perms) -> tuple:

@@ -924,37 +924,11 @@ def mobius(n: int) -> int:
     return -1 if len(f) % 2 else 1
 
 
-class QPower:
-    """A prime power q = p^e with its exact integer value."""
-
-    __slots__ = ("p", "e", "value")
-
-    def __init__(self, p: int, e: int):
-        if e < 1:
-            raise ValueError("exponent must be >= 1")
-        if len(factorize(p)) != 1 or factorize(p)[p] != 1:
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.e = e
-        self.value = p ** e
-
-    @classmethod
-    def from_value(cls, q: int) -> "QPower":
-        if q < 2:
-            raise ValueError(f"{q} is not a prime power")
-        f = factorize(q)
-        if len(f) != 1:
-            raise ValueError(f"{q} is not a prime power")
-        (p, e), = f.items()
-        return cls(p, e)
-
-    def __repr__(self):
-        return f"QPower({self.p}^{self.e})"
-
-
-def is_prime_power(q: int) -> bool:
-    try:
-        QPower.from_value(q)
-        return True
-    except ValueError:
-        return False
+def prime_power(q: int) -> tuple:
+    """(p, e) with q = p^e and p prime; ValueError when q is not a prime
+    power."""
+    f = factorize(q) if q >= 2 else {}
+    if len(f) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    (p, e), = f.items()
+    return p, e

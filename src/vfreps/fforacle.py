@@ -25,7 +25,8 @@ per distinct x0^a), generator 0's invariant lines (once per class of
 generator 0), and eigenvalue multiplicities (once per distinct matrix,
 with dimvector() called once per distinct dimension vector).  Only the
 absolute-simplicity test runs per point, reading each matrix's invariant
-lines from a table that lives for one count_absim_orbits call.
+lines from a table that lives for one count_absim_orbits call.  Each
+call resolves its preset and tests q's suitability once.
 
 Supported: d <= 2, q <= 13 with q = 4, 9 realized through fixed
 irreducible polynomials.  Character indexing over F_q fixes the canonical
@@ -42,7 +43,7 @@ from itertools import product
 from math import prod
 
 from .dimmonoid import dimvector
-from .exactalg import QPower
+from .exactalg import prime_power
 from .groupgraph import _parse_preset_name, cyclic_amalgam_orders, is_suitable_prime_power, preset
 
 
@@ -63,17 +64,15 @@ class SmallField:
     """
 
     def __init__(self, q: int):
-        qp = QPower.from_value(q)
+        p, e = prime_power(q)
         if q > 13:
             raise ValueError("oracle fields are limited to q <= 13")
         self.q = q
-        self.p = qp.p
-        self.e = qp.e
-        if qp.e == 1:
+        if e == 1:
             add = [[(a + b) % q for b in range(q)] for a in range(q)]
             mul = [[(a * b) % q for b in range(q)] for a in range(q)]
         elif q in _IRREDUCIBLE:
-            add, mul = self._extension_tables(qp.p, _IRREDUCIBLE[q])
+            add, mul = self._extension_tables(p, _IRREDUCIBLE[q])
         else:
             raise ValueError(f"no irreducible polynomial on file for q={q}")
         self.add = add
@@ -322,6 +321,8 @@ def presentation(name: str) -> PresentationData:
 
 
 def _check_supported(p: PresentationData, d: int, q: int):
+    """The preset's graph, once d, q and the presentation pass the
+    oracle's limits and q is suitable for the graph; else ValueError."""
     if d > 2 or d < 1:
         raise ValueError("oracle supports dimensions 1 and 2 only")
     if q > 13:
@@ -485,15 +486,12 @@ class _Multiplicities(dict):
         return m
 
 
-def _vertex_multiplicities(p: PresentationData, q: int):
-    """(graph, per vertex of the preset's graph: None for a trivial vertex,
-    else its generator's _Multiplicities).  Generator i is vertex i's;
-    free(a) has one trivial vertex and a generators.  The preset, the
-    suitability check and each vertex's index of roots of unity are set
-    up once here, not once per point."""
-    g = preset(p.preset_name)
-    if not is_suitable_prime_power(g, q):
-        raise ValueError(f"q={q} is not suitable for {p.preset_name}")
+def _vertex_multiplicities(g, q: int) -> list:
+    """Per vertex of g, the graph _check_supported returned: None for a
+    trivial vertex, else its generator's _Multiplicities.  Generator i is
+    vertex i's; free(a) has one trivial vertex and a generators.  Each
+    vertex's index of roots of unity is set up once here, not once per
+    point."""
     F = field(q)
     out = []
     for v in g.vertices:
@@ -508,15 +506,17 @@ def _vertex_multiplicities(p: PresentationData, q: int):
         for _ in range(n - 1):
             roots.append(F.mul[roots[-1]][omega])
         out.append(_Multiplicities(F, {r: k for k, r in enumerate(roots)}))
-    return g, out
+    return out
 
 
 def dimvector_of_point(p: PresentationData, mats, q: int):
     """Dimension vector of one relation-satisfying tuple, each vertex
     generator's multiplicities read and the result validated by
-    dimvector(); the per-point reference for dimvector_census."""
-    g, mults = _vertex_multiplicities(p, q)
+    dimvector(); the per-point reference for dimvector_census.  d is read
+    off the tuple and checked like the census's."""
     d = 2 if mats and not isinstance(mats[0], int) else 1
+    g = _check_supported(p, d, q)
+    mults = _vertex_multiplicities(g, q)
     return dimvector(g, [(d,) if m is None else m[mats[i]] for i, m in enumerate(mults)])
 
 
@@ -540,8 +540,8 @@ def dimvector_census(p: PresentationData, d: int, q: int):
     Each vertex generator's multiplicities are read once per distinct
     matrix, points are counted by their per-vertex multiplicities, and
     dimvector() validates each distinct per-vertex tuple once."""
-    _check_supported(p, d, q)
-    g, mults = _vertex_multiplicities(p, q)
+    g = _check_supported(p, d, q)
+    mults = _vertex_multiplicities(g, q)
     vertex_gens = [(i, m) for i, m in enumerate(mults) if m is not None]
     counts = {}
     for weight, tuples in _class_points(p, d, q):

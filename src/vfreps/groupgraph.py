@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exactalg import QPower
+from .exactalg import prime_power
 
 
 class ValidationError(ValueError):
@@ -63,10 +63,6 @@ class RestrictionMap:
     @property
     def rows(self):
         return len(self.matrix)
-
-    @property
-    def cols(self):
-        return len(self.matrix[0]) if self.matrix else 0
 
     def apply(self, m):
         """Push a vertex multiplicity vector down to the edge group."""
@@ -459,9 +455,9 @@ def is_suitable_prime_power(g: GraphOfGroups, q: int) -> bool:
     Conservative: a field can be suitable without q = 1 mod exponent, but
     the congruence guarantees all needed roots of unity exist.
     """
-    qp = QPower.from_value(q)
+    p, _ = prime_power(q)
     for v in g.vertices:
-        if v.order % qp.p == 0:
+        if v.order % p == 0:
             return False
         if (q - 1) % v.exponent != 0:
             return False

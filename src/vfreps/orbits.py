@@ -95,9 +95,6 @@ class Automorphisms:
         self._decompositions = {}
         self._respecting = {}
 
-    def is_trivial(self) -> bool:
-        return not self.generators
-
     def respecting(self, y_func, trunc: int) -> "Automorphisms":
         """The subgroup H generated by the generators whose mover keeps
         y_func on every key of total <= trunc, with y_func evaluated once

@@ -67,7 +67,6 @@ subgroup and the trivial group against it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import dimmonoid
@@ -523,13 +522,16 @@ def plethystic(f: GradedSeries, direction: str) -> GradedSeries:
 # ---------------------------------------------------------------------------
 
 def _counts(g: GraphOfGroups, kind: str, trunc: int, y_func=None) -> tuple:
-    """(handles, G, polys, pairs_at) of one kind of count, cached on the
-    graph: {code: handle} at the representatives of the tag G, zeros
+    """(handles, G, polys, pairs_at) of one kind of count, the one table
+    builder: {code: handle} at the representatives of the tag G, zeros
     absent, their values read back as Polys, and for sim the (c, handle)
-    pairs at each representative (else None).  absim is (1-s) *
-    Log(unshift(F^-1)) and ss its plethystic Exp, both checked to lie in
-    Z[s] before anything is cached; sim (compute_sim) needs the
-    correction None.  No per-key table is built here (_per_key)."""
+    pairs at each representative (else None).  Built on first use and
+    cached on the graph, so a request for one kind pays for no other
+    (ss and sim build absim).  absim is (1-s) * Log(unshift(F^-1)) and ss
+    its plethystic Exp, both checked to lie in Z[s] before anything is
+    cached; sim (compute_sim) needs the correction None.  No per-key
+    table is built here: the readers are by_representative and aggregate
+    at the representatives, and compute_<kind> through _per_key."""
     key = (kind, trunc, y_func)
     cached = g._pipeline_cache.get(key)
     if cached is not None:
@@ -615,7 +617,8 @@ def compute_sim(g: GraphOfGroups, trunc: int):
         scale(reduce({adams(absim[r // c], c // gamma): mu(gamma)}), 1/c),
     r // c being a representative too; both tables are read back at every
     key of r's orbit.  The per-vector table is built with the sim handles
-    (_per_key); the per-pair one only here, since no other caller reads it.
+    (_per_key); the per-pair one only here, since no command reads it
+    (count reads sim through by_representative and aggregate).
     """
     _, G, _, pairs_at = _counts(g, "sim", trunc)
     vals = _values_for(g)
@@ -632,44 +635,25 @@ def compute_sim(g: GraphOfGroups, trunc: int):
 # counting tables and E-polynomials
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CountingTable:
-    """All counting polynomials of one group up to a truncation.
+def by_representative(g: GraphOfGroups, kind: str, trunc: int) -> tuple:
+    """One kind's table read at the orbit representatives, with no per-key
+    table built: (rep, values), rep mapping the code of every key of total
+    <= trunc to its representative's code (a key takes its representative's
+    value) and values {representative's code: Poly}, zeros absent."""
+    _, G, polys, _ = _counts(g, kind, trunc)
+    return G.representatives(trunc), polys
 
-    Each kind is computed on first use, at the orbit representatives, and
-    cached on the graph, so a request for one kind pays for no other.
-    absim, ss and sim (per_vector) map DimVector -> Poly with zero entries
-    absent (ss includes the zero vector; sim is the per-vector half of
-    compute_sim), built on their first read.  by_representative and
-    aggregate (one Poly per total) read the representatives only.
-    """
 
-    graph: GraphOfGroups
-    trunc: int
-
-    absim = property(lambda self: self.per_vector("absim"))
-    ss = property(lambda self: self.per_vector("ss"))
-    sim = property(lambda self: self.per_vector("sim"))
-
-    def per_vector(self, kind: str) -> dict:
-        return _per_key(self.graph, kind, self.trunc)
-
-    def by_representative(self, kind: str) -> tuple:
-        """(rep, values): {code: representative's code} for every key of
-        total <= trunc and {representative's code: Poly}, zeros absent."""
-        _, G, polys, _ = _counts(self.graph, kind, self.trunc)
-        return G.representatives(self.trunc), polys
-
-    def aggregate(self, kind: str) -> dict:
-        """{d: Poly} for every total d in 0..trunc: the sum of the kind's
-        values of total d, one reduce over the representatives, each
-        weighted by the size of its orbit."""
-        handles, G, _, _ = _counts(self.graph, kind, self.trunc)
-        vals = _values_for(self.graph)
-        acc = [Counter() for _ in range(self.trunc + 1)]
-        for c, h in handles.items():
-            acc[self.graph._dv_cache[c].total][h] += len(G.orbits[c])
-        return {d: vals.poly(vals.reduce(a) if a else vals.zero) for d, a in enumerate(acc)}
+def aggregate(g: GraphOfGroups, kind: str, trunc: int) -> dict:
+    """{d: Poly} for every total d in 0..trunc: the sum of the kind's
+    values of total d, one reduce over the representatives, each
+    weighted by the size of its orbit."""
+    handles, G, _, _ = _counts(g, kind, trunc)
+    vals = _values_for(g)
+    acc = [Counter() for _ in range(trunc + 1)]
+    for c, h in handles.items():
+        acc[g._dv_cache[c].total][h] += len(G.orbits[c])
+    return {d: vals.poly(vals.reduce(a) if a else vals.zero) for d, a in enumerate(acc)}
 
 
 def epoly_text(p: Poly) -> str:

@@ -12,7 +12,6 @@ from vfreps import cli, series
 from vfreps.dimmonoid import enumerate_dimvectors, format_dimvector, parse_dimvector, scale
 from vfreps.exactalg import Poly
 from vfreps.groupgraph import load, preset, save
-from vfreps.series import CountingTable
 from test_dimmonoid import random_group_data
 
 
@@ -234,10 +233,9 @@ def _options(argv):
 def _reference_entries(g, D, kind, by, vector):
     """(key, value) per entry in output order: the table's entries of
     total >= 1 sorted by total and then by per-vertex entries."""
-    table = CountingTable(g, D)
     if by == "total":
-        return [(d, p) for d, p in table.aggregate(kind).items() if d >= 1]
-    found = table.per_vector(kind)
+        return [(d, p) for d, p in series.aggregate(g, kind, D).items() if d >= 1]
+    found = series._per_key(g, kind, D)
     if vector is not None:
         m = parse_dimvector(g, vector)
         return [(m, found.get(m, Poly(())))]
@@ -371,7 +369,7 @@ def test_count_tables_match_a_per_entry_reference(capsys, table_group, fmt):
 
 def test_count_by_dimvector_matches_the_per_vector_tables_on_random_group_data(capsys, monkeypatch):
     # the command reads each kind at the orbit representatives and renders
-    # each vertex vector once; the reference reads CountingTable.per_vector
+    # each vertex vector once; the reference reads series._per_key
     # of an independent copy of the graph at every key
     D = 3
     for data in random_group_data():
@@ -612,15 +610,15 @@ def test_oracle_fails_on_a_non_integral_pipeline_value(capsys, monkeypatch, chec
     from vfreps.exactalg import RatFunc
 
     seventh = RatFunc(Poly((1,)), Poly((7,)))
-    real_count, real_aggregate = series.rep_space_count, CountingTable.aggregate
+    real_count, real_aggregate = series.rep_space_count, series.aggregate
 
-    def aggregate(table, kind):
-        sums = dict(real_aggregate(table, kind))
-        sums[table.trunc] = sums[table.trunc] + Poly((1,), 7)
+    def aggregate(g, kind, trunc):
+        sums = dict(real_aggregate(g, kind, trunc))
+        sums[trunc] = sums[trunc] + Poly((1,), 7)
         return sums
 
     monkeypatch.setattr(series, "rep_space_count", lambda g, m: real_count(g, m) + seventh)
-    monkeypatch.setattr(CountingTable, "aggregate", aggregate)
+    monkeypatch.setattr(series, "aggregate", aggregate)
     code, out, _ = run(
         capsys, "oracle", "--group", "psl2z", "--dim", str(dim), "--q", "7", "--check", check
     )
@@ -690,10 +688,10 @@ def test_usage_error_after_a_good_call_exits_1(capsys):
 def test_pipeline_integrity_error_exits_2(capsys, monkeypatch):
     from vfreps.series import NonPolynomialCoefficient
 
-    def boom(g, trunc):
+    def boom(g, kind, trunc, y_func=None):
         raise NonPolynomialCoefficient("((1,0),(1,0,0))", "1/(s-1)")
 
-    monkeypatch.setattr(cli, "CountingTable", boom)
+    monkeypatch.setattr(series, "_counts", boom)
     code, _, err = run(capsys, "count", "--group", "psl2z", "--max-dim", "1")
     assert code == 2
     assert "integrity" in err
@@ -737,10 +735,10 @@ def test_epoly_negative_max_dim_exits_1(capsys):
 
 @pytest.mark.parametrize("command", ["count", "epoly"])
 def test_max_dim_beyond_total_bound_exits_1_at_once(capsys, monkeypatch, command):
-    def boom(g, trunc):
+    def boom(g, kind, trunc, y_func=None):
         raise AssertionError("the pipeline started")
 
-    monkeypatch.setattr(cli, "CountingTable", boom)
+    monkeypatch.setattr(series, "_counts", boom)
     code, out, err = run(capsys, command, "--group", "psl2z", "--max-dim", "65536")
     assert (code, out) == (1, "")
     assert "65536" in err and "bound" in err
@@ -778,7 +776,7 @@ def test_tables_and_epoly_build_no_per_key_table(capsys, monkeypatch):
             code, out, _ = run(capsys, *argv, "--format", fmt)
             assert code == 0 and out
     with pytest.raises(AssertionError, match="per-key"):
-        CountingTable(preset("sl2z"), 4).per_vector("ss")
+        series.compute_ss(preset("sl2z"), 4)
 
 
 def _lines(*lines):

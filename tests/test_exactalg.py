@@ -14,7 +14,6 @@ from vfreps.exactalg import (
     POLY_ONE,
     PoleError,
     Poly,
-    QPower,
     RatFunc,
     S,
     _adams_factors,
@@ -27,8 +26,8 @@ from vfreps.exactalg import (
     _unpack,
     gl_count,
     gl_product,
-    is_prime_power,
     mobius,
+    prime_power,
     rf_sum,
 )
 
@@ -315,13 +314,12 @@ def test_mobius_values():
         mobius(0)
 
 
-def test_qpower():
-    qp = QPower.from_value(9)
-    assert (qp.p, qp.e, qp.value) == (3, 2, 9)
-    assert is_prime_power(13) and is_prime_power(4)
-    assert not is_prime_power(12) and not is_prime_power(1)
-    with pytest.raises(ValueError):
-        QPower.from_value(6)
+def test_prime_power():
+    assert prime_power(9) == (3, 2)
+    assert prime_power(13) == (13, 1) and prime_power(4) == (2, 2)
+    for q in (12, 6, 1, 0, -4):
+        with pytest.raises(ValueError, match="not a prime power"):
+            prime_power(q)
 
 
 def test_s_power_and_pow():

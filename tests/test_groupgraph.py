@@ -69,7 +69,7 @@ def test_preset_gc3_shape():
     assert [v.order for v in g.vertices] == [6, 6]
     (e,) = g.edges
     assert e.group.order == 3
-    assert e.iota.rows == 3 and e.iota.cols == 6
+    assert e.iota.rows == 3 and len(e.iota.matrix[0]) == 6
     assert e.iota == e.kappa
     # congruence pattern: character gamma restricts to gamma mod 3
     for gamma in range(6):
@@ -81,7 +81,7 @@ def test_cyclic_presets_have_single_one_per_column():
     for name in ["psl2z", "sl2z", "dinf", "gc(2)", "cyclic_amalgam(6,3,9)"]:
         for e in preset(name).edges:
             for rm in (e.iota, e.kappa):
-                for gamma in range(rm.cols):
+                for gamma in range(len(rm.matrix[0])):
                     col = [rm.matrix[d][gamma] for d in range(rm.rows)]
                     assert sorted(col) == [0] * (rm.rows - 1) + [1]
 

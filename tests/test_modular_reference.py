@@ -15,7 +15,7 @@ The ring shares no code with exactalg, and a polynomial identity holds at
 every point, so the exact tables evaluated at the same points must equal
 the modular ones: absim and ss, both halves of compute_sim (the simple
 counts per pair and per vector, with rational coefficients) and the
-per-total sums of CountingTable.aggregate for all three kinds.  A mismatch
+per-total sums of series.aggregate for all three kinds.  A mismatch
 proves an error in exactalg or a scalar that bypasses the table, and the
 table's intern rejects any value that is not a residue tuple.
 """
@@ -33,7 +33,7 @@ from vfreps import series as series_module
 from vfreps.exactalg import RF_ONE
 from vfreps.groupgraph import preset
 from vfreps.orbits import trivial
-from vfreps.series import CountingTable, build_F, compute_absim, compute_sim, compute_ss, plethystic
+from vfreps.series import build_F, compute_absim, compute_sim, compute_ss, plethystic
 
 GOLDEN_DEPTH = {"psl2z": 12, "sl2z": 8, "gl2z": 10, "pgl2z": 12}
 
@@ -184,7 +184,7 @@ def _tables(g, trunc, y_func):
     if y_func is None:
         tables["sim per pair"], tables["sim"] = compute_sim(g, trunc)
         for kind in ("absim", "ss", "sim"):
-            tables[f"{kind} per total"] = CountingTable(g, trunc).aggregate(kind)
+            tables[f"{kind} per total"] = series_module.aggregate(g, kind, trunc)
     return tables
 
 
