@@ -18,16 +18,18 @@ identical invocations produce byte-identical output.
 Every command returns its output as an iterable of str pieces, which
 main writes with sys.stdout.writelines before the final newline.  count
 streams: before it returns, it computes its tables at the orbit
-representatives (no per-key table) and renders each distinct value's
-cell (its coefficient block, or its text or latex cell) and each
-distinct vertex vector's text at its place in the entry layout once;
-each entry is then made only as it is written, from its key's pieces
-and its representative's cell.  No list of entry texts, table block or
+representatives (no per-key table), renders each distinct value's cell
+(its coefficient block, or its text or latex cell) once, and takes each
+key's representative and text from one key stream per tag
+(Automorphisms.labelled), a join of the vertex compositions, each
+rendered once at its place in the entry layout, that interns no key.
+Each entry is then made only as it is written, from its key's text and
+its representative's cell.  No list of entry texts, table block or
 document string is built, and a failed table writes nothing.  The
 layout holds no data text, so the group label never goes through it.
-Entries come in output order, by total and then by code, from the
-enumeration of the keys, with no sort.  The argument parser is built on
-the first main call and reused by later calls.
+Entries come in output order, by total and then by code, as the join
+gives them, with no sort.  The argument parser is built on the first
+main call and reused by later calls.
 
 Exit codes: 0 success, 1 validation/usage error, 2 pipeline integrity
 error (including oracle FAIL).  When the reader of stdout closes the pipe
@@ -43,7 +45,6 @@ import sys
 from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, getitem, itemgetter
 from types import GeneratorType
 
 from . import fforacle, series
@@ -220,13 +221,14 @@ _CELL = {
 
 def cmd_count(args):
     """The pieces of a count table, an iterator.  Every table is computed
-    at the orbit representatives, and each distinct value's cell and each
-    distinct vertex vector's text rendered once, before it returns.  Each
-    entry is then made as the pieces are consumed: its key's text (its
-    vertex texts and the layout up to the value) and then the cell of its
-    representative's value.  A json table is _json_chunks of a document
-    whose entry lists are generators of those texts; a text, csv or latex
-    table is its newline-led lines, the first newline dropped."""
+    at the orbit representatives, each distinct value's cell rendered
+    once and each key's text and representative streamed (_key_stream),
+    before it returns.  Each entry is then made as the pieces are
+    consumed: its key's text (its vertex texts and the layout up to the
+    value) and then the cell of its representative's value.  A json table
+    is _json_chunks of a document whose entry lists are generators of
+    those texts; a text, csv or latex table is its newline-led lines, the
+    first newline dropped."""
     g = resolve_group(args.group)
     D = args.max_dim
     fmt = args.format
@@ -239,24 +241,15 @@ def cmd_count(args):
             raise CliError("--vector exceeds --max-dim")
     kinds = ["absim", "ss", "sim"] if args.kind == "all" else [args.kind]
     pad = " " * (4 if len(kinds) == 1 else 6)  # json entries sit under "entries" or "tables"
-    # per kind (the lookup of every key in output order, {lookup: Poly});
+    # per kind (the lookup of every entry in output order, {lookup: Poly});
     # the entry layout has a \0 per vertex, the total (if shown) and the cell
     if args.by == "total":
-        keys = range(1, D + 1)
-        found = {kind: (keys, series.aggregate(g, kind, D)) for kind in kinds}
+        found = {kind: (range(1, D + 1), series.aggregate(g, kind, D)) for kind in kinds}
         first, vertices = "d", 0
         layout = {"d": _SLOT, "coefficients": _SLOT} if fmt == "json" else _row(
             ["d=\0" if fmt == "text" else "\0", "\0"], fmt)
     else:
-        keys = [wanted] if wanted is not None else [
-            m for d in range(1, D + 1) for m in enumerate_dimvectors(g, d)
-        ]
-        found = {}
-        for kind in kinds:
-            rep, polys = series.by_representative(g, kind, D)
-            if wanted is not None:
-                polys = {rep[wanted.code]: polys.get(rep[wanted.code], POLY_ZERO)}
-            found[kind] = (map(rep.__getitem__, map(attrgetter("code"), keys)), polys)
+        found = {kind: series.by_representative(g, kind, D) for kind in kinds}
         first, vertices = "dimvector", len(g.vertices)
         if fmt == "json":
             layout = {"dimvector": [_SLOT] * vertices, "total_dim": _SLOT, "coefficients": _SLOT}
@@ -270,15 +263,23 @@ def cmd_count(args):
     parts = (render_json(layout, pad) if fmt == "json" else "\n" + layout).split("\0")
     # a key's text: each vertex vector's text led by the layout before it,
     # then the layout up to the cell, with the total where it shows one
-    places = [{x: parts[v] + render(x) for x in set(map(itemgetter(v), map(attrgetter("per_vertex"), keys)))}
-              for v in range(vertices)]
-    joint = {d: str(d).join(parts[vertices:-1]) for d in range(D + 1)}
-    key_text = (lambda m: "".join(map(getitem, places, m.per_vertex)) + joint[m.total]) if vertices \
-        else joint.__getitem__
+    joint = [str(d).join(parts[vertices:-1]) for d in range(D + 1)]
+    if args.by == "total":
+        key_texts = joint[1:]
+    else:
+        # one stream per tag, which the kinds share: every key's
+        # representative under the tag, and its text, the same under any tag
+        reps = {}
+        for kind, (G, polys) in found.items():
+            if G not in reps:
+                reps[G], key_texts = _key_stream(G, wanted, D, parts, joint, render)
+            if wanted is not None:
+                polys = {reps[G][0]: polys.get(reps[G][0], POLY_ZERO)}
+            found[kind] = (reps[G], polys)
     cell = (lambda p: render_json(p.json_coeffs(), pad + "  ")) if fmt == "json" else _CELL[fmt]
     cells = {p: cell(p) + parts[-1] for _, polys in found.values() for p in polys.values()}
     texts = {
-        kind: _entries(keys, map({k: cells[p] for k, p in polys.items()}.get, lookups), key_text)
+        kind: _entries(key_texts, map({k: cells[p] for k, p in polys.items()}.get, lookups))
         for kind, (lookups, polys) in found.items()
     }
     if fmt == "json":
@@ -296,12 +297,30 @@ def cmd_count(args):
     return _unled(chain.from_iterable(sections))
 
 
-def _entries(keys, cells, key_text):
-    """One table's entries: key_text(key) + cell for each key whose cell
-    is not None; a function, so that each table binds its own cells."""
-    for k, cell in zip(keys, cells):
+def _key_stream(G, wanted, D, parts, joint, render) -> tuple:
+    """(reps, texts) of the keys of totals 1..D in output order, or of the
+    one key wanted: each key's representative's code under the tag G and
+    its text, its vertex vectors rendered and led by the layout before
+    them, the last one followed by the layout up to the cell."""
+    if wanted is not None:
+        text = "".join(parts[v] + render(x) for v, x in enumerate(wanted.per_vertex))
+        return [G.rep(wanted)], [text + joint[wanted.total]]
+    reps, texts = [], []
+    ends = [""] * len(G.graph.vertices)
+    for d in range(1, D + 1):
+        ends[-1] = joint[d]
+        r, t = G.labelled(d, lambda v, x: parts[v] + render(x) + ends[v])
+        reps += r
+        texts += t
+    return reps, texts
+
+
+def _entries(texts, cells):
+    """One table's entries: text + cell for each entry whose cell is not
+    None; a function, so that each table binds its own cells."""
+    for text, cell in zip(texts, cells):
         if cell is not None:
-            yield key_text(k) + cell
+            yield text + cell
 
 
 def cmd_monoid(args) -> tuple:

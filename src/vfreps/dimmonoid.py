@@ -22,9 +22,12 @@ codes, in any graph.
 
 One edge-constraint join (_EdgeJoin) solves the edge constraints for
 every caller: enumeration feeds it each vertex's weighted compositions
-of d and returns the keys in code order, with no sort, and the orbit
-quotient feeds it each vertex's sub-box x <= m_v to walk the
-sub-vectors of m.  No other module knows the code layout.
+of d and returns the keys in code order, with no sort.  The orbit
+quotient feeds it the compositions whose runs ascend, to generate its
+representatives without the other keys, each vertex's sub-box items to
+count the decompositions of a representative, and every composition
+with its text to stream the keys of the command line's per-key table.
+No other module knows the code layout.
 """
 
 from __future__ import annotations
@@ -232,33 +235,44 @@ def enumerate_dimvectors(g: GraphOfGroups, d: int):
     boxes = [join.items(v, _weighted_compositions(d, u.simple_dims)) for v, u in enumerate(g.vertices)]
     intern = g._dv_cache.setdefault
     out = g._enum_cache[d] = tuple(
-        intern(code, DimVector(g, tuple(map(_VECTOR, picks)), d, code)) for code, picks in join(boxes)
+        intern(code, DimVector(g, tuple(map(_VECTOR, picks)), d, code)) for code, _, picks in join(boxes)
     )
     return out
 
 
-def _weighted_compositions(d: int, dims) -> list:
-    """All nonnegative m with sum(dims[i] * m[i]) = d, in lexicographic order."""
-    if len(dims) <= 1:
-        return [(d // dims[0],)] if dims and d % dims[0] == 0 else []
-    w = dims[0]
-    return [(x,) + rest for x in range(d // w + 1) for rest in _weighted_compositions(d - w * x, dims[1:])]
+def _weighted_compositions(d: int, dims, floor=None) -> list:
+    """All nonnegative m with sum(dims[i] * m[i]) = d, in lexicographic
+    order; with floor, only those with m[i] >= m[floor[i]] wherever
+    floor[i] is not None (an earlier place).  Built place by place, the
+    last place solved for."""
+    floor = floor or [None] * len(dims)
+    parts = [((), d)]
+    for w, f in zip(dims[:-1], floor):
+        parts = [(x + (k,), rest - w * k) for x, rest in parts
+                 for k in range(0 if f is None else x[f], rest // w + 1)]
+    w, f = dims[-1], floor[-1]
+    return [x + (rest // w,) for x, rest in parts
+            if rest % w == 0 and (f is None or rest // w >= x[f])]
 
 
 class _EdgeJoin:
     """The one solver of the edge constraints of a graph.  Called with one
-    box of items per vertex, it returns (code, picks) for every dimension
-    vector whose vertex vectors come from the boxes; picks[v] is the item
-    chosen at vertex v, in code order when the boxes are: vertex 0's items
-    come in box order, edge j (amalgams first, in tree order) glues vertex
-    j + 1 on in box order, and HNN edges filter.
+    box of items per vertex, it returns (sum of item[0], sum of item[2],
+    picks) for every dimension vector whose vertex vectors come from the
+    boxes; picks[v] is the item chosen at vertex v, in code order when the
+    boxes are: vertex 0's items come in box order, edge j (amalgams first,
+    in tree order) glues vertex j + 1 on in box order, and HNN edges
+    filter.
 
-    An item starts with the vertex vector's code contribution and its
-    packed images: its images under every restriction at the vertex, side
-    by side in 16-bit fields (no image entry exceeds the total), so both
-    are carry-free sums of per-simple weights.  The boxes are joined on the
-    image of each amalgam edge (in tree order edge j glues vertex j+1 onto
-    an earlier vertex), and HNN edges filter.
+    An item is (a, packed images, b, ...): its packed images are the
+    vertex vector's images under every restriction at the vertex, side by
+    side in 16-bit fields (no image entry exceeds the total), a carry-free
+    sum of per-simple weights; a and b are summed over the picks, ints
+    added or texts and tuples concatenated.  items(v, xs) makes the items
+    (code contribution, packed images, x), whose sums are the code and the
+    flat per_vertex tuple.  The boxes are joined on the image of each
+    amalgam edge (in tree order edge j glues vertex j+1 onto an earlier
+    vertex), and HNN edges filter.
     """
 
     def __init__(self, g: GraphOfGroups):
@@ -291,26 +305,16 @@ class _EdgeJoin:
         codes, images = self.weights[v]
         return [(sum(map(mul, x, codes)), sum(map(mul, x, images)), x) for x in xs]
 
-    def box(self, v: int, bound: tuple) -> list:
-        """The items (code contribution, packed images) of all x <= bound
-        at vertex v, zero and bound included."""
-        items = [(0, 0)]
-        for k, cw, ew in zip(bound, *self.weights[v]):
-            if k:
-                steps = [(i * cw, i * ew) for i in range(k + 1)]
-                items = [(c + a, e + b) for c, e in items for a, b in steps]
-        return items
-
     def __call__(self, items: list) -> list:
-        parts = [(item[0], (item,)) for item in items[0]]
+        parts = [(item[0], item[2], (item,)) for item in items[0]]
         for (s, s_at, mask), (t, t_at, _) in self.joins:
             groups = {}
             for item in items[t]:
                 groups.setdefault(item[1] >> t_at & mask, []).append(item)
-            parts = [(c + item[0], picks + (item,)) for c, picks in parts
+            parts = [(c + item[0], f + item[2], picks + (item,)) for c, f, picks in parts
                      for item in groups.get(picks[s][1] >> s_at & mask, ())]
         for (s, s_at, mask), (t, t_at, _) in self.filters:
-            parts = [p for p in parts if p[1][s][1] >> s_at & mask == p[1][t][1] >> t_at & mask]
+            parts = [p for p in parts if p[2][s][1] >> s_at & mask == p[2][t][1] >> t_at & mask]
         return parts
 
 

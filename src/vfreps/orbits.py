@@ -14,28 +14,31 @@ G splits as G0 x| (edge-moving part).  G0, the elements that fix every
 edge simple, is normal in G and is the product of the symmetric groups on
 each vertex's signature classes: the simples of equal dimension and equal
 columns in every restriction matrix at that vertex.  The least code of a
-G0-orbit sorts each class's entries ascending over the class's places,
-so a key's G0-representative is its code plus one table lookup per vertex
-with a class of two or more simples.  The orbit walk then runs over those
-G0-representatives only, under the few generators that move edge
-simples, each of which sends every class onto a class in ascending
-order and so maps G0-representatives to G0-representatives.  The
-sub-vectors of a representative, which its decompositions
-count, come from the edge-constraint join of dimmonoid, which also gives
-the code of a vertex vector; this module works on per_vertex tuples and
-never on the code layout.
+G0-orbit sorts each class's entries ascending over the class's places.
+So the join of dimmonoid, fed only the vertex compositions whose classes
+ascend, generates exactly the G0-representatives, and the orbit walk
+runs over those alone, under the few generators that move edge simples,
+each of which maps G0-representatives to G0-representatives (canonical
+augmentation, McKay, J. Algorithms 26, 1998).  root maps each
+G0-representative to its representative, and only representatives are
+interned.  The join also counts a representative's decompositions and
+streams the command line's keys, from items that carry G0-codes; only
+the readers of every key enumerate them.  This module works on
+per_vertex tuples and the join's items, never on the code layout.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from operator import add, attrgetter, itemgetter, mul, sub
+from collections import Counter
+from itertools import chain, product
+from math import factorial, prod
+from operator import add, itemgetter, mul, sub
 
-from .dimmonoid import _EdgeJoin, enumerate_dimvectors
+from .dimmonoid import _VECTOR, _EdgeJoin, _interned, _weighted_compositions, enumerate_dimvectors
 from .groupgraph import GraphOfGroups
 
-_CODE = attrgetter("code")
-_PER_VERTEX = attrgetter("per_vertex")
+_MULTIPLICITY = itemgetter(3)  # of a sub-box item
+_ZERO_ITEM = [(0, 0, 0, 1)]  # the sub-box of the zero vector
 
 
 class Automorphisms:
@@ -70,12 +73,12 @@ class Automorphisms:
     permutations in the format of SymmetryGroupDescriptor (p[gamma] is the
     image of gamma) and `edge_perms` their tau_e.
 
-    The representative of an orbit is its least code.  That of a K-orbit
-    sorts every run ascending over its places, and the orbit walk applies
-    the edge-moving generators to the flat per_vertex tuples of
-    K-representatives, whose images are K-representatives again.  Since
-    scaling commutes with every relabelling and keeps code order,
-    rep(beta*m) = beta*rep(m).
+    The representative of an orbit is its least code.  That of a K-orbit,
+    a key's K-code, sorts every run ascending over its places; quotient
+    generates the K-representatives and walks their flat per_vertex tuples
+    under the edge-moving generators, whose images are K-representatives
+    again.  Since scaling commutes with every relabelling and keeps code
+    order, rep(beta*m) = beta*rep(m).
     """
 
     def __init__(self, g: GraphOfGroups, elements):
@@ -86,12 +89,16 @@ class Automorphisms:
         moving = [any(t[delta] != delta for t in tau for delta in range(len(t))) for tau in self.edge_perms]
         self._edge_movers = [_mover(p) for p, m in zip(self._flats, moving) if m]
         runs = _runs(g, [sigma for sigma, m in zip(self.generators, moving) if not m])
-        self._join = _EdgeJoin(g) if any(runs) else None
-        # per vertex with a run: the vertex and its _Sorter
-        self._sorters = [(v, _Sorter(self._join.weights[v][0], r)) for v, r in enumerate(runs) if r]
-        self._rep = {}
+        self._join = _EdgeJoin(g)
+        self._vertices = [_Runs(vertex.simple_dims, *weights, r)
+                          for vertex, weights, r in zip(g.vertices, self._join.weights, runs)]
+        self._sorters = [(v, t) for v, t in enumerate(self._vertices) if t.runs]
+        self._root = {}  # K-representative code -> representative code
+        self.sizes = {}  # representative code -> orbit size
         self._reps = []
+        self._rep = {}  # every key's code -> its representative's, from _enumerated totals
         self.orbits = {}  # representative code -> its orbit's keys, in code order
+        self._enumerated = 0
         self._decompositions = {}
         self._respecting = {}
 
@@ -131,116 +138,185 @@ class Automorphisms:
             self._respecting[y_func, trunc] = H._respecting[y_func, trunc] = H
         return H
 
-    def representatives(self, trunc: int) -> dict:
-        """{code: code of the orbit representative} for every key of total
-        <= trunc, built degree by degree; fills `orbits` on the way.  A
-        key's K-representative is its code plus its vertices' sorter
-        entries; the K-orbits are then joined by a walk under the
-        edge-moving generators only."""
-        g, rep, orbits = self.graph, self._rep, self.orbits
+    def quotient(self, trunc: int):
+        """Builds the orbit quotient degree by degree up to total trunc:
+        the representatives (reps), root and sizes, interning the
+        representatives only.  The join of the vertex compositions whose
+        runs ascend gives the K-representatives in code order; the walk
+        under the edge-moving generators joins their K-orbits into
+        orbits, whose first K-representative is the least key.  root maps
+        every K-representative to its representative, and an orbit's size
+        is the sum of its K-orbits' sizes."""
+        g, join, root, sizes = self.graph, self._join, self._root, self.sizes
         for d in range(len(self._reps), trunc + 1):
-            keys = enumerate_dimvectors(g, d)
-            codes = list(map(_CODE, keys))
-            if not self.generators:  # every orbit is one key
-                rep.update(zip(codes, codes))
-                orbits.update(zip(codes, zip(keys)))
-                self._reps.append(tuple(codes))
-                continue
-            least = self._least(keys, codes)
-            # K-orbits by representative, in code order: keys come in code
-            # order, so the first key of an orbit is its least
-            members = {}
-            for m, c in zip(keys, least):
-                members.setdefault(c, []).append(m)
-            flat, code_of = {}, {}
+            found = join([join.items(v, t.compositions(d)) for v, t in enumerate(self._vertices)])
+            vectors = {c: tuple(map(_VECTOR, picks)) for c, _, picks in found}
             if self._edge_movers:
-                flat = {c: tuple(chain.from_iterable(ms[0].per_vertex)) for c, ms in members.items()}
-                code_of = {t: c for c, t in flat.items()}
-            # root: the G-representative of every K-representative, as its
-            # key's own code, so that the tables share the keys' ints
-            root, reps = {}, []
-            for c, ms in members.items():
+                flat = {c: f for c, f, _ in found}
+                code_of = {f: c for c, f, _ in found}
+            reps = []
+            for c, pv in vectors.items():
                 if c in root:
                     continue
-                r = root[c] = ms[0].code
-                reps.append(r)
+                root[c] = c
+                reps.append(c)
                 walk = [c]
                 for u in walk:
                     for mover in self._edge_movers:
                         w = code_of[mover(flat[u])]
                         if w not in root:
-                            root[w] = r
+                            root[w] = c
                             walk.append(w)
-                orbits[r] = tuple(ms if len(walk) == 1 else
-                                  sorted(chain.from_iterable(map(members.__getitem__, walk)), key=_CODE))
-            rep.update(zip(codes, map(root.__getitem__, least)))
+                sizes[c] = sum(prod(t.size(vectors[u][v]) for v, t in self._sorters) for u in walk)
+                _interned(g, c, pv, d)
             self._reps.append(tuple(reps))
-        return rep
 
-    def _least(self, keys, codes) -> list:
-        """The code of every key's K-representative: its code plus a
-        sorter entry per vertex with a run."""
-        least = codes
-        for v, table in self._sorters:
-            least = list(map(add, least, map(table.__getitem__, map(itemgetter(v), map(_PER_VERTEX, keys)))))
-        return least
+    def rep(self, m) -> int:
+        """The code of the representative of the key m: root at its code
+        plus its vertices' sorter entries.  Needs the quotient of its total."""
+        c = m.code
+        for v, t in self._sorters:
+            c += t[m.per_vertex[v]]
+        return self._root[c]
 
     def reps(self, d: int) -> tuple:
-        """Representative codes of total d, ascending; needs
-        representatives(trunc) for some trunc >= d first."""
+        """Representative codes of total d, ascending; needs the quotient
+        of some total >= d first."""
         return self._reps[d]
+
+    def representatives(self, trunc: int) -> dict:
+        """{code: code of the orbit representative} for every key of total
+        <= trunc, from the full enumeration read through rep; fills
+        `orbits`.  Only the readers of every key need it: the per-key
+        tables and the tests."""
+        self.quotient(trunc)
+        rep, orbits = self._rep, self.orbits
+        for d in range(self._enumerated, trunc + 1):
+            members = {}
+            for m in enumerate_dimvectors(self.graph, d):
+                r = rep[m.code] = self.rep(m)
+                members.setdefault(r, []).append(m)
+            orbits.update((r, tuple(ms)) for r, ms in members.items())
+            self._enumerated = d + 1
+        return rep
+
+    def labelled(self, d: int, label) -> tuple:
+        """(reps, labels) over the keys of total d in code order, with no
+        key interned: reps[i] is the code of the i-th key's representative
+        and labels[i] the concatenation of label(v, x) over its vertex
+        vectors x.  One join of every vertex composition, whose items carry
+        the K-code of x (its code plus its sorter entry) and its label,
+        both summed by the join.  Needs the quotient of total d."""
+        join = self._join
+        boxes = []
+        for v, t in enumerate(self._vertices):
+            boxes.append([(code + t[x] if t.runs else code, images, label(v, x))
+                          for code, images, x in join.items(v, _weighted_compositions(d, t.dims))])
+        parts = join(boxes)
+        return [self._root[c] for c, _, _ in parts], [text for _, text, _ in parts]
 
     def decompositions(self, code: int) -> tuple:
         """The flat tuple (r1, r2, k, r1, r2, k, ...) for the
         representative with this code: k of its sub-vectors m1 (zero and m
         included) have rep(m1) = r1 and rep(m - m1) = r2.  One tuple per
         representative, whatever its number of pairs; read it with
-        zip(it, it, it).  Without generators every orbit is one key, so
-        each sub-vector is its own pair with k = 1, straight from the join.
-        Needs the representatives of its total."""
+        zip(it, it, it).  The join runs over each vertex's sub-box items
+        (_Runs.box), one per pair of K-orbits of y and x - y, and counts
+        each with its multiplicity.  Needs the quotient of its total."""
         out = self._decompositions.get(code)
         if out is None:
-            if self._join is None:
-                self._join = _EdgeJoin(self.graph)
             m = self.graph._dv_cache[code]
-            subs = self._join([self._join.box(v, x) for v, x in enumerate(m.per_vertex)])
-            if not self.generators:
-                out = tuple(chain.from_iterable((c1, code - c1, 1) for c1, _ in subs))
-            else:
-                rep = self._rep
-                count = {}
-                for c1, _ in subs:
-                    key = (rep[c1], rep[code - c1])
-                    count[key] = count.get(key, 0) + 1
+            found = self._join(list(map(_Runs.box, self._vertices, m.per_vertex)))
+            if self._edge_movers:
+                root, count = self._root, {}
+                for c1, c2, picks in found:
+                    key = (root[c1], root[c2])
+                    count[key] = count.get(key, 0) + prod(map(_MULTIPLICITY, picks))
                 out = tuple(chain.from_iterable((r1, r2, k) for (r1, r2), k in count.items()))
+            else:  # K = G: the pairs of K-representatives are distinct
+                out = tuple(chain.from_iterable((c1, c2, prod(map(_MULTIPLICITY, picks))) for c1, c2, picks in found))
             self._decompositions[code] = out
         return out
 
 
-class _Sorter(dict):
-    """{x: code of x with every run sorted minus the code of x} for the
-    vectors x of one vertex, each computed on first read; weights are the
-    vertex's code weights per simple.  The sorted runs are appended to x
-    and read back into their places by one itemgetter."""
+class _Runs(dict):
+    """One vertex's runs under a group.  As a dict, {x: code of x with
+    every run sorted minus the code of x}, each computed on first read as
+    a sum of per-run offsets, cached by the run's entries.  weights and
+    images are the vertex's code weights and packed edge images per
+    simple; the simples of one run share images."""
 
-    def __init__(self, weights: list, runs: list):
+    def __init__(self, dims, weights: list, images: list, runs: list):
         super().__init__()
-        self.weights = weights
+        self.dims, self.runs = dims, runs
         self.entries = [itemgetter(*run) for run in runs]
-        places = list(range(len(weights)))
-        at = len(places)
+        self.offsets = [({}, [weights[p] for p in run]) for run in runs]
+        self.sizes = [{} for _ in runs]
+        self.floor = [None] * len(weights)
         for run in runs:
-            for gamma in run:
-                places[gamma] = at
-                at += 1
-        self.placed = itemgetter(*places)
+            for a, b in zip(run, run[1:]):
+                self.floor[b] = a
+        alone = sorted(set(range(len(weights))).difference(*runs))
+        # (entries, code weights, images, box steps by entries) per run and
+        # per simple in no run, whose slice keeps its entry a tuple
+        self.groups = [(itemgetter(*run) if len(run) > 1 else itemgetter(slice(run[0], run[0] + 1)),
+                        [weights[p] for p in run], images[run[0]], {})
+                       for run in runs + [[p] for p in alone]]
 
     def __missing__(self, x):
-        y = list(x)
-        for entries in self.entries:
-            y += sorted(entries(x))
-        out = self[x] = sum(map(mul, map(sub, self.placed(y), x), self.weights))
+        out = 0
+        for entries, (cache, weights) in zip(self.entries, self.offsets):
+            xr = entries(x)
+            offset = cache.get(xr)
+            if offset is None:
+                offset = cache[xr] = sum(map(mul, map(sub, sorted(xr), xr), weights))
+            out += offset
+        self[x] = out
         return out
+
+    def compositions(self, d: int) -> list:
+        """The weighted compositions of d whose runs ascend: the
+        K-representatives' vectors of this vertex, in code order."""
+        return _weighted_compositions(d, self.dims, self.floor)
+
+    def size(self, x) -> int:
+        """The size of the orbit of x under the symmetric groups of the
+        runs: one multinomial per run, cached by the run's entries."""
+        n = 1
+        for entries, cache in zip(self.entries, self.sizes):
+            xr = entries(x)
+            k = cache.get(xr)
+            if k is None:
+                k = cache[xr] = factorial(len(xr)) // prod(map(factorial, Counter(xr).values()))
+            n *= k
+        return n
+
+    def box(self, x) -> list:
+        """The sub-box y <= x as items (K-code of y, packed images of y,
+        K-code of x - y, number of such y): one item per pair of orbits of
+        y and x - y under the runs' symmetric groups, from the steps of
+        each run and each simple in no run, cached by its entries of x."""
+        items = _ZERO_ITEM
+        for entries, weights, image, cache in self.groups:
+            xr = entries(x)
+            if any(xr):
+                steps = cache.get(xr)
+                if steps is None:
+                    steps = cache[xr] = _run_steps(xr, weights, image)
+                items = steps if items is _ZERO_ITEM else [
+                    (a + s, b + t, c + u, k * n) for a, b, c, k in items for s, t, u, n in steps]
+        return items
+
+
+def _run_steps(xr: tuple, weights: list, image: int) -> list:
+    """The vectors y <= xr of one run as (K-code of y, packed images of
+    y, K-code of xr - y, number of such y), one per pair of sorted y and
+    sorted xr - y; weights are the code weights of the run's places and
+    image the packed images of each of its simples."""
+    count = Counter((tuple(sorted(y)), tuple(sorted(map(sub, xr, y))))
+                    for y in product(*[range(k + 1) for k in xr]))
+    return [(sum(map(mul, a, weights)), sum(a) * image, sum(map(mul, b, weights)), n)
+            for (a, b), n in count.items()]
 
 
 def automorphisms(g: GraphOfGroups) -> Automorphisms:

@@ -51,13 +51,14 @@ its y_func respects, invert and plethystic keep the tag of their input,
 and mul keeps a tag that both factors share.  A series built by hand, and
 a product of differently tagged factors, carry the graph's trivial group
 (orbits.trivial), whose orbits are single keys.  A series holds handles
-at the representatives of its tag only and is computed there: _solve
+at the representatives of its tag only and is computed there: the tag's
+quotient generates them without enumerating the other keys, and _solve
 sums, for each representative m, over its decompositions m = m1 + (m -
-m1), which a walk over the sub-vectors of m finds and which name
-a[rep(m1)] and right[rep(m - m1)].  Other keys take their representative's value only
-where a caller reads every key: GradedSeries.coeffs, the per-key Poly
-tables (built on their first read, _per_key), and an operand that mul or
-shift moves to a smaller tag.
+m1), which a join over the sub-vectors of m finds and which name
+a[rep(m1)] and right[rep(m - m1)].  Other keys take their
+representative's value only where a caller reads every key, the only
+places that enumerate the keys: GradedSeries.coeffs and the per-key Poly
+tables (built on their first read, _per_key).
 
 The tests keep the solve that multiplies whole degree buckets pairwise as
 the reference, and check mul, invert, Log and Exp under G, a proper
@@ -136,13 +137,16 @@ class GradedSeries:
     @property
     def coeffs(self) -> dict:
         if self._coeffs is None:
-            value = _values_for(self.graph).value
-            self._coeffs = {m: value[h] for m, h in _every_key(self)}
+            value, G = _values_for(self.graph).value, self.symmetry
+            G.representatives(self.trunc)  # fills the orbits
+            self._coeffs = {m: value[h] for c, h in self.handles.items() for m in G.orbits[c]}
         return self._coeffs
 
     def coefficient(self, m: DimVector) -> RatFunc:
-        c = self.symmetry.representatives(self.trunc).get(m.code, m.code)
-        return _values_for(self.graph).value[self.handles.get(c, 0)]
+        if m.total > self.trunc:
+            return RF_ZERO
+        self.symmetry.quotient(self.trunc)
+        return _values_for(self.graph).value[self.handles.get(self.symmetry.rep(m), 0)]
 
     def __eq__(self, other):
         return (
@@ -221,7 +225,11 @@ class _Values:
 
     def reduce(self, counter: dict) -> int:
         """Sum of value*multiplicity over a {handle: int multiplicity} dict,
-        one rf_sum per distinct counter."""
+        one rf_sum per distinct counter; a one-term counter {h: k} is
+        scale(h, k)."""
+        if len(counter) == 1:
+            (h, k), = counter.items()
+            return self.scale(h, k)
         key = tuple(sorted(counter.items()))
         r = self.sum_memo.get(key)
         if r is None:
@@ -267,29 +275,20 @@ def _values_for(g: GraphOfGroups) -> _Values:
 def _codes(G, trunc: int):
     """The codes a series tagged G works at: its representatives, by
     total, ascending within a total."""
-    G.representatives(trunc)
+    G.quotient(trunc)
     for d in range(trunc + 1):
         yield from G.reps(d)
-
-
-def _every_key(f: GradedSeries):
-    """(DimVector, handle) at every key of f, zeros absent: every key of
-    an orbit of the tag takes its representative's handle."""
-    G = f.symmetry
-    G.representatives(f.trunc)
-    for c, h in f.handles.items():
-        for m in G.orbits[c]:
-            yield m, h
 
 
 def _handles(f: GradedSeries, G) -> dict:
     """{code: handle} of f at the codes of G, a subgroup of its tag (see
     _codes): f.handles when G is the tag, else f read at every
-    representative of G."""
+    representative of G through the tag's rep."""
     if G is f.symmetry:
         return f.handles
-    rep = G.representatives(f.trunc)
-    return {m.code: h for m, h in _every_key(f) if rep[m.code] == m.code}
+    f.symmetry.quotient(f.trunc)
+    rep, handles, vectors = f.symmetry.rep, f.handles, f.graph._dv_cache
+    return {c: h for c in _codes(G, f.trunc) if (h := handles.get(rep(vectors[c]))) is not None}
 
 
 def _series(g: GraphOfGroups, trunc: int, handles: dict, G) -> GradedSeries:
@@ -334,7 +333,7 @@ def _solve(g, trunc, G, a, rhs=None, out0=None, alpha=lambda d: 1, right=None):
     out = {} if out0 is None else {0: out0}
     if right is None:
         right = out
-    G.representatives(trunc)
+    G.quotient(trunc)
     for d in range(0 if out0 is None else 1, trunc + 1):
         factor = alpha(d)
         for c in G.reps(d):
@@ -492,7 +491,7 @@ def plethystic(f: GradedSeries, direction: str) -> GradedSeries:
     Log (Moebius-inverted Adams sum after log, needs constant term 1).
     Keeps the tag of f."""
     g, G = f.graph, f.symmetry
-    G.representatives(f.trunc)  # interns every key the Adams sums reach
+    G.quotient(f.trunc)  # interns every representative, and so every multiple of one
     vals = _values_for(g)
     vectors = g._dv_cache
     d = direction.lower()
@@ -584,6 +583,7 @@ def _per_key(g: GraphOfGroups, kind: str, trunc: int, y_func=None) -> dict:
     table = g._pipeline_cache.get(key)
     if table is None:
         _, G, polys, _ = _counts(g, kind, trunc, y_func)
+        G.representatives(trunc)
         table = g._pipeline_cache[key] = {m: p for c, p in polys.items() for m in G.orbits[c]}
     return table
 
@@ -621,6 +621,7 @@ def compute_sim(g: GraphOfGroups, trunc: int):
     (count reads sim through by_representative and aggregate).
     """
     _, G, _, pairs_at = _counts(g, "sim", trunc)
+    G.representatives(trunc)
     vals = _values_for(g)
     per_pair = {}
     for r, pairs in pairs_at.items():
@@ -637,22 +638,23 @@ def compute_sim(g: GraphOfGroups, trunc: int):
 
 def by_representative(g: GraphOfGroups, kind: str, trunc: int) -> tuple:
     """One kind's table read at the orbit representatives, with no per-key
-    table built: (rep, values), rep mapping the code of every key of total
-    <= trunc to its representative's code (a key takes its representative's
-    value) and values {representative's code: Poly}, zeros absent."""
+    table built: (G, values), G the table's tag, whose rep and labelled
+    give every key's representative (a key takes its representative's
+    value), and values {representative's code: Poly}, zeros absent."""
     _, G, polys, _ = _counts(g, kind, trunc)
-    return G.representatives(trunc), polys
+    return G, polys
 
 
 def aggregate(g: GraphOfGroups, kind: str, trunc: int) -> dict:
     """{d: Poly} for every total d in 0..trunc: the sum of the kind's
     values of total d, one reduce over the representatives, each
-    weighted by the size of its orbit."""
+    weighted by the size of its orbit (Automorphisms.sizes), with no key
+    enumerated."""
     handles, G, _, _ = _counts(g, kind, trunc)
     vals = _values_for(g)
     acc = [Counter() for _ in range(trunc + 1)]
     for c, h in handles.items():
-        acc[g._dv_cache[c].total][h] += len(G.orbits[c])
+        acc[g._dv_cache[c].total][h] += G.sizes[c]
     return {d: vals.poly(vals.reduce(a) if a else vals.zero) for d, a in enumerate(acc)}
 
 

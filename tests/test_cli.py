@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from vfreps import cli, series
+from vfreps import cli, dimmonoid, orbits, series
 from vfreps.dimmonoid import enumerate_dimvectors, format_dimvector, parse_dimvector, scale
 from vfreps.exactalg import Poly
 from vfreps.groupgraph import load, preset, save
@@ -777,6 +777,37 @@ def test_tables_and_epoly_build_no_per_key_table(capsys, monkeypatch):
             assert code == 0 and out
     with pytest.raises(AssertionError, match="per-key"):
         series.compute_ss(preset("sl2z"), 4)
+
+
+def test_per_total_tables_epoly_and_the_absim_oracle_intern_representatives_only(capsys, monkeypatch):
+    # cold runs, each on a new copy of its preset: the per-total sums, the
+    # E-polynomials and the absim oracle never enumerate the keys, and the
+    # graph interns orbit representatives only (the zero vector is one)
+    def boom(g, d):
+        raise AssertionError("enumerate_dimvectors called")
+
+    graphs = []
+
+    def fresh(name):
+        graphs.append(load(save(preset(name))))
+        return graphs[-1]
+
+    requests = [(("count", "--group", name, "--max-dim", "5", "--kind", "all", "--by", "total"), name, 5)
+                for name in ("sl2z", "gl2z", "psl2z")]
+    requests += [(("epoly", "--group", name, "--max-dim", "5"), name, 5) for name in ("sl2z", "pgl2z")]
+    requests += [(("oracle", "--group", "sl2z", "--q", "13", "--dim", "2", "--check", "absim"), "sl2z", 2)]
+    with monkeypatch.context() as patch:
+        for module in (dimmonoid, orbits, cli):
+            patch.setattr(module, "enumerate_dimvectors", boom)
+        patch.setattr(cli, "preset", fresh)
+        for argv, _, _ in requests:
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and out and "FAIL" not in out
+    assert len(graphs) == len(requests)
+    for g, (_, name, D) in zip(graphs, requests):
+        # the representatives of a third copy, from the full enumeration
+        reps = set(orbits.automorphisms(load(save(preset(name)))).representatives(D).values())
+        assert 0 in reps and set(g._dv_cache) == reps
 
 
 def _lines(*lines):

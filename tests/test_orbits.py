@@ -1,19 +1,28 @@
-"""The orbit quotient against its reference path.
+"""The orbit quotient against its reference paths.
 
-Automorphisms.representatives sorts each key's runs and walks the
-results under the edge-moving generators only.  The reference here is
-the flat orbit walk it replaced: every generator applied to every key,
-the orbit's least code as its representative.  Both must give the same
-representatives, orbits and decompositions under G, under the subgroups
-H that a correction respects, and under the trivial group.
+Automorphisms.quotient generates the K-representatives (every run
+ascending) from the vertex compositions alone and walks them under the
+edge-moving generators; it never enumerates a key that is not one.  Two
+references here start from the full enumeration instead:
+
+- the flat orbit walk: every generator applied to every key, the
+  orbit's least code as its representative;
+- the sorted walk it replaced: every key's K-representative from its
+  sorted runs, the keys grouped by it and the K-orbits walked.
+
+Both must give the same representatives, root map, orbit sizes, orbits
+and decompositions (as multisets of triples, counted over the plain
+sub-box) under G, under the subgroups H that a correction respects, and
+under the trivial group.
 """
 
+from collections import Counter
 from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import add, attrgetter, itemgetter
 
 import pytest
 
-from test_dimmonoid import _fresh, _hnn_loop, random_group_data
+from test_dimmonoid import ENUMERATION_PRESETS, _fresh, _hnn_loop, random_group_data
 from test_groupgraph import ALL_PRESETS
 from test_series import _alt_y, _weighted_y
 from vfreps import orbits
@@ -70,16 +79,69 @@ def _flat_walk(G, trunc):
     return rep, orbits, reps
 
 
+def _sorted_walk(G, trunc):
+    """(rep, root, sizes, reps per total) of G by the sorted walk over
+    every key: a key's K-representative is its code plus its vertices'
+    sorter entries, the keys are grouped by it in code order, and the
+    K-orbits are joined by a walk under the edge-moving generators.
+    root maps every K-representative to its G-representative."""
+    g = G.graph
+    rep, root, sizes, reps = {}, {}, {}, []
+    for d in range(trunc + 1):
+        keys = enumerate_dimvectors(g, d)
+        least = [m.code for m in keys]
+        for v, table in G._sorters:
+            least = list(map(add, least, (table[m.per_vertex[v]] for m in keys)))
+        members = {}
+        for m, c in zip(keys, least):
+            members.setdefault(c, []).append(m)
+        flat = {c: tuple(chain.from_iterable(ms[0].per_vertex)) for c, ms in members.items()}
+        code_of = {t: c for c, t in flat.items()}
+        found = []
+        for c, ms in members.items():
+            if c in root:
+                continue
+            r = root[c] = ms[0].code
+            found.append(r)
+            walk = [c]
+            for u in walk:
+                for mover in G._edge_movers:
+                    w = code_of[mover(flat[u])]
+                    if w not in root:
+                        root[w] = r
+                        walk.append(w)
+            sizes[r] = sum(len(members[u]) for u in walk)
+        rep.update(zip((m.code for m in keys), map(root.__getitem__, least)))
+        reps.append(tuple(found))
+    return rep, root, sizes, reps
+
+
+def _box(join, v, bound):
+    """The items (code contribution, packed images, 0) of all x <= bound
+    at vertex v, zero and bound included."""
+    items = [(0, 0, 0)]
+    for k, cw, ew in zip(bound, *join.weights[v]):
+        if k:
+            steps = [(i * cw, i * ew) for i in range(k + 1)]
+            items = [(c + a, e + b, 0) for c, e, _ in items for a, b in steps]
+    return items
+
+
 def _counted_decompositions(g, rep, code):
     """(r1, r2, k, ...) of the representative with this code, counted in
-    a dict in the order the join meets the pairs."""
+    a dict over every sub-vector of the plain sub-box."""
     join = _EdgeJoin(g)
     count = {}
     m = g._dv_cache[code]
-    for c1, _ in join([join.box(v, x) for v, x in enumerate(m.per_vertex)]):
+    for c1, _, _ in join([_box(join, v, x) for v, x in enumerate(m.per_vertex)]):
         key = (rep[c1], rep[code - c1])
         count[key] = count.get(key, 0) + 1
     return tuple(chain.from_iterable((r1, r2, k) for (r1, r2), k in count.items()))
+
+
+def _triples(flat):
+    it = iter(flat)
+    return Counter(zip(it, it, it))
 
 
 def _runs(generators, edge_perms):
@@ -152,20 +214,39 @@ def _signature_classes(g):
     return sorted(sorted(c) for c in classes.values() if len(c) > 1)
 
 
+def _check_against_the_references(g, D, decomposed_up_to, groups):
+    """The quotient of each group against the flat and the sorted walk:
+    the flat walk is checked first, on a group that has not yet built
+    its quotient, so that its enumeration interns every key."""
+    for group in groups:
+        _check_generators(group)
+        rep, orbits, reps = _flat_walk(group, D)
+        # the quotient of every total, one degree at a time, as the
+        # pipeline builds it
+        for d in range(D + 1):
+            group.quotient(d)
+        assert [group.reps(d) for d in range(D + 1)] == reps
+        sorted_rep, root, sizes, sorted_reps = _sorted_walk(group, D)
+        assert sorted_rep == rep and sorted_reps == reps
+        assert group._root == root
+        assert group.sizes == sizes == {r: len(o) for r, o in orbits.items()}
+        assert all(group.rep(m) == rep[m.code] for d in range(D + 1) for m in enumerate_dimvectors(g, d))
+        assert group.representatives(D) == rep
+        assert group.orbits == orbits
+        for d in range(min(D, decomposed_up_to) + 1):
+            for r in group.reps(d):
+                want = _counted_decompositions(g, rep, r)
+                got = group.decompositions(r)
+                assert _triples(got) == _triples(want)
+                assert len(got) == len(want)
+
+
 def _check_against_the_flat_walk(g, D, decomposed_up_to):
     G = automorphisms(g)
     # the transpositions of G generate G0, the product of the symmetric
     # groups on the signature classes
     assert sorted(sorted(r) for r in _runs(G.generators, G.edge_perms)) == _signature_classes(g)
-    for group in _groups(g, D):
-        _check_generators(group)
-        rep, orbits, reps = _flat_walk(group, D)
-        assert group.representatives(D) == rep
-        assert group.orbits == orbits
-        assert [group.reps(d) for d in range(D + 1)] == reps
-        for d in range(min(D, decomposed_up_to) + 1):
-            for r in group.reps(d):
-                assert group.decompositions(r) == _counted_decompositions(g, rep, r)
+    _check_against_the_references(g, D, decomposed_up_to, _groups(g, D))
 
 
 @pytest.mark.parametrize("name, D", [("sl2z", 6), ("gl2z", 6), ("pgl2z", 8), ("psl2z", 8)])
@@ -181,6 +262,33 @@ def test_the_quotient_equals_the_flat_walk_on_random_group_data():
 def test_the_quotient_equals_the_flat_walk_on_hnn_loops():
     for twisted in (False, True):
         _check_against_the_flat_walk(_hnn_loop(twisted), 6, 4)
+
+
+def _three_groups(g, D):
+    """G, the subgroup that _alt_y respects and the trivial group."""
+    G = automorphisms(g)
+    return [G, G.respecting(_alt_y, D), trivial(g)]
+
+
+@pytest.mark.parametrize("name", ENUMERATION_PRESETS)
+def test_generated_representatives_equal_the_full_enumeration_on_presets(name):
+    # totals <= 5, the decompositions of every representative included,
+    # each group on a new copy of the graph so that its quotient starts
+    # from nothing
+    for i in range(3):
+        g = _fresh(name)
+        _check_against_the_references(g, 5, 5, _three_groups(g, 5)[i:i + 1])
+
+
+def test_generated_representatives_equal_the_full_enumeration_on_random_group_data_and_hnn_loops():
+    graphs = list(random_group_data()) + [_hnn_loop(twisted) for twisted in (False, True)]
+    proper = 0
+    for g in graphs:
+        D = 6 if len(g.vertices) == 1 else 4
+        groups = _three_groups(g, D)
+        proper += groups[1] not in (groups[0], groups[2])
+        _check_against_the_references(g, D, D, groups)
+    assert proper
 
 
 @pytest.mark.parametrize("name, moving", [("sl2z", 1), ("gl2z", 2), ("psl2z", 0), ("dinf", 0)])
