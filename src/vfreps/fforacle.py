@@ -21,12 +21,18 @@ is a commutation test (`commutant_dimension` is the tests' reference).
 What depends on a class only is computed once per class: characteristic
 roots (a table on the field, keyed by trace and det), the generator-1
 candidates of an equality relation (solved per class of generator 1 and
-per distinct x0^a), generator 0's invariant lines (once per class of
-generator 0), and eigenvalue multiplicities (once per distinct matrix,
-with dimvector() called once per distinct dimension vector).  Only the
-absolute-simplicity test runs per point, reading each matrix's invariant
-lines from a table that lives for one count_absim_orbits call.  Each
-call resolves its preset and tests q's suitability once.
+per distinct x0^a), and generator 0's invariant lines.  No point is
+visited.  Each candidate list gets one tally per call: for
+count_absim_orbits, its members by invariant-line set and its
+irreducible members by the field F_q[y] they span; for dimvector_census,
+its members by eigenvalue multiplicities (read once per distinct matrix,
+with dimvector() called once per distinct dimension vector).  Each class
+of generator 0 combines the tallies: the tuples without a common line
+are a sum over line-set combinations with an empty intersection, less
+the commuting ones, counted per field; the census is a product of
+counters.  The tallies live for one call, so nothing outlives a
+cache_clear of the public functions.  Each call resolves its preset and
+tests q's suitability once.
 
 Supported: d <= 2, q <= 13 with q = 4, 9 realized through fixed
 irreducible polynomials.  Character indexing over F_q fixes the canonical
@@ -37,6 +43,7 @@ vertex group is g0^((q-1)/n) raised to gamma.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
@@ -377,16 +384,18 @@ def _power_preimages(F, d, classes, k, X):
     return out
 
 
-def _classes(p: PresentationData, d: int, q: int):
+def _classes(p: PresentationData, d: int, q: int, tally=lambda i, candidates: list(candidates)):
     """Per conjugacy class of generator 0's power solutions: (class size,
-    x0 = the class's first member, the candidate lists of the other
-    generators at x0).  Every tuple of x0 and one candidate per list
-    satisfies the relations.  An equality relation g_0^a = g_1^b takes
-    generator 1 from the preimages of x0^a under y -> y^b, solved per class
-    of generator 1 and once per distinct x0^a."""
+    x0 = the class's first member, [tally(i, candidates of generator i at
+    x0) for each generator i > 0]).  Every tuple of x0 and one candidate
+    per list satisfies the relations.  tally runs once per distinct list:
+    without an equality relation every class shares generator i's whole
+    solution set, and an equality relation g_0^a = g_1^b takes generator
+    1 from the preimages of x0^a under y -> y^b, solved per class of
+    generator 1 and once per distinct x0^a."""
     sets = [power_solutions(q, d, k) for k in p.power_orders]
     if p.equality is None:
-        rest = [tuple(x for _, members in s for x in members) for s in sets[1:]]
+        rest = [tally(i, tuple(x for _, members in s for x in members)) for i, s in enumerate(sets[1:], 1)]
         for _, members in sets[0]:
             yield len(members), members[0], rest
         return
@@ -398,8 +407,8 @@ def _classes(p: PresentationData, d: int, q: int):
     for key, members in sets[0]:
         xa = _class_power(F, d, key, members[0], a)
         if xa not in solved:
-            solved[xa] = _power_preimages(F, d, sets[1], b, xa)
-        yield len(members), members[0], [solved[xa]]
+            solved[xa] = [tally(1, _power_preimages(F, d, sets[1], b, xa))]
+        yield len(members), members[0], solved[xa]
 
 
 def count_hom(p: PresentationData, d: int, q: int) -> int:
@@ -407,22 +416,36 @@ def count_hom(p: PresentationData, d: int, q: int) -> int:
     over the conjugacy classes of generator 0, the class size times the
     number of completions of its first member."""
     _check_supported(p, d, q)
-    return sum(w * prod(map(len, rest)) for w, _, rest in _classes(p, d, q))
+    return sum(w * prod(rest) for w, _, rest in _classes(p, d, q, lambda i, candidates: len(candidates)))
 
 
-def _class_points(p: PresentationData, d: int, q: int):
-    """Per conjugacy class of generator 0's power solutions: (class size,
-    the relation-satisfying tuples whose generator 0 is the class's first
-    member x0)."""
-    for w, x0, rest in _classes(p, d, q):
-        yield w, ((x0,) + r for r in product(*rest))
+def _field_key(F, y):
+    """The direction of (b, c, e - a) for a non-scalar y = (a, b, c, e).
+    F_q[y] is the span of I and y, whose members with a zero top-left
+    entry form the line through y - a*I; so two non-scalar matrices span
+    the same F_q[y] exactly when their keys agree."""
+    a, b, c, e = y
+    v = (b, c, F.add[e][F.neg[a]])
+    u = F.mul[F.inv[next(x for x in v if x)]]
+    return tuple(u[x] for x in v)
+
+
+def _line_tally(F, candidates):
+    """One candidate list, counted for count_absim_orbits: (its members by
+    invariant-line set, its irreducible members by _field_key).  A member
+    is irreducible, i.e. non-scalar with an irreducible characteristic
+    polynomial, exactly when it has no invariant line."""
+    lines = partial(invariant_lines, F.q)
+    by_lines = Counter(map(lines, candidates))
+    fields = Counter(_field_key(F, y) for y in candidates if not lines(y)) if by_lines[frozenset()] else Counter()
+    return by_lines, fields
 
 
 def count_absim_orbits(p: PresentationData, d: int, q: int) -> int:
     """Number of isomorphism classes of absolutely simple d-dimensional
     modules: absolutely simple points over |GL_d|/(q-1), the size of a
     conjugation orbit.  Points are counted at class representatives of
-    generator 0, whose invariant lines are looked up once per class, and
+    generator 0, whose invariant lines are read once per class, and
     weighted by class size; PGL_d acts freely on them, so each class's
     weighted count and the total must be multiples of the orbit size.
 
@@ -431,28 +454,48 @@ def count_absim_orbits(p: PresentationData, d: int, q: int) -> int:
     the commutant is a finite division algebra, so a field K (Wedderburn).
     Commuting generators span a field F_{q^2} inside K; if K = F_{q^2},
     every generator lies in End_K(F_q^2) = K, so all commute.  Hence
-    K = F_q exactly when two generators do not commute."""
+    K = F_q exactly when two generators do not commute.
+
+    No point is visited.  Each candidate list is tallied once per call
+    (_line_tally).  Per class of x0, the tuples without a common line are
+    a fold of the tallies' line sets by intersection, from x0's lines.
+    From them the commuting ones are subtracted.  A non-scalar 2x2 matrix
+    with an eigenline is cyclic, so whatever commutes with it is a
+    polynomial in it and keeps that line; so in a commuting tuple without
+    a common line every generator is a scalar or irreducible, some y is
+    irreducible, and all lie in the field F_q[y], whose units are the
+    q^2 - 1 matrices alpha*y + beta*I, the scalars included.  Conversely
+    every non-scalar unit of F_q[y] is irreducible, so a tuple of units of
+    F_q[y], not all scalar, has no common line and commutes.  Hence the
+    commuting tuples number, over the fields K = F_q[y] that hold a
+    candidate, prod_i (scalars_i + members of K in list i), less prod_i
+    scalars_i when x0 is scalar; when x0 is irreducible, only K = F_q[x0]
+    counts, and when x0 has an eigenline there are none."""
     _check_supported(p, d, q)
     if d != 2:
         raise ValueError("absolutely simple orbit counting needs d = 2")
     F = field(q)
     orbit_size = (q * q - 1) * (q * q - q) // (q - 1)
+    none, every = frozenset(), frozenset(range(q + 1))
     points = 0
-    lines_of = lru_cache(maxsize=None)(partial(invariant_lines, q))  # for this call only
-    for weight, tuples in _class_points(p, d, q):
-        n, lines0 = 0, None
-        for mats in tuples:
-            if lines0 is None:  # every tuple of the class starts with its x0
-                lines0 = lines_of(mats[0])
-            common = lines0
-            for A in mats[1:]:
-                if not common:
-                    break
-                common = common & lines_of(A)
-            if not common and any(
-                mat_mul(F, A, B) != mat_mul(F, B, A) for i, A in enumerate(mats) for B in mats[i + 1:]
-            ):
-                n += weight
+    for weight, x0, tallies in _classes(p, d, q, lambda i, candidates: _line_tally(F, candidates)):
+        lines0 = invariant_lines(q, x0)
+        common = {lines0: 1}  # at most 2^|lines0| entries
+        for by_lines, _ in tallies:
+            step = Counter()
+            for c, n in common.items():
+                for lines, k in by_lines.items():
+                    step[c & lines] += n * k
+            common = step
+        scalars = [by_lines[every] for by_lines, _ in tallies]
+        if lines0 == every:
+            fields, all_scalar = set().union(*(f for _, f in tallies)), prod(scalars)
+        else:
+            fields, all_scalar = (() if lines0 else (_field_key(F, x0),)), 0
+        commuting = sum(
+            prod(s + f[K] for s, (_, f) in zip(scalars, tallies)) - all_scalar for K in fields
+        )
+        n = weight * (common.get(none, 0) - commuting)
         if n % orbit_size:
             raise ArithmeticError(
                 f"class of size {weight}: {n} absim points not divisible by {orbit_size}"
@@ -537,19 +580,27 @@ def dimvector_census(p: PresentationData, d: int, q: int):
     """Per-dimension-vector point counts, refining count_hom.  The
     dimension vector of a point is a conjugation invariant, so each point
     at a class representative of generator 0 counts once per class member.
-    Each vertex generator's multiplicities are read once per distinct
-    matrix, points are counted by their per-vertex multiplicities, and
-    dimvector() validates each distinct per-vertex tuple once."""
+    No point is visited: each candidate list is tallied once per call by
+    its generator's multiplicities (read once per distinct matrix), each
+    class's counts are the product of x0's multiplicities with those
+    tallies, and dimvector() validates each distinct per-vertex tuple
+    once.  Generator i is vertex i's; one beyond the vertices, or at a
+    trivial vertex, has no multiplicities and is tallied by its count."""
     g = _check_supported(p, d, q)
     mults = _vertex_multiplicities(g, q)
-    vertex_gens = [(i, m) for i, m in enumerate(mults) if m is not None]
-    counts = {}
-    for weight, tuples in _class_points(p, d, q):
-        for mats in tuples:
-            key = tuple(m[mats[i]] for i, m in vertex_gens)
-            counts[key] = counts.get(key, 0) + weight
-    out = {}
-    for key, n in counts.items():
-        read = iter(key)
-        out[dimvector(g, [(d,) if m is None else next(read) for m in mults])] = n
-    return out
+    readers = mults + [None] * (p.generators - len(mults))
+
+    def tally(i, candidates):
+        m = readers[i]
+        return {None: len(candidates)} if m is None else Counter(map(m.__getitem__, candidates))
+
+    counts = Counter()
+    for weight, x0, tallies in _classes(p, d, q, tally):
+        combos = {(None if readers[0] is None else readers[0][x0],): weight}
+        for t in tallies:
+            combos = {key + (m,): n * k for key, n in combos.items() for m, k in t.items()}
+        counts.update(combos)
+    return {
+        dimvector(g, [(d,) if m is None else key[i] for i, m in enumerate(mults)]): n
+        for key, n in counts.items()
+    }

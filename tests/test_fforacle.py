@@ -9,6 +9,9 @@ from vfreps.groupgraph import is_suitable_prime_power, preset
 from vfreps.series import compute_absim, compute_ss, rep_space_count
 from vfreps.fforacle import (
     SmallField,
+    _check_supported,
+    _classes,
+    _vertex_multiplicities,
     ch_power,
     commutant_dimension,
     count_absim_orbits,
@@ -341,6 +344,15 @@ WEIGHTING_POINTS = [
 ]
 
 
+def _point_reader(p, d, q):
+    """dimvector_of_point for every point of one (p, d, q): the graph and
+    the vertex multiplicities are built once, and dimvector() still
+    validates each point."""
+    g = _check_supported(p, d, q)
+    mults = _vertex_multiplicities(g, q)
+    return lambda mats: dimvector(g, [(d,) if m is None else m[mats[i]] for i, m in enumerate(mults)])
+
+
 @pytest.mark.parametrize("name,q", WEIGHTING_POINTS)
 def test_class_weighting_matches_the_unweighted_loop(name, q):
     # count_hom, count_absim_orbits and dimvector_census weight one
@@ -350,7 +362,7 @@ def test_class_weighting_matches_the_unweighted_loop(name, q):
     for d in (1, 2):
         points = _all_points(p, d, q)
         assert count_hom(p, d, q) == len(points)
-        census = Counter(dimvector_of_point(p, mats, q) for mats in points)
+        census = Counter(map(_point_reader(p, d, q), points))
         assert dimvector_census(p, d, q) == census
     assert count_absim_orbits(p, 2, q) == _unweighted_absim(q, points)
 
@@ -363,8 +375,8 @@ def test_class_weighting_matches_the_unweighted_loop(name, q):
     ],
 )
 def test_commutation_criterion_matches_the_commutant(name, q):
-    # _absolutely_simple accepts a tuple without a common invariant line
-    # when some pair of generators does not commute; the reference is the
+    # a tuple without a common invariant line is absolutely simple when
+    # some pair of generators does not commute; the reference is the
     # dimension of the commutant, by rank over F_q
     F = field(q)
     seen = Counter()
@@ -401,8 +413,6 @@ def test_solved_candidates_match_the_member_sweep(name, q):
     # order power_solutions lists them.  At d = 2 both kinds of non-scalar
     # class must give candidates: y^b = beta*I on the whole class
     # (alpha = 0), and y^b = alpha*y + beta*I with one solution (alpha != 0)
-    from vfreps.fforacle import _classes
-
     p = presentation(name)
     _, a, _, b = p.equality
     F = field(q)
@@ -419,13 +429,69 @@ def test_solved_candidates_match_the_member_sweep(name, q):
         assert branches == ({True, False} if d == 2 else set())
 
 
+def _class_points(p, d, q):
+    """Per conjugacy class of generator 0: (class size, every
+    relation-satisfying tuple whose generator 0 is the class's first
+    member)."""
+    for w, x0, rest in _classes(p, d, q):
+        yield w, ((x0,) + r for r in product(*rest))
+
+
+def _class_weighted_absim(p, q):
+    """count_absim_orbits point by point: each tuple at a class
+    representative of generator 0 is tested for a common invariant line
+    and a non-commuting pair, and weighted by the class size."""
+    F = field(q)
+    points = 0
+    for weight, tuples in _class_points(p, 2, q):
+        for mats in tuples:
+            common = frozenset.intersection(*(invariant_lines(q, A) for A in mats))
+            if not common and any(
+                mat_mul(F, A, B) != mat_mul(F, B, A) for i, A in enumerate(mats) for B in mats[i + 1:]
+            ):
+                points += weight
+    orbit = (q * q - 1) * (q * q - q) // (q - 1)
+    assert points % orbit == 0
+    return points // orbit
+
+
+def _class_weighted_census(p, d, q):
+    """dimvector_census point by point, weighted by the class size of
+    generator 0."""
+    read = _point_reader(p, d, q)
+    counts = Counter()
+    for weight, tuples in _class_points(p, d, q):
+        for mats in tuples:
+            counts[read(mats)] += weight
+    return counts
+
+
+# free(3) is the only presentation with two candidate lists per class of
+# generator 0: the only one whose fold meets two tallies' line sets, and
+# whose commuting tuples at a scalar x0 take a field from two lists
+TALLY_POINTS = list(dict.fromkeys(
+    WEIGHTING_POINTS + EQUALITY_POINTS + [("free(2)", 5), ("free(3)", 2), ("free(3)", 3)]
+))
+
+
+@pytest.mark.parametrize("name,q", TALLY_POINTS)
+def test_tallies_match_the_class_weighted_loop(name, q):
+    # count_absim_orbits and dimvector_census combine per-list tallies
+    # (line sets, fields, multiplicities) and visit no point; the
+    # reference visits every point at each class representative
+    p = presentation(name)
+    for d in (1, 2):
+        assert dimvector_census(p, d, q) == _class_weighted_census(p, d, q)
+    assert count_absim_orbits(p, 2, q) == _class_weighted_absim(p, q)
+
+
 def test_per_class_check_rejects_a_wrong_class_weight(monkeypatch):
     from vfreps import fforacle
 
-    classes = fforacle._class_points
+    classes = fforacle._classes
     monkeypatch.setattr(
-        fforacle, "_class_points",
-        lambda p, d, q: ((w + 1, tuples) for w, tuples in classes(p, d, q)),
+        fforacle, "_classes",
+        lambda p, d, q, tally: ((w + 1, x0, rest) for w, x0, rest in classes(p, d, q, tally)),
     )
     with pytest.raises(ArithmeticError, match="class of size"):
         count_absim_orbits(presentation("psl2z"), 2, 7)
