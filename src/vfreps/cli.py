@@ -60,6 +60,7 @@ from .dimmonoid import (
 )
 from .exactalg import POLY_ZERO, Poly
 from .groupgraph import PRESET_NAMES, GraphOfGroups, ValidationError, load, preset
+from .orbits import automorphisms
 from .series import NonPolynomialCoefficient
 
 
@@ -370,19 +371,32 @@ def cmd_epoly(args) -> tuple:
     return (_emit_rows(rows, ["d", "E-polynomial", "Euler"], args.format),)
 
 
-def _rep_space_values(g: GraphOfGroups, d: int, q: int) -> list:
-    """[(value at q, keys)] over the keys of total d, one entry per distinct
+def _rep_space_values(g: GraphOfGroups, keys, q: int) -> list:
+    """[(value at q, keys)] over the given keys, one entry per distinct
     counting polynomial: rep_space_count is a product of general-linear
     counts fixed by the key's exponents, so it is evaluated once per
     distinct exponent set."""
     groups = {}
-    for m in enumerate_dimvectors(g, d):
+    for m in keys:
         groups.setdefault(frozenset(series._gl_exponents(g, m).items()), []).append(m)
     return [(series.rep_space_count(g, ms[0]).eval(q), ms) for ms in groups.values()]
 
 
+def _hom_pipeline(g: GraphOfGroups, d: int, q: int):
+    """The pipeline's count of representation-space points of total d at
+    q.  rep_space_count is constant on the orbits of the automorphism
+    group G, so the sum runs over the representatives of total d, each
+    weighted by its orbit size, and enumerates no other key."""
+    G = automorphisms(g)
+    G.quotient(d)
+    reps = [g._dv_cache[c] for c in G.reps(d)]
+    return sum(value * sum(G.sizes[m.code] for m in ms) for value, ms in _rep_space_values(g, reps, q))
+
+
 def cmd_oracle(args) -> tuple:
-    """Returns ((output text,), all_passed)."""
+    """Returns ((output text,), all_passed).  The pipeline side of hom is
+    summed at the orbit representatives (_hom_pipeline), that of
+    per-vector read at every key, and that of absim is the per-total sum."""
     p = fforacle.presentation(args.group)
     g = preset(args.group)
     q = args.q
@@ -393,7 +407,7 @@ def cmd_oracle(args) -> tuple:
     # p/q and can never equal the oracle's int
     if args.check == "hom":
         oracle = fforacle.count_hom(p, d, q)
-        pipeline = sum(value * len(ms) for value, ms in _rep_space_values(g, d, q))
+        pipeline = _hom_pipeline(g, d, q)
         ok = oracle == pipeline
         lines.append(
             f"check=hom group={args.group} d={d} q={q}: "
@@ -409,7 +423,7 @@ def cmd_oracle(args) -> tuple:
         )
     else:  # per-vector
         census = fforacle.dimvector_census(p, d, q)
-        values = {m: value for value, ms in _rep_space_values(g, d, q) for m in ms}
+        values = {m: value for value, ms in _rep_space_values(g, enumerate_dimvectors(g, d), q) for m in ms}
         for m in enumerate_dimvectors(g, d):
             oracle = census.get(m, 0)
             pipeline = values[m]

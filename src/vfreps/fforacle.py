@@ -22,17 +22,19 @@ What depends on a class only is computed once per class: characteristic
 roots (a table on the field, keyed by trace and det), the generator-1
 candidates of an equality relation (solved per class of generator 1 and
 per distinct x0^a), and generator 0's invariant lines.  No point is
-visited.  Each candidate list gets one tally per call: for
+visited, and no candidate list is flattened: it is blocks, each a whole
+conjugacy class, tallied from its key alone, or one solved member
+(`_classes`).  Each list gets one tally per call: for
 count_absim_orbits, its members by invariant-line set and its
-irreducible members by the field F_q[y] they span; for dimvector_census,
-its members by eigenvalue multiplicities (read once per distinct matrix,
-with dimvector() called once per distinct dimension vector).  Each class
-of generator 0 combines the tallies: the tuples without a common line
-are a sum over line-set combinations with an empty intersection, less
-the commuting ones, counted per field; the census is a product of
-counters.  The tallies live for one call, so nothing outlives a
-cache_clear of the public functions.  Each call resolves its preset and
-tests q's suitability once.
+irreducible members by the field F_q[y] they span; for
+dimvector_census, its members by eigenvalue multiplicities, with
+dimvector() called once per distinct dimension vector.  Each class of
+generator 0 combines the tallies: the tuples without a common line are a
+sum over line-set combinations with an empty intersection, less the
+commuting ones, counted per field; the census is a product of counters.
+The tallies live for one call, so nothing outlives a cache_clear of the
+public functions.  Each call resolves its preset and tests q's
+suitability once.
 
 Supported: d <= 2, q <= 13 with q = 4, 9 realized through fixed
 irreducible polynomials.  Character indexing over F_q fixes the canonical
@@ -45,8 +47,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import product
+from functools import lru_cache
+from itertools import combinations, product
 from math import prod
 
 from .dimmonoid import dimvector
@@ -362,40 +364,42 @@ def _class_power(F, d, key, x, k):
 
 
 def _power_preimages(F, d, classes, k, X):
-    """The members y of classes with y^k = X, in class order, found once
-    per class.  y^k is constant on a scalar class, and on a non-scalar one
-    with alpha = 0 (y^k = beta*I), so such a class gives all or none of its
-    members.  Otherwise y^k = alpha*y + beta*I, so y = (X - beta*I)/alpha
-    is the one candidate, kept when it is non-scalar with the class's
-    (trace, det)."""
+    """The members y of classes with y^k = X as blocks (see _classes), in
+    class order, found once per class.  y^k is constant on a scalar class,
+    and on a non-scalar one with alpha = 0 (y^k = beta*I), so such a class
+    is one whole block or absent.  Otherwise y^k = alpha*y + beta*I, so y =
+    (X - beta*I)/alpha is the one candidate, the block (None, (y,)) when it
+    is non-scalar with the class's (trace, det)."""
     M, P, n = F.mul, F.add, F.neg
     out = []
     for key, members in classes:
         alpha, beta = (0, 0) if key[0] == "s" else ch_power(F, *key, k)
         if not alpha:
             if _class_power(F, d, key, members[0], k) == X:
-                out += members
+                out.append((key, members))
             continue
         m, nb = M[F.inv[alpha]], n[beta]
         a, b, c, e = X
         y = (m[P[a][nb]], m[b], m[c], m[P[e][nb]])
         if (y[1] or y[2] or y[0] != y[3]) and (P[y[0]][y[3]], mat_det(F, y)) == key:
-            out.append(y)
+            out.append((None, (y,)))
     return out
 
 
-def _classes(p: PresentationData, d: int, q: int, tally=lambda i, candidates: list(candidates)):
+def _classes(p: PresentationData, d: int, q: int, tally=lambda i, blocks: blocks):
     """Per conjugacy class of generator 0's power solutions: (class size,
-    x0 = the class's first member, [tally(i, candidates of generator i at
-    x0) for each generator i > 0]).  Every tuple of x0 and one candidate
-    per list satisfies the relations.  tally runs once per distinct list:
-    without an equality relation every class shares generator i's whole
-    solution set, and an equality relation g_0^a = g_1^b takes generator
-    1 from the preimages of x0^a under y -> y^b, solved per class of
-    generator 1 and once per distinct x0^a."""
+    x0 = the class's first member, [tally(i, blocks of generator i at x0)
+    for each generator i > 0]).  Every tuple of x0 and one candidate per
+    list satisfies the relations.  A list is never flattened: its blocks
+    (key, members) are whole power_solutions classes, or single members
+    solved for by _power_preimages under the key None.  tally runs once
+    per distinct list: without an equality relation every class shares
+    generator i's power_solutions, and an equality relation g_0^a =
+    g_1^b takes generator 1 from the preimages of x0^a under y -> y^b,
+    solved per class of generator 1 and once per distinct x0^a."""
     sets = [power_solutions(q, d, k) for k in p.power_orders]
     if p.equality is None:
-        rest = [tally(i, tuple(x for _, members in s for x in members)) for i, s in enumerate(sets[1:], 1)]
+        rest = [tally(i, s) for i, s in enumerate(sets[1:], 1)]
         for _, members in sets[0]:
             yield len(members), members[0], rest
         return
@@ -411,12 +415,17 @@ def _classes(p: PresentationData, d: int, q: int, tally=lambda i, candidates: li
         yield len(members), members[0], solved[xa]
 
 
+def _size(blocks) -> int:
+    """The number of generated members in a list of blocks."""
+    return sum(len(members) for _, members in blocks)
+
+
 def count_hom(p: PresentationData, d: int, q: int) -> int:
     """Number of generator tuples in GL_d(F_q) satisfying all relations:
     over the conjugacy classes of generator 0, the class size times the
     number of completions of its first member."""
     _check_supported(p, d, q)
-    return sum(w * prod(rest) for w, _, rest in _classes(p, d, q, lambda i, candidates: len(candidates)))
+    return sum(w * prod(rest) for w, _, rest in _classes(p, d, q, lambda i, blocks: _size(blocks)))
 
 
 def _field_key(F, y):
@@ -430,14 +439,39 @@ def _field_key(F, y):
     return tuple(u[x] for x in v)
 
 
-def _line_tally(F, candidates):
+def _line_tally(F, blocks):
     """One candidate list, counted for count_absim_orbits: (its members by
-    invariant-line set, its irreducible members by _field_key).  A member
-    is irreducible, i.e. non-scalar with an irreducible characteristic
-    polynomial, exactly when it has no invariant line."""
-    lines = partial(invariant_lines, F.q)
-    by_lines = Counter(map(lines, candidates))
-    fields = Counter(_field_key(F, y) for y in candidates if not lines(y)) if by_lines[frozenset()] else Counter()
+    invariant-line set, its irreducible members by _field_key).  A solved
+    member (key None) is read directly, a whole class from its key.  A
+    scalar has every line.  A non-scalar member is fixed by its eigenlines:
+    a split class gives each of the q(q+1)/2 pairs of lines twice (one per
+    order of its roots), a repeated root gives each line q - 1 times (one
+    per nonzero nilpotent part with that kernel), and an irreducible class
+    has no line and 2 members, y and its conjugate, in each field F_q[y],
+    the same fields for every irreducible class."""
+    q = F.q
+    by_lines, fields, kinds = Counter(), Counter(), Counter()
+    field_keys = ()
+    for key, members in blocks:
+        if key is None:
+            (y,) = members
+            lines = invariant_lines(q, y)
+            by_lines[lines] += 1
+            if not lines:
+                fields[_field_key(F, y)] += 1
+        elif key[0] == "s":
+            by_lines[frozenset(range(q + 1))] += len(members)
+        else:
+            roots = len(F.char_roots.get(key, ()))
+            kinds[roots] += 1
+            if not roots:
+                by_lines[frozenset()] += len(members)
+                field_keys = field_keys or {_field_key(F, y) for y in members}
+    if kinds[2]:
+        by_lines.update(dict.fromkeys(map(frozenset, combinations(range(q + 1), 2)), 2 * kinds[2]))
+    if kinds[1]:
+        by_lines.update({frozenset((line,)): (q - 1) * kinds[1] for line in range(q + 1)})
+    fields.update(dict.fromkeys(field_keys, 2 * kinds[0]))
     return by_lines, fields
 
 
@@ -456,21 +490,21 @@ def count_absim_orbits(p: PresentationData, d: int, q: int) -> int:
     every generator lies in End_K(F_q^2) = K, so all commute.  Hence
     K = F_q exactly when two generators do not commute.
 
-    No point is visited.  Each candidate list is tallied once per call
-    (_line_tally).  Per class of x0, the tuples without a common line are
-    a fold of the tallies' line sets by intersection, from x0's lines.
-    From them the commuting ones are subtracted.  A non-scalar 2x2 matrix
-    with an eigenline is cyclic, so whatever commutes with it is a
-    polynomial in it and keeps that line; so in a commuting tuple without
-    a common line every generator is a scalar or irreducible, some y is
-    irreducible, and all lie in the field F_q[y], whose units are the
-    q^2 - 1 matrices alpha*y + beta*I, the scalars included.  Conversely
-    every non-scalar unit of F_q[y] is irreducible, so a tuple of units of
-    F_q[y], not all scalar, has no common line and commutes.  Hence the
-    commuting tuples number, over the fields K = F_q[y] that hold a
-    candidate, prod_i (scalars_i + members of K in list i), less prod_i
-    scalars_i when x0 is scalar; when x0 is irreducible, only K = F_q[x0]
-    counts, and when x0 has an eigenline there are none."""
+    No point is visited.  Each candidate list is tallied once per call,
+    a whole class from its key (_line_tally).  Per class of x0, the tuples
+    without a common line are a fold of the tallies' line sets by
+    intersection, from x0's lines, less the commuting ones.  A non-scalar
+    2x2 matrix with an eigenline is cyclic, so whatever commutes with it
+    is a polynomial in it and keeps that line; so in a commuting tuple
+    without a common line every generator is a scalar or irreducible,
+    some y is irreducible, and all lie in the field F_q[y], whose units
+    are the q^2 - 1 matrices alpha*y + beta*I, the scalars included.
+    Conversely every non-scalar unit of F_q[y] is irreducible, so a tuple
+    of units of F_q[y], not all scalar, has no common line and commutes.
+    Hence the commuting tuples number, over the fields K = F_q[y] that
+    hold a candidate, prod_i (scalars_i + members of K in list i), less
+    prod_i scalars_i when x0 is scalar; when x0 is irreducible, only
+    K = F_q[x0] counts, and when x0 has an eigenline there are none."""
     _check_supported(p, d, q)
     if d != 2:
         raise ValueError("absolutely simple orbit counting needs d = 2")
@@ -478,7 +512,7 @@ def count_absim_orbits(p: PresentationData, d: int, q: int) -> int:
     orbit_size = (q * q - 1) * (q * q - q) // (q - 1)
     none, every = frozenset(), frozenset(range(q + 1))
     points = 0
-    for weight, x0, tallies in _classes(p, d, q, lambda i, candidates: _line_tally(F, candidates)):
+    for weight, x0, tallies in _classes(p, d, q, lambda i, blocks: _line_tally(F, blocks)):
         lines0 = invariant_lines(q, x0)
         common = {lines0: 1}  # at most 2^|lines0| entries
         for by_lines, _ in tallies:
@@ -576,13 +610,26 @@ def _eigenvalues(F, x):
     return [(roots[0], 1), (roots[1], 1)]
 
 
+def _census_tally(reader, blocks):
+    """One candidate list, counted for dimvector_census: its members by
+    the reader's multiplicities, a conjugation invariant read at each
+    block's first member (a solved block has one), or {None: count}
+    without a reader."""
+    if reader is None:
+        return {None: _size(blocks)}
+    out = Counter()
+    for _, members in blocks:
+        out[reader[members[0]]] += len(members)
+    return out
+
+
 def dimvector_census(p: PresentationData, d: int, q: int):
     """Per-dimension-vector point counts, refining count_hom.  The
     dimension vector of a point is a conjugation invariant, so each point
     at a class representative of generator 0 counts once per class member.
     No point is visited: each candidate list is tallied once per call by
-    its generator's multiplicities (read once per distinct matrix), each
-    class's counts are the product of x0's multiplicities with those
+    its generator's multiplicities (_census_tally, read once per block),
+    each class's counts are the product of x0's multiplicities with those
     tallies, and dimvector() validates each distinct per-vertex tuple
     once.  Generator i is vertex i's; one beyond the vertices, or at a
     trivial vertex, has no multiplicities and is tallied by its count."""
@@ -590,12 +637,8 @@ def dimvector_census(p: PresentationData, d: int, q: int):
     mults = _vertex_multiplicities(g, q)
     readers = mults + [None] * (p.generators - len(mults))
 
-    def tally(i, candidates):
-        m = readers[i]
-        return {None: len(candidates)} if m is None else Counter(map(m.__getitem__, candidates))
-
     counts = Counter()
-    for weight, x0, tallies in _classes(p, d, q, tally):
+    for weight, x0, tallies in _classes(p, d, q, lambda i, blocks: _census_tally(readers[i], blocks)):
         combos = {(None if readers[0] is None else readers[0][x0],): weight}
         for t in tallies:
             combos = {key + (m,): n * k for key, n in combos.items() for m, k in t.items()}

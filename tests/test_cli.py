@@ -11,7 +11,7 @@ import pytest
 from vfreps import cli, dimmonoid, orbits, series
 from vfreps.dimmonoid import enumerate_dimvectors, format_dimvector, parse_dimvector, scale
 from vfreps.exactalg import Poly
-from vfreps.groupgraph import load, preset, save
+from vfreps.groupgraph import is_suitable_prime_power, load, preset, save
 from test_dimmonoid import random_group_data
 
 
@@ -541,6 +541,41 @@ def test_oracle_absim_pass(capsys):
     assert "oracle=3 pipeline=3 PASS" in out
 
 
+def _per_key_hom(g, d, q):
+    """The hom check's pipeline side over every key of total d."""
+    return sum(value * len(ms) for value, ms in cli._rep_space_values(g, enumerate_dimvectors(g, d), q))
+
+
+# every oracle preset: the acceptance points' groups, the free groups,
+# cyclic(n) and the cyclic amalgams
+HOM_PRESETS = [
+    "dinf", "psl2z", "sl2z", "gc(1)", "gc(2)", "gc(3)", "free(1)", "free(2)", "free(3)",
+    "cyclic(2)", "cyclic(3)", "cyclic(4)", "cyclic(6)", "cyclic_free_product(2,3)",
+    "cyclic_free_product(3,3)", "cyclic_free_product(2,4)", "cyclic_amalgam(4,2,6)",
+    "cyclic_amalgam(6,3,6)", "cyclic_amalgam(6,2,4)", "cyclic_amalgam(3,1,3)",
+    "cyclic_amalgam(6,6,6)", "cyclic_amalgam(2,2,4)",
+]
+
+
+@pytest.mark.parametrize("name", HOM_PRESETS)
+def test_oracle_hom_at_representatives_matches_the_per_key_sum(name):
+    # the hom check sums over orbit representatives, weighted by orbit
+    # size; the reference sums over every key
+    g = preset(name)
+    qs = [q for q in (2, 3, 4, 5, 7, 9, 11, 13) if is_suitable_prime_power(g, q)]
+    assert qs
+    for q in qs:
+        for d in (1, 2):
+            assert cli._hom_pipeline(g, d, q) == _per_key_hom(g, d, q), (q, d)
+
+
+def test_oracle_hom_at_representatives_on_random_group_data():
+    for g in random_group_data():
+        for q in (5, 7):
+            for d in (1, 2, 3):
+                assert cli._hom_pipeline(g, d, q) == _per_key_hom(g, d, q), (g, q, d)
+
+
 def test_oracle_per_vector(capsys):
     code, out, _ = run(
         capsys, "oracle", "--group", "psl2z", "--dim", "1", "--q", "7", "--check", "per-vector"
@@ -781,8 +816,9 @@ def test_tables_and_epoly_build_no_per_key_table(capsys, monkeypatch):
 
 def test_per_total_tables_epoly_and_the_absim_oracle_intern_representatives_only(capsys, monkeypatch):
     # cold runs, each on a new copy of its preset: the per-total sums, the
-    # E-polynomials and the absim oracle never enumerate the keys, and the
-    # graph interns orbit representatives only (the zero vector is one)
+    # E-polynomials and the absim and hom oracle checks never enumerate the
+    # keys, and the graph interns orbit representatives only (the zero
+    # vector is one)
     def boom(g, d):
         raise AssertionError("enumerate_dimvectors called")
 
@@ -795,7 +831,8 @@ def test_per_total_tables_epoly_and_the_absim_oracle_intern_representatives_only
     requests = [(("count", "--group", name, "--max-dim", "5", "--kind", "all", "--by", "total"), name, 5)
                 for name in ("sl2z", "gl2z", "psl2z")]
     requests += [(("epoly", "--group", name, "--max-dim", "5"), name, 5) for name in ("sl2z", "pgl2z")]
-    requests += [(("oracle", "--group", "sl2z", "--q", "13", "--dim", "2", "--check", "absim"), "sl2z", 2)]
+    requests += [(("oracle", "--group", "sl2z", "--q", "13", "--dim", "2", "--check", check), "sl2z", 2)
+                 for check in ("absim", "hom")]
     with monkeypatch.context() as patch:
         for module in (dimmonoid, orbits, cli):
             patch.setattr(module, "enumerate_dimvectors", boom)

@@ -9,8 +9,12 @@ from vfreps.groupgraph import is_suitable_prime_power, preset
 from vfreps.series import compute_absim, compute_ss, rep_space_count
 from vfreps.fforacle import (
     SmallField,
+    _census_tally,
     _check_supported,
     _classes,
+    _field_key,
+    _line_tally,
+    _size,
     _vertex_multiplicities,
     ch_power,
     commutant_dimension,
@@ -30,7 +34,12 @@ from vfreps.fforacle import (
 
 def flat_solutions(q, d, k):
     """power_solutions(q, d, k) as one sorted tuple of matrices."""
-    return tuple(sorted(x for _, members in power_solutions(q, d, k) for x in members))
+    return tuple(sorted(flatten(power_solutions(q, d, k))))
+
+
+def flatten(blocks):
+    """The members of a list of blocks (key, members), in block order."""
+    return [x for _, members in blocks for x in members]
 
 
 def pipeline_hom_count(name, d, q):
@@ -422,7 +431,7 @@ def test_solved_candidates_match_the_member_sweep(name, q):
         for _, x0, rest in _classes(p, d, q):
             target = _power(F, d, x0, a)
             sweep = [y for _, members in classes1 for y in members if _power(F, d, y, b) == target]
-            assert rest == [sweep], (d, x0)
+            assert [flatten(blocks) for blocks in rest] == [sweep], (d, x0)
             for key, members in classes1:
                 if key[0] != "s" and set(members) & set(sweep):
                     branches.add(ch_power(F, *key, b)[0] == 0)
@@ -434,7 +443,7 @@ def _class_points(p, d, q):
     relation-satisfying tuple whose generator 0 is the class's first
     member)."""
     for w, x0, rest in _classes(p, d, q):
-        yield w, ((x0,) + r for r in product(*rest))
+        yield w, ((x0,) + r for r in product(*map(flatten, rest)))
 
 
 def _class_weighted_absim(p, q):
@@ -483,6 +492,64 @@ def test_tallies_match_the_class_weighted_loop(name, q):
     for d in (1, 2):
         assert dimvector_census(p, d, q) == _class_weighted_census(p, d, q)
     assert count_absim_orbits(p, 2, q) == _class_weighted_absim(p, q)
+
+
+def _member_line_tally(q, members):
+    """_line_tally member by member: every member's invariant lines, and
+    the field key of every member without one."""
+    F = field(q)
+    lines = [invariant_lines(q, y) for y in members]
+    return Counter(lines), Counter(_field_key(F, y) for y, ls in zip(members, lines) if not ls)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 11, 13])
+@pytest.mark.parametrize("k", [None, 2, 3, 4, 6])
+def test_class_tallies_match_the_member_tallies(q, k):
+    # a whole class is tallied from its key alone: every line for a
+    # scalar, each pair of lines twice for a split class, each line q - 1
+    # times for a repeated root, no line and 2 members per field for an
+    # irreducible class; the reference reads every member
+    F = field(q)
+    classes = power_solutions(q, 2, k)
+    g = preset(f"cyclic({k})") if k else None
+    reader = _vertex_multiplicities(g, q)[0] if k and is_suitable_prime_power(g, q) else None
+    for key, members in classes:
+        block = [(key, members)]
+        assert _size(block) == len(members)
+        assert _line_tally(F, block) == _member_line_tally(q, members), key
+        if reader is not None:
+            assert _census_tally(reader, block) == Counter(map(reader.__getitem__, members)), key
+        assert _census_tally(None, block) == {None: len(members)}
+    # a whole list at once, the irreducible classes' fields summed
+    assert _line_tally(F, classes) == _member_line_tally(q, flatten(classes))
+
+
+@pytest.mark.parametrize("name,q", TALLY_POINTS)
+def test_blocks_flatten_to_the_candidate_lists(name, q):
+    # _classes hands each list over as blocks: whole classes of
+    # power_solutions under their keys, and single solved members under
+    # None; flattened, they are the candidates the relations allow, with
+    # the equality relation's preimages found by powering every member
+    p = presentation(name)
+    F = field(q)
+    for d in (1, 2):
+        sets = [power_solutions(q, d, k) for k in p.power_orders]
+        for (_, members0), (w, x0, rest) in zip(sets[0], _classes(p, d, q), strict=True):
+            assert (w, x0) == (len(members0), members0[0])
+            for i, blocks in enumerate(rest, 1):
+                whole = dict(sets[i])
+                for key, members in blocks:
+                    if key is None:
+                        (y,) = members
+                        assert d == 2 and (y[1] or y[2] or y[0] != y[3])
+                    else:
+                        assert members == whole[key]
+                if p.equality is None:
+                    want = flatten(sets[i])
+                else:
+                    _, a, _, b = p.equality
+                    want = [y for y in flatten(sets[i]) if _power(F, d, y, b) == _power(F, d, x0, a)]
+                assert Counter(flatten(blocks)) == Counter(want), (d, x0, i)
 
 
 def test_per_class_check_rejects_a_wrong_class_weight(monkeypatch):

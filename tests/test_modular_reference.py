@@ -225,6 +225,12 @@ def test_modular_reference_agrees_on_the_published_tables(name):
     assert _mismatches(preset(name), GOLDEN_DEPTH[name]) == []
 
 
+def test_modular_reference_agrees_past_the_published_depth():
+    # psl2z D=14 meets 52 rational-function sums at 128-bit slots, where
+    # the published tables meet a few, and no digest is read
+    assert _mismatches(preset("psl2z"), 14) == []
+
+
 def test_modular_reference_agrees_on_random_group_data():
     # the alternative correction is not constant on orbits, so its shift
     # leaves powers of s in the denominators that the sums meet
