@@ -254,7 +254,8 @@ def cmd_count(args):
         first, vertices = "dimvector", len(g.vertices)
         if fmt == "json":
             layout = {"dimvector": [_SLOT] * vertices, "total_dim": _SLOT, "coefficients": _SLOT}
-            render = lambda x: _json_text(list(x), pad + "    ")
+            inner = "\n" + pad + "      "  # a vertex's entries, one line each under its list
+            render = lambda x: "[" + inner + ("," + inner).join(map(str, x)) + "\n" + pad + "    ]"
         else:
             # laid out on a field per simple, as csv quotes a label with a
             # comma, then each vertex's fields become one

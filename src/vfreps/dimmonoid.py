@@ -40,7 +40,6 @@ from .groupgraph import GraphOfGroups
 
 _BITS = 16
 TOTAL_LIMIT = 1 << _BITS  # every total dimension is below this
-_VECTOR = itemgetter(2)  # of an item made by _EdgeJoin.items
 
 
 class DimVector:
@@ -234,9 +233,7 @@ def enumerate_dimvectors(g: GraphOfGroups, d: int):
     join = _EdgeJoin(g)
     boxes = [join.items(v, _weighted_compositions(d, u.simple_dims)) for v, u in enumerate(g.vertices)]
     intern = g._dv_cache.setdefault
-    out = g._enum_cache[d] = tuple(
-        intern(code, DimVector(g, tuple(map(_VECTOR, picks)), d, code)) for code, _, picks in join(boxes)
-    )
+    out = g._enum_cache[d] = tuple(intern(code, DimVector(g, pv, d, code)) for code, pv in join(boxes))
     return out
 
 
@@ -257,65 +254,62 @@ def _weighted_compositions(d: int, dims, floor=None) -> list:
 
 class _EdgeJoin:
     """The one solver of the edge constraints of a graph.  Called with one
-    box of items per vertex, it returns (sum of item[0], sum of item[2],
-    picks) for every dimension vector whose vertex vectors come from the
-    boxes; picks[v] is the item chosen at vertex v, in code order when the
-    boxes are: vertex 0's items come in box order, edge j (amalgams first,
-    in tree order) glues vertex j + 1 on in box order, and HNN edges
-    filter.
+    box of items per vertex, it returns the fields of every dimension
+    vector whose vertex vectors come from the boxes, in code order when
+    the boxes are: vertex 0's items come in box order, edge j (amalgams
+    first, in tree order) glues vertex j + 1 on in box order, and HNN
+    edges filter.
 
-    An item is (a, packed images, b, ...): its packed images are the
-    vertex vector's images under every restriction at the vertex, side by
-    side in 16-bit fields (no image entry exceeds the total), a carry-free
-    sum of per-simple weights; a and b are summed over the picks, ints
-    added or texts and tuples concatenated.  items(v, xs) makes the items
-    (code contribution, packed images, x), whose sums are the code and the
-    flat per_vertex tuple.  The boxes are joined on the image of each
-    amalgam edge (in tree order edge j glues vertex j+1 onto an earlier
-    vertex), and HNN edges filter.
+    An item is (a, images, b) or (a, images, b, k), and a joined vector
+    gets (a, b) or (a, b, k): a and b summed over its items (ints added,
+    texts and tuples concatenated), k multiplied.  images packs the
+    vector's images under every restriction at its vertex in 16-bit
+    fields, each edge end at an offset of its own (no image entry exceeds
+    the total); the join adds them into one int per partial vector, glues
+    and filters on its fields and emits no images.  items(v, xs) makes
+    the items (code contribution, images, (x,)), whose fields are the
+    code and the per_vertex tuple, which shares the vectors xs.
     """
 
     def __init__(self, g: GraphOfGroups):
-        flat = sum(len(v.simple_dims) for v in g.vertices)  # simples not yet placed
-        ends = [[] for _ in g.vertices]
-        for j, e in enumerate(g.edges):
-            ends[e.s].append((j, 0, e.iota.matrix))
-            ends[e.t].append((j, 1, e.kappa.matrix))
-        self.weights = []
-        fields = {}  # (edge index, side) -> (vertex, shift, mask)
-        for v, vertex in enumerate(g.vertices):
-            images = [0] * len(vertex.simple_dims)
-            at = 0
-            for j, side, matrix in ends[v]:
-                fields[j, side] = (v, at, (1 << _BITS * len(matrix)) - 1)
+        places = reversed(range(sum(len(v.simple_dims) for v in g.vertices)))  # the code's fields, top first
+        self.weights = [([1 << _BITS * next(places) for _ in v.simple_dims], [0] * len(v.simple_dims))
+                        for v in g.vertices]  # per vertex: (code weights, images) per simple
+        at, self.joins, self.filters = 0, [], []  # at: the bit offset of the next edge's two ends
+        for e in g.edges:
+            width = _BITS * len(e.group.simple_dims)
+            for v, matrix, shift in ((e.s, e.iota.matrix, at), (e.t, e.kappa.matrix, at + width)):
                 for delta, row in enumerate(matrix):
                     for gamma, k in enumerate(row):
-                        images[gamma] |= k << (at + _BITS * delta)
-                at += _BITS * len(matrix)
-            codes = [1 << _BITS * (flat - 1 - gamma) for gamma in range(len(images))]
-            flat -= len(images)
-            self.weights.append((codes, images))
-        self.joins, self.filters = [], []
-        for j, e in enumerate(g.edges):
-            (self.joins if e.kind == "amalgam" else self.filters).append((fields[j, 0], fields[j, 1]))
+                        self.weights[v][1][gamma] |= k << (shift + _BITS * delta)
+            (self.joins if e.kind == "amalgam" else self.filters).append((at, at + width, (1 << width) - 1))
+            at += 2 * width
 
     def items(self, v: int, xs) -> list:
-        """The items (code contribution, packed images, x) of the vectors
-        xs at vertex v."""
+        """The items (code contribution, images, (x,)) of the vectors xs
+        at vertex v."""
         codes, images = self.weights[v]
-        return [(sum(map(mul, x, codes)), sum(map(mul, x, images)), x) for x in xs]
+        return [(sum(map(mul, x, codes)), sum(map(mul, x, images)), (x,)) for x in xs]
 
-    def __call__(self, items: list) -> list:
-        parts = [(item[0], item[2], (item,)) for item in items[0]]
-        for (s, s_at, mask), (t, t_at, _) in self.joins:
+    def __call__(self, boxes: list) -> list:
+        parts, last = boxes[0], None if self.filters else len(self.joins)
+        wide = bool(parts) and len(parts[0]) == 4
+        for t, (s_at, t_at, mask) in enumerate(self.joins, 1):
             groups = {}
-            for item in items[t]:
+            for item in boxes[t]:
                 groups.setdefault(item[1] >> t_at & mask, []).append(item)
-            parts = [(c + item[0], f + item[2], picks + (item,)) for c, f, picks in parts
-                     for item in groups.get(picks[s][1] >> s_at & mask, ())]
-        for (s, s_at, mask), (t, t_at, _) in self.filters:
-            parts = [p for p in parts if p[2][s][1] >> s_at & mask == p[2][t][1] >> t_at & mask]
-        return parts
+            get = groups.get
+            if t == last:  # the images are read no more
+                if wide:
+                    return [(a + a2, b + b2, k * k2) for a, p, b, k in parts
+                            for a2, _, b2, k2 in get(p >> s_at & mask, ())]
+                return [(a + a2, b + b2) for a, p, b in parts for a2, _, b2 in get(p >> s_at & mask, ())]
+            parts = [(a + a2, p + p2, b + b2, k * k2) for a, p, b, k in parts
+                     for a2, p2, b2, k2 in get(p >> s_at & mask, ())] if wide else [
+                (a + a2, p + p2, b + b2) for a, p, b in parts for a2, p2, b2 in get(p >> s_at & mask, ())]
+        for s_at, t_at, mask in self.filters:
+            parts = [x for x in parts if x[1] >> s_at & mask == x[1] >> t_at & mask]
+        return list(map(itemgetter(0, 2, 3) if wide else itemgetter(0, 2), parts))
 
 
 # ---------------------------------------------------------------------------

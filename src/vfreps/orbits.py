@@ -21,10 +21,12 @@ runs over those alone, under the few generators that move edge simples,
 each of which maps G0-representatives to G0-representatives (canonical
 augmentation, McKay, J. Algorithms 26, 1998).  root maps each
 G0-representative to its representative, and only representatives are
-interned.  The join also counts a representative's decompositions and
-streams the command line's keys, from items that carry G0-codes; only
-the readers of every key enumerate them.  This module works on
-per_vertex tuples and the join's items, never on the code layout.
+interned.  The join gives each reader only the fields it reads, with
+G0-codes summed: (G0-code, per_vertex) to the quotient, (G0-code, key
+text) to the command line's key stream, and (G0-code of y, G0-code of
+m - y, multiplicity) to a representative's decompositions.  Only the
+readers of every key enumerate them.  This module works on per_vertex
+and flat tuples and the join's items, never on the code layout.
 """
 
 from __future__ import annotations
@@ -34,10 +36,9 @@ from itertools import chain, product
 from math import factorial, prod
 from operator import add, itemgetter, mul, sub
 
-from .dimmonoid import _VECTOR, _EdgeJoin, _interned, _weighted_compositions, enumerate_dimvectors
+from .dimmonoid import _EdgeJoin, _interned, _weighted_compositions, enumerate_dimvectors
 from .groupgraph import GraphOfGroups
 
-_MULTIPLICITY = itemgetter(3)  # of a sub-box item
 _ZERO_ITEM = [(0, 0, 0, 1)]  # the sub-box of the zero vector
 
 
@@ -142,20 +143,21 @@ class Automorphisms:
         """Builds the orbit quotient degree by degree up to total trunc:
         the representatives (reps), root and sizes, interning the
         representatives only.  The join of the vertex compositions whose
-        runs ascend gives the K-representatives in code order; the walk
-        under the edge-moving generators joins their K-orbits into
-        orbits, whose first K-representative is the least key.  root maps
-        every K-representative to its representative, and an orbit's size
-        is the sum of its K-orbits' sizes."""
+        runs ascend gives (code, per_vertex) of the K-representatives in
+        code order; the walk of their flat tuples under the edge-moving
+        generators joins their K-orbits into orbits, whose first
+        K-representative is the least key.  root maps every
+        K-representative to its representative, and an orbit's size is
+        the sum of its K-orbits' sizes."""
         g, join, root, sizes = self.graph, self._join, self._root, self.sizes
         for d in range(len(self._reps), trunc + 1):
             found = join([join.items(v, t.compositions(d)) for v, t in enumerate(self._vertices)])
-            vectors = {c: tuple(map(_VECTOR, picks)) for c, _, picks in found}
+            vectors = dict(found)
             if self._edge_movers:
-                flat = {c: f for c, f, _ in found}
-                code_of = {f: c for c, f, _ in found}
+                flat = {c: tuple(chain.from_iterable(pv)) for c, pv in found}
+                code_of = dict(zip(flat.values(), flat))
             reps = []
-            for c, pv in vectors.items():
+            for c, pv in found:
                 if c in root:
                     continue
                 root[c] = c
@@ -206,35 +208,37 @@ class Automorphisms:
         and labels[i] the concatenation of label(v, x) over its vertex
         vectors x.  One join of every vertex composition, whose items carry
         the K-code of x (its code plus its sorter entry) and its label,
-        both summed by the join.  Needs the quotient of total d."""
+        gives (K-code, text) per key.  Needs the quotient of total d."""
         join = self._join
         boxes = []
         for v, t in enumerate(self._vertices):
             boxes.append([(code + t[x] if t.runs else code, images, label(v, x))
-                          for code, images, x in join.items(v, _weighted_compositions(d, t.dims))])
+                          for code, images, (x,) in join.items(v, _weighted_compositions(d, t.dims))])
         parts = join(boxes)
-        return [self._root[c] for c, _, _ in parts], [text for _, text, _ in parts]
+        return [self._root[c] for c, _ in parts], [text for _, text in parts]
 
     def decompositions(self, code: int) -> tuple:
         """The flat tuple (r1, r2, k, r1, r2, k, ...) for the
         representative with this code: k of its sub-vectors m1 (zero and m
         included) have rep(m1) = r1 and rep(m - m1) = r2.  One tuple per
         representative, whatever its number of pairs; read it with
-        zip(it, it, it).  The join runs over each vertex's sub-box items
-        (_Runs.box), one per pair of K-orbits of y and x - y, and counts
-        each with its multiplicity.  Needs the quotient of its total."""
+        zip(it, it, it).  The join of each vertex's sub-box items
+        (_Runs.box), one per pair of K-orbits of y and x - y, gives (K-code
+        of m1, K-code of m - m1, multiplicity) per pair of K-orbits; root
+        maps both codes, and equal pairs merge.  Needs the quotient of
+        its total."""
         out = self._decompositions.get(code)
         if out is None:
             m = self.graph._dv_cache[code]
             found = self._join(list(map(_Runs.box, self._vertices, m.per_vertex)))
             if self._edge_movers:
                 root, count = self._root, {}
-                for c1, c2, picks in found:
+                for c1, c2, k in found:
                     key = (root[c1], root[c2])
-                    count[key] = count.get(key, 0) + prod(map(_MULTIPLICITY, picks))
-                out = tuple(chain.from_iterable((r1, r2, k) for (r1, r2), k in count.items()))
+                    count[key] = count.get(key, 0) + k
+                out = tuple(chain.from_iterable(map(add, count, zip(count.values()))))
             else:  # K = G: the pairs of K-representatives are distinct
-                out = tuple(chain.from_iterable((c1, c2, prod(map(_MULTIPLICITY, picks))) for c1, c2, picks in found))
+                out = tuple(chain.from_iterable(found))
             self._decompositions[code] = out
         return out
 

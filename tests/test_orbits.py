@@ -14,17 +14,23 @@ Both must give the same representatives, root map, orbit sizes, orbits
 and decompositions (as multisets of triples, counted over the plain
 sub-box) under G, under the subgroups H that a correction respects, and
 under the trivial group.
+
+The edge join itself is checked against a reference join that shares no
+code with it: every combination of vertex items, kept when its unpacked
+vectors satisfy every amalgam and HNN constraint, on the item shapes of
+the enumeration, the key stream and the sub-boxes.
 """
 
 from collections import Counter
-from itertools import chain
-from operator import add, attrgetter, itemgetter
+from functools import reduce
+from itertools import chain, product
+from operator import add, attrgetter, itemgetter, mul, sub
 
 import pytest
 
 from test_dimmonoid import ENUMERATION_PRESETS, _fresh, _hnn_loop, random_group_data
 from test_groupgraph import ALL_PRESETS
-from test_series import _alt_y, _weighted_y
+from test_series import _alt_y, _mixed_tree, _weighted_y
 from vfreps import orbits
 from vfreps.dimmonoid import _EdgeJoin, enumerate_dimvectors
 from vfreps.orbits import automorphisms, trivial
@@ -133,7 +139,7 @@ def _counted_decompositions(g, rep, code):
     join = _EdgeJoin(g)
     count = {}
     m = g._dv_cache[code]
-    for c1, _, _ in join([_box(join, v, x) for v, x in enumerate(m.per_vertex)]):
+    for c1, _ in join([_box(join, v, x) for v, x in enumerate(m.per_vertex)]):
         key = (rep[c1], rep[code - c1])
         count[key] = count.get(key, 0) + 1
     return tuple(chain.from_iterable((r1, r2, k) for (r1, r2), k in count.items()))
@@ -296,6 +302,104 @@ def test_edge_moving_generators_of_the_presets(name, moving):
     # the rest of each G is the adjacent transpositions of its signature
     # classes, which generate G0
     assert _check_generators(automorphisms(_fresh(name))) == moving
+
+
+def _reference_join(g, boxes):
+    """The edge join by brute force, sharing no code with _EdgeJoin: every
+    combination of one (vertex vector, fields) item per vertex, in product
+    order, whose vectors satisfy every amalgam and HNN constraint, with
+    its fields combined: the first two summed (ints added, texts and
+    tuples concatenated) and a third multiplied."""
+    out = []
+    for combo in product(*boxes):
+        xs = [x for x, _ in combo]
+        if all(e.iota.apply(xs[e.s]) == e.kappa.apply(xs[e.t]) for e in g.edges):
+            columns = zip(*(fields for _, fields in combo))
+            out.append(tuple(reduce(op, column) for op, column in zip((add, add, mul), columns)))
+    return out
+
+
+def _code_part(g, v, x):
+    """The share of the vector x at vertex v in a key's code: its entries
+    in 16-bit fields, most significant first, after those of the
+    vertices before v."""
+    after = sum(len(u.simple_dims) for u in g.vertices[v:]) - 1
+    return sum(k << 16 * (after - i) for i, k in enumerate(x))
+
+
+def _sorted_runs(runs, x):
+    """x with the entries of every run sorted ascending over its places."""
+    y = list(x)
+    for run in runs:
+        for place, k in zip(run, sorted(x[p] for p in run)):
+            y[place] = k
+    return tuple(y)
+
+
+def _compositions(d, dims):
+    """The weighted compositions of d, in lexicographic order, by brute
+    force."""
+    return [x for x in product(*(range(d // w + 1) for w in dims)) if sum(map(mul, dims, x)) == d]
+
+
+def _check_join_against_the_reference(g, D):
+    """_EdgeJoin against _reference_join, field by field and in order, on
+    the item shapes of its readers at every total <= D: the enumeration
+    (code, per_vertex tuple), the key stream (K-code, text) and every
+    representative's sub-box items (K-code of y, K-code of x - y, number
+    of y).  The items get their images from the join's own items(); the
+    reference reads the unpacked vectors instead, and its fields come
+    from test-local codes and sorts."""
+    join, G = _EdgeJoin(g), automorphisms(g)
+    G.quotient(D)
+    runs = [t.runs for t in G._vertices]
+    images = lambda v, xs: [p for _, p, _ in join.items(v, xs)]
+    label = lambda v, x: f"{v}{x};"
+    for d in range(D + 1):
+        xs = [_compositions(d, u.simple_dims) for u in g.vertices]
+        found = join([join.items(v, x) for v, x in enumerate(xs)])
+        want = _reference_join(g, [[(x, (_code_part(g, v, x), (x,))) for x in xv] for v, xv in enumerate(xs)])
+        assert found == want
+        assert [(m.code, m.per_vertex) for m in enumerate_dimvectors(g, d)] == want
+        boxes, ref = [], []
+        for v, xv in enumerate(xs):
+            codes = [_code_part(g, v, _sorted_runs(runs[v], x)) for x in xv]
+            boxes.append([(c, p, label(v, x)) for c, p, x in zip(codes, images(v, xv), xv)])
+            ref.append([(x, (c, label(v, x))) for c, x in zip(codes, xv)])
+        want = _reference_join(g, ref)
+        assert join(boxes) == want
+        assert G.labelled(d, label) == ([G._root[c] for c, _ in want], [text for _, text in want])
+        for r in G.reps(d):
+            boxes, ref = [], []
+            for v, x in enumerate(g._dv_cache[r].per_vertex):
+                count, first = Counter(), {}
+                for y in product(*(range(k + 1) for k in x)):
+                    pair = (_code_part(g, v, _sorted_runs(runs[v], y)),
+                            _code_part(g, v, _sorted_runs(runs[v], tuple(map(sub, x, y)))))
+                    count[pair] += 1
+                    first.setdefault(pair, y)
+                ys = list(first.values())
+                boxes.append([(c1, p, c2, count[c1, c2]) for (c1, c2), p in zip(first, images(v, ys))])
+                ref.append([(y, (c1, c2, count[c1, c2])) for (c1, c2), y in first.items()])
+                assert sorted(G._vertices[v].box(x)) == sorted(boxes[-1])
+            assert join(boxes) == _reference_join(g, ref)
+
+
+@pytest.mark.parametrize("name", ALL_PRESETS)
+def test_the_edge_join_equals_the_reference_join_on_presets(name):
+    _check_join_against_the_reference(_fresh(name), 4)
+
+
+def test_the_edge_join_equals_the_reference_join_on_random_group_data():
+    for g in random_group_data():
+        _check_join_against_the_reference(g, 3)
+
+
+def test_the_edge_join_equals_the_reference_join_where_hnn_edges_filter_joined_vectors():
+    # a three-vertex tree whose HNN edge reads the images of two glued
+    # vertices, and the plain and twisted one-vertex loops
+    for g in [_mixed_tree(), _hnn_loop(False), _hnn_loop(True)]:
+        _check_join_against_the_reference(g, 4)
 
 
 def _rebuilding_extend(g, pinned):
